@@ -21,17 +21,13 @@
 // pre-degradations) and per-site circuit breakers whose transition
 // history is part of the deterministic report.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <map>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/cache/replay.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "eval/suite.hpp"
@@ -81,11 +77,7 @@ double run_cache_workload(const serve::Server::Options& options,
   return wall;
 }
 
-std::size_t unique_keys(const std::vector<std::uint64_t>& trace) {
-  return std::unordered_set<std::uint64_t>(trace.begin(), trace.end()).size();
-}
-
-Json policy_stats_json(const cache::PolicyStats& stats) {
+Json cache_stats_json(const cache::Stats& stats) {
   JsonObject out;
   out["lookups"] = stats.lookups;
   out["hits"] = stats.hits;
@@ -256,17 +248,13 @@ int main(int argc, char** argv) {
   timing["rows"] = Json(std::move(timing_rows));
   harness.record_timing("serving", std::move(timing));
 
-  // ---- Cache study (schema 6): the three memoization layers under a
-  // uniform vs a Zipf case mix. Live caches run unbounded (misses ==
-  // unique keys at any thread count), with the per-request-tagged access
-  // trace recorded; bounded-capacity policy behaviour (LRU vs LFU vs the
-  // Belady LTI oracle) is replayed offline from that canonical trace, so
-  // the whole "cache" section is bit-identical at --threads 1 and 8.
-  // The uncached-vs-cached wall-clock speedup is timing-class data. QEC
+  // ---- Cache study: the three memoization layers under a uniform vs a
+  // Zipf case mix, each run once uncached and once with unbounded
+  // caches. The wall-clock speedup and the live per-layer counters go
+  // under "timing" (hits never change results, only latency). QEC
   // planning is per-request (uncached) work, so the study rows skip it
   // to measure the memoized layers themselves; chaos scenarios are
-  // mutually exclusive with caching, so --scenario skips the study
-  // (report stays schema 5).
+  // mutually exclusive with caching, so --scenario skips the study.
   if (harness.scenario().empty()) {
     const std::size_t cache_requests = 40 * harness.samples();
     struct MixRow {
@@ -277,15 +265,9 @@ int main(int argc, char** argv) {
         {"uniform", serve::CaseMix::kUniform},
         {"zipf", serve::CaseMix::kZipf},
     };
-    static constexpr const cache::PolicyKind kPolicies[] = {
-        cache::PolicyKind::kLru, cache::PolicyKind::kLfu,
-        cache::PolicyKind::kLti};
 
-    Table cache_table({"mix", "layer", "lookups", "hits", "rate", "uniq",
-                       "lru", "lfu", "lti"});
-    cache_table.set_title(
-        "Cache hit rates: live (unbounded) and replayed at 1/4 capacity");
-    JsonArray studies;
+    Table cache_table({"mix", "layer", "lookups", "hits", "rate"});
+    cache_table.set_title("Cache hit rates (unbounded, shared by sessions)");
     JsonArray cache_timing_rows;
     for (std::size_t mix_index = 0; mix_index < mixes.size(); ++mix_index) {
       const MixRow& mix = mixes[mix_index];
@@ -310,67 +292,33 @@ int main(int argc, char** argv) {
       const double wall_uncached =
           run_cache_workload(options, catalog, arrivals, nullptr);
       options.cache.enabled = true;
-      options.cache.record_trace = true;
       std::vector<serve::CacheLayerReport> reports;
       const double wall_cached =
           run_cache_workload(options, catalog, arrivals, &reports);
 
       JsonArray layer_rows;
       for (const serve::CacheLayerReport& report : reports) {
-        const std::size_t uniq = unique_keys(report.trace);
-        // Replay at a quarter of the working set (floor 2): tight enough
-        // that the policies separate, large enough that LTI keeps a
-        // meaningful resident set.
-        const std::size_t capacity = std::max<std::size_t>(2, uniq / 4);
-        JsonObject row;
+        Json row = cache_stats_json(report.stats);
         row["layer"] = report.layer;
-        row["live"] = policy_stats_json(report.stats);
-        row["unique_keys"] = uniq;
-        row["trace_length"] = report.trace.size();
-        row["replay_capacity"] = capacity;
-        JsonObject replayed;
-        std::map<cache::PolicyKind, double> replay_rates;
-        for (const cache::PolicyKind policy : kPolicies) {
-          const cache::PolicyStats stats =
-              cache::replay_trace(report.trace, capacity, policy);
-          replay_rates[policy] = stats.hit_rate();
-          replayed[std::string(cache::policy_kind_name(policy))] =
-              policy_stats_json(stats);
-        }
-        row["replay"] = Json(std::move(replayed));
         cache_table.add_row(
             {mix.label, report.layer, std::to_string(report.stats.lookups),
              std::to_string(report.stats.hits),
-             format_double(report.stats.hit_rate(), 3), std::to_string(uniq),
-             format_double(replay_rates[cache::PolicyKind::kLru], 3),
-             format_double(replay_rates[cache::PolicyKind::kLfu], 3),
-             format_double(replay_rates[cache::PolicyKind::kLti], 3)});
-        layer_rows.push_back(Json(std::move(row)));
+             format_double(report.stats.hit_rate(), 3)});
+        layer_rows.push_back(std::move(row));
       }
-      JsonObject study;
-      study["mix"] = mix.label;
-      study["requests"] = arrivals.size();
-      study["layers"] = Json(std::move(layer_rows));
-      studies.push_back(Json(std::move(study)));
-
       JsonObject timing_row;
       timing_row["mix"] = mix.label;
       timing_row["wall_uncached_seconds"] = wall_uncached;
       timing_row["wall_cached_seconds"] = wall_cached;
       timing_row["speedup"] =
           wall_cached > 0.0 ? wall_uncached / wall_cached : 0.0;
+      timing_row["layers"] = Json(std::move(layer_rows));
       cache_timing_rows.push_back(Json(std::move(timing_row)));
       total_requests += 2 * arrivals.size();
       std::fflush(stdout);
     }
     std::printf("\n%s\n", cache_table.to_string().c_str());
-    std::printf("Live caches are unbounded and shared across sessions; the "
-                "replay columns re-run the recorded access trace through "
-                "each policy at 1/4 of the unique working set.\n");
 
-    Json cache_section;
-    cache_section["studies"] = Json(std::move(studies));
-    harness.record_cache(std::move(cache_section));
     Json cache_timing;
     cache_timing["rows"] = Json(std::move(cache_timing_rows));
     harness.record_timing("cache", std::move(cache_timing));

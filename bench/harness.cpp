@@ -169,26 +169,10 @@ void Harness::record_serving(Json serving) {
   chaos_sections_ = true;
 }
 
-void Harness::record_cache(Json cache) {
-  cache_ = std::move(cache);
-  cache_section_ = true;
-  // Cumulative schema: 6 implies the 3/4/5 sections. A cache-only bench
-  // gets an empty serving section rather than a null one.
-  if (!serving_section_) {
-    JsonObject serving;
-    serving["rows"] = Json(JsonArray{});
-    serving_ = Json(std::move(serving));
-  }
-  serving_section_ = true;
-  resources_section_ = true;
-  chaos_sections_ = true;
-}
-
 void Harness::record_lifecycle(Json lifecycle) {
   lifecycle_ = std::move(lifecycle);
   lifecycle_section_ = true;
-  // Cumulative schema: 7 implies the 3/4/5 sections (the cache section
-  // remains optional — a chaos-armed serving run skips its cache study).
+  // Cumulative schema: 7 implies the 3/4/5 sections.
   if (!serving_section_) {
     JsonObject serving;
     serving["rows"] = Json(JsonArray{});
@@ -218,12 +202,9 @@ int Harness::finish(int exit_code) {
     report["schema_version"] =
         lifecycle_section_
             ? 7
-            : (cache_section_
-                   ? 6
-                   : (serving_section_
-                          ? 5
-                          : (resources_section_ ? 4
-                                                : (chaos_sections_ ? 3 : 2))));
+            : (serving_section_
+                   ? 5
+                   : (resources_section_ ? 4 : (chaos_sections_ ? 3 : 2)));
     report["bench"] = name_;
     JsonObject config;
     config["samples"] = samples_;
@@ -239,7 +220,6 @@ int Harness::finish(int exit_code) {
     }
     if (resources_section_) report["resources"] = resources_;
     if (serving_section_) report["serving"] = serving_;
-    if (cache_section_) report["cache"] = cache_;
     if (lifecycle_section_) report["lifecycle"] = lifecycle_;
     JsonObject timing = extra_timing_;
     timing["wall_seconds"] = wall;

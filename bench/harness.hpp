@@ -20,7 +20,8 @@
 // Report schema (schema_version 2; validators also accept 1; a bench
 // that records chaos sections bumps itself to 3, one that records a
 // resources section to 4, one that records a serving section to 5, and
-// one that records a cache section to 6):
+// one that records a lifecycle section to 7; no bench emits 6, whose
+// "cache" section was retired):
 //   {
 //     "schema_version": 2,
 //     "bench": "<name>",
@@ -34,7 +35,7 @@
 //     "degradations":   [...],   // schema 3: degradation-ladder steps
 //     "resources":      [...],   // schema 4: static resource rows
 //     "serving":        {...},   // schema 5: serving rows + events
-//     "cache":          {...},   // schema 6: per-layer/policy hit rates
+//     "lifecycle":      {...},   // schema 7: deadlines + breakers
 //     "results": { ... bench-specific ... }
 //   }
 // Everything outside "timing" is deterministic for a fixed (samples,
@@ -117,20 +118,13 @@ class Harness {
   /// which default to empty arrays.
   void record_serving(Json serving);
 
-  /// Records the report's "cache" section (object with a "studies" array
-  /// of per-layer live stats and per-policy replayed hit rates; see
-  /// scripts/validate_bench_json.py check_cache) and bumps the report to
-  /// schema_version 6. Schema 6 implies the schema-3/4/5 sections; the
-  /// serving section defaults to an empty rows object if never recorded.
-  void record_cache(Json cache);
-
   /// Records the report's "lifecycle" section (object with a "rows"
   /// array of serve::LifecycleSummary::to_json rows — deadline outcomes,
   /// budget-pressure degradations, breaker transitions; see
   /// scripts/validate_bench_json.py check_lifecycle) and bumps the
   /// report to schema_version 7. Schema 7 implies the schema-3/4/5
   /// sections; the serving section defaults to an empty rows object if
-  /// never recorded, and the cache section stays absent unless recorded.
+  /// never recorded.
   void record_lifecycle(Json lifecycle);
 
   /// Total trials executed, for the trials/sec throughput figure.
@@ -158,13 +152,11 @@ class Harness {
   bool chaos_sections_ = false;
   bool resources_section_ = false;
   bool serving_section_ = false;
-  bool cache_section_ = false;
   bool lifecycle_section_ = false;
   Json trial_failures_{JsonArray{}};
   Json degradations_{JsonArray{}};
   Json resources_{JsonArray{}};
   Json serving_;
-  Json cache_;
   Json lifecycle_;
   std::size_t trials_ = 0;
   std::chrono::steady_clock::time_point start_;

@@ -151,15 +151,21 @@ scripts/validate_bench_json.py --compare \
   build-check/BENCH_qec_resources_t1.json \
   build-check/BENCH_qec_resources_t8.json
 
-echo "==> [6/11] serving + cache determinism (serve/cache suites + bench_serving)"
+echo "==> [6/11] serving + cache determinism (serve/cache suites, stress repeats, bench_serving)"
 # The async request engine and the content-addressed caching layer:
-# admission decisions, shed/degradation events, virtual-time latency
-# quantiles and the per-layer cache counters/policy-replay stats (the
-# schema-6 "serving" + "cache" sections) must be bit-identical at any
-# worker thread count; wall-clock latency and cache speedup live under
-# "timing", which --compare strips.
+# admission decisions, shed/degradation events and virtual-time latency
+# quantiles (the schema-5 "serving" section) must be bit-identical at
+# any worker thread count; wall-clock latency and the per-layer cache
+# counters and speedup live under "timing", which --compare strips.
+# The thread-invariance suites then run 300 times each, so a flake that
+# shows once in a few dozen runs fails here; gtest exits non-zero if any
+# repeat fails.
 ctest --test-dir build-check --output-on-failure -L serve
 ctest --test-dir build-check --output-on-failure -L cache
+./build-check/tests/test_serve --gtest_brief=1 \
+  --gtest_filter='Server.ResultsAre*:ServerCache.*' --gtest_repeat=300
+./build-check/tests/test_lifecycle --gtest_brief=1 \
+  --gtest_filter='Breaker.*ThreadCount*' --gtest_repeat=300
 ./build-check/bench/bench_serving --quick --seed 7 --threads 1 \
   --json build-check/BENCH_serving_t1.json >/dev/null
 ./build-check/bench/bench_serving --quick --seed 7 --threads 8 \
@@ -176,7 +182,7 @@ echo "==> [7/11] request lifecycle (lifecycle suites + chaos-armed bench_serving
 # armed bench-wide must (a) satisfy the schema-7 validator — outcome
 # conservation, legal breaker transition chains — and (b) stay
 # bit-identical between 1 and 8 workers. --scenario also skips the
-# cache study, covering the validator's cache-optional branch.
+# cache study.
 ctest --test-dir build-check --output-on-failure -L lifecycle
 ./build-check/bench/bench_serving --quick --seed 7 --threads 1 \
   --scenario "qec.decode=error(1.0);retrieval.query=error(0.7)" \

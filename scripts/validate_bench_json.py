@@ -10,13 +10,12 @@ Usage:
       "degradations"), the schema-4 "resources" section (per-workload
       static resource counts), the schema-5 "serving" section
       (per-workload admission counts, latency quantiles and request-id-
-      sorted shed/degradation event arrays), the schema-6 "cache"
-      section (per-layer live hit/miss stats plus per-policy replayed
-      hit rates, with count-conservation and Belady-optimality checks)
-      and the schema-7 "lifecycle" section (per-workload deadline /
-      cancellation outcome counts conserving against admission, budget-
-      consumption quantiles, and per-site circuit-breaker transition
-      chains replayed against the closed/open/half-open state machine).
+      sorted shed/degradation event arrays), the per-layer cache
+      counters under "timing" (count conservation), and the schema-7
+      "lifecycle" section (per-workload deadline / cancellation outcome
+      counts conserving against admission, budget-consumption
+      quantiles, and per-site circuit-breaker transition chains
+      replayed against the closed/open/half-open state machine).
 
   scripts/validate_bench_json.py --compare A.json B.json
       Assert two reports from the same bench/config are identical modulo
@@ -51,9 +50,7 @@ LIFECYCLE_COUNT_KEYS = (
     "breaker_probes",
 )
 
-# The replacement policies every schema-6 cache replay must cover, and
-# the counter keys of one PolicyStats blob (live or replayed).
-CACHE_POLICY_KEYS = ("lru", "lfu", "lti")
+# The counter keys of one cache::Stats blob.
 CACHE_STAT_KEYS = ("lookups", "hits", "misses", "inserts", "evictions")
 
 # Required keys of each schema-4 "resources" row; every one is a count
@@ -153,14 +150,8 @@ def check_schema(path: str, doc: dict) -> None:
     elif "serving" in doc:
         fail(f"{path}: 'serving' requires schema_version >= 5")
 
-    if doc["schema_version"] >= 6:
-        # Mandatory at schema 6. Schema-7 chaos-armed runs skip the
-        # cache study (fault injection would poison the replay trace),
-        # so from 7 on the section is validated only when present.
-        if doc["schema_version"] == 6 or "cache" in doc:
-            check_cache(path, doc)
-    elif "cache" in doc:
-        fail(f"{path}: 'cache' requires schema_version >= 6")
+    if "cache" in timing:
+        check_cache_timing(path, timing["cache"])
 
     if doc["schema_version"] >= 7:
         check_lifecycle(path, doc)
@@ -355,8 +346,8 @@ def check_serving(path: str, doc: dict) -> None:
             fail(f"{path}: {where}: shed_events length != shed count")
 
 
-def check_policy_stats(path: str, where: str, stats) -> None:
-    """One PolicyStats blob: non-negative exact counters obeying the
+def check_cache_stats(path: str, where: str, stats) -> None:
+    """One cache::Stats blob: non-negative exact counters obeying the
     conservation laws (hits + misses == lookups, inserts <= misses —
     every insert is a resolved miss, a failed compute is a miss that
     never inserts — evictions <= inserts), hit_rate in [0, 1]."""
@@ -379,75 +370,25 @@ def check_policy_stats(path: str, where: str, stats) -> None:
         fail(f"{path}: {where}.hit_rate must be a number in [0, 1]")
 
 
-def check_cache(path: str, doc: dict) -> None:
-    """Validates the schema-6 "cache" section: one study per case mix,
-    each with one row per memoization layer carrying the live unbounded-
-    cache stats and the per-policy replayed stats at the reported
-    capacity. Everything here derives from the canonical (request-id,
-    sequence)-sorted access trace, so it is deterministic at any
-    --threads value and --compare includes it; uncached-vs-cached
-    wall-clock speedups live under "timing"."""
-    cache = doc.get("cache")
-    if not isinstance(cache, dict):
-        fail(f"{path}: 'cache' must be an object (schema 6)")
-    studies = cache.get("studies")
-    if not isinstance(studies, list) or not studies:
-        fail(f"{path}: cache.studies must be a non-empty array")
-    for i, study in enumerate(studies):
-        where = f"cache.studies[{i}]"
-        if not isinstance(study, dict):
-            fail(f"{path}: {where} must be an object")
-        mix = study.get("mix")
-        if not isinstance(mix, str) or not mix:
-            fail(f"{path}: {where}.mix must be a non-empty string")
-        layers = study.get("layers")
-        if not isinstance(layers, list) or not layers:
-            fail(f"{path}: {where}.layers must be a non-empty array")
+def check_cache_timing(path: str, cache) -> None:
+    """Validates timing.cache (bench_serving's cache study): one row per
+    case mix, each with one cache::Stats blob per memoization layer.
+    Hits change latency, never results, and a bounded cache's counters
+    depend on the worker schedule, so they ride under "timing", which
+    --compare strips."""
+    rows = cache.get("rows") if isinstance(cache, dict) else None
+    if not isinstance(rows, list):
+        fail(f"{path}: timing.cache.rows must be an array")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            fail(f"{path}: timing.cache.rows[{i}] must be an object")
+        # Reports from before the counters moved here carry no layers.
+        layers = row.get("layers", [])
+        if not isinstance(layers, list):
+            fail(f"{path}: timing.cache.rows[{i}].layers must be an array")
         for j, layer in enumerate(layers):
-            lw = f"{where}.layers[{j}]"
-            if not isinstance(layer, dict):
-                fail(f"{path}: {lw} must be an object")
-            if not isinstance(layer.get("layer"), str) or not layer["layer"]:
-                fail(f"{path}: {lw}.layer must be a non-empty string")
-            check_policy_stats(path, f"{lw}.live", layer.get("live"))
-            for key in ("unique_keys", "trace_length", "replay_capacity"):
-                value = layer.get(key)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    fail(f"{path}: {lw}.{key} must be an int")
-                if value < 0:
-                    fail(f"{path}: {lw}.{key} is negative")
-            # Live caches are unbounded: every unique key misses exactly
-            # once and nothing is ever evicted.
-            live = layer["live"]
-            if live["misses"] != layer["unique_keys"]:
-                fail(f"{path}: {lw}: live misses != unique_keys (live "
-                     f"caches must be unbounded)")
-            if live["evictions"] != 0:
-                fail(f"{path}: {lw}: live cache reported evictions")
-            if layer["trace_length"] != live["lookups"]:
-                fail(f"{path}: {lw}: trace_length != live lookups")
-            if layer["unique_keys"] > layer["trace_length"]:
-                fail(f"{path}: {lw}: unique_keys exceed trace_length")
-            replay = layer.get("replay")
-            if not isinstance(replay, dict):
-                fail(f"{path}: {lw}.replay must be an object")
-            if sorted(replay) != sorted(CACHE_POLICY_KEYS):
-                fail(f"{path}: {lw}.replay must have exactly the keys "
-                     f"{CACHE_POLICY_KEYS}, got {sorted(replay)}")
-            for policy in CACHE_POLICY_KEYS:
-                check_policy_stats(path, f"{lw}.replay.{policy}",
-                                   replay[policy])
-                if replay[policy]["lookups"] != live["lookups"]:
-                    fail(f"{path}: {lw}.replay.{policy}: replayed lookups "
-                         f"!= live lookups (same trace)")
-            # LTI is the clairvoyant Belady oracle: on the same trace at
-            # the same capacity no demand-filling policy can beat it.
-            lti_rate = replay["lti"]["hit_rate"]
-            for policy in ("lru", "lfu"):
-                if replay[policy]["hit_rate"] > lti_rate + 1e-12:
-                    fail(f"{path}: {lw}: replay.{policy} hit_rate "
-                         f"{replay[policy]['hit_rate']} exceeds the LTI "
-                         f"oracle's {lti_rate}")
+            check_cache_stats(path, f"timing.cache.rows[{i}].layers[{j}]",
+                              layer)
 
 
 def check_lifecycle(path: str, doc: dict) -> None:

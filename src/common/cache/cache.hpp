@@ -1,113 +1,83 @@
 #pragma once
 // Sharded, thread-safe, content-addressed cache with single-flight
-// computation.
+// computation and optional LRU bounding.
 //
 // Keys are 64-bit content digests (see hash.hpp); values are immutable
-// once published (handed out as shared_ptr<const V>). The design targets
-// the serving layer's determinism contract:
+// once published (handed out as shared_ptr<const V>). Every memoized
+// compute is a content-seeded pure function of its key, so a hit is
+// byte-identical to the miss that populated it: eviction can change
+// latency and counters, never results.
 //
 //  * Single-flight get_or_compute: concurrent lookups of one missing key
 //    coalesce onto one computation — the first caller computes, the rest
-//    block and receive the published value as hits. Hit/miss totals are
-//    therefore schedule-independent: however the worker threads
-//    interleave, a key's first resolution is exactly one miss and every
-//    other lookup is a hit (with unbounded capacity, misses == unique
-//    keys). Per-request *attribution* of who missed is schedule-shaped;
-//    only the totals are deterministic, which is what the merged
-//    TraceSink summary and Cache::stats() report.
-//  * Live serving caches run unbounded (capacity 0): eviction order
-//    under concurrency is inherently schedule-dependent, so bounded
-//    capacities are for single-shard tests and offline policy replay
-//    (replay.hpp), where the recorded access trace is replayed
-//    deterministically under LRU/LFU/LTI head-to-head.
-//  * Access-trace recording: with CacheOptions::record_trace, every
-//    lookup appends (tag, seq, key), where the tag is the installed
-//    CacheTagScope (the serving layer tags each request with its id) and
-//    seq is a per-tag counter. Sorting by (tag, seq) reconstructs the
-//    canonical single-threaded access order — valid because each
-//    request's execution is itself deterministic — so the replayed
-//    policy stats are bit-identical at any worker thread count.
+//    block and receive the published value as hits. With unbounded
+//    capacity (0) the totals are therefore schedule-independent: a key's
+//    first resolution is exactly one miss and every other lookup is a
+//    hit (misses == unique keys).
+//  * Bounded capacity: each shard keeps a recency list of its published
+//    entries (front = most recently used); a hit splices its entry to
+//    the front and an insert past `capacity` pops the back. Which keys
+//    share a shard is fixed, but the order in which concurrent workers
+//    touch them is not, so bounded hit/miss/eviction counts depend on
+//    the schedule.
 //
 // A compute that throws unpublishes the in-flight placeholder and wakes
 // the waiters, which retry (the first becomes the new computer); nothing
 // is ever cached from a failed computation.
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/cache/hash.hpp"
-#include "common/cache/policy.hpp"
 #include "common/error.hpp"
-#include "common/trace.hpp"
 
 namespace qcgen::cache {
 
-/// Tags cache accesses on the current thread for trace attribution
-/// (RAII, nestable; the serving layer installs one per request with the
-/// request id as tag). Entering a scope resets the per-tag sequence
-/// counter, so the (tag, seq) pairs a request produces depend only on
-/// its own execution, never on what ran on the worker thread before it.
-class CacheTagScope {
- public:
-  explicit CacheTagScope(std::uint64_t tag) noexcept;
-  ~CacheTagScope();
-  CacheTagScope(const CacheTagScope&) = delete;
-  CacheTagScope& operator=(const CacheTagScope&) = delete;
+/// Lookup/eviction counters. Conservation invariants (checked by tests
+/// and the bench validator): hits + misses == lookups, inserts <= misses
+/// (a failed compute misses without inserting), evictions <= inserts.
+struct Stats {
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t inserts = 0;
+  std::uint64_t evictions = 0;
 
-  /// (current tag, next sequence number) for one recorded access.
-  static std::pair<std::uint64_t, std::uint64_t> next() noexcept;
-
- private:
-  std::uint64_t saved_tag_;
-  std::uint64_t saved_seq_;
+  double hit_rate() const noexcept {
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(lookups);
+  }
+  void merge(const Stats& other) noexcept {
+    lookups += other.lookups;
+    hits += other.hits;
+    misses += other.misses;
+    inserts += other.inserts;
+    evictions += other.evictions;
+  }
+  friend bool operator==(const Stats&, const Stats&) = default;
 };
 
 struct CacheOptions {
-  /// Metrics prefix: counters surface as cache.<name>.{hits,misses,
-  /// evictions} on the thread-local TraceSink.
-  std::string name = "cache";
-  /// Maximum resident entries per shard; 0 = unbounded. Bounded
-  /// capacities are deterministic only with shards = 1 (policy studies
-  /// run through replay_trace instead of a live bounded cache).
+  /// Maximum resident entries per shard, evicted least-recently-used
+  /// first; 0 = unbounded.
   std::size_t capacity = 0;
-  /// Online replacement policy (kLru or kLfu; kLti is replay-only).
-  PolicyKind policy = PolicyKind::kLru;
   std::size_t shards = 8;
-  /// Record the (tag, seq, key) access trace for offline policy replay.
-  bool record_trace = false;
-};
-
-/// One recorded lookup.
-struct TraceEntry {
-  std::uint64_t tag = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t key = 0;
 };
 
 template <typename V>
 class Cache {
  public:
-  explicit Cache(CacheOptions options) : options_(std::move(options)) {
+  explicit Cache(CacheOptions options)
+      : options_(options), shards_(options.shards) {
     require(options_.shards >= 1, "Cache: shards >= 1");
-    require(options_.policy != PolicyKind::kLti,
-            "Cache: lti is an offline oracle (see replay_trace)");
-    hits_name_ = "cache." + options_.name + ".hits";
-    misses_name_ = "cache." + options_.name + ".misses";
-    evictions_name_ = "cache." + options_.name + ".evictions";
-    shards_ = std::vector<Shard>(options_.shards);
-    for (Shard& shard : shards_) {
-      shard.policy = make_policy(options_.policy);
-    }
   }
-
-  const CacheOptions& options() const noexcept { return options_; }
 
   /// Returns the cached value for `key`, computing it via `fn` on a
   /// miss. `fn` runs outside the shard lock; concurrent callers for the
@@ -117,22 +87,19 @@ class Cache {
   std::shared_ptr<const V> get_or_compute(std::uint64_t key, Fn&& fn) {
     Shard& shard = shard_for(key);
     std::unique_lock<std::mutex> lock(shard.mutex);
-    if (options_.record_trace) {
-      const auto [tag, seq] = CacheTagScope::next();
-      shard.trace.push_back({tag, seq, key});
-    }
     for (;;) {
       auto it = shard.entries.find(key);
       if (it == shard.entries.end()) break;  // become the computer
       if (it->second.value != nullptr) {
         ++shard.stats.lookups;
         ++shard.stats.hits;
-        shard.policy->on_access(key);
-        trace::Metrics::counter(hits_name_);
+        shard.recency.splice(shard.recency.begin(), shard.recency,
+                             it->second.recency);
         return it->second.value;
       }
       // In flight on another thread: single-flight wait, then re-check
-      // (the computation may have failed and unpublished itself).
+      // (the computation may have failed and unpublished itself, or its
+      // value may already have been evicted).
       shard.cv.wait(lock, [&] {
         const auto found = shard.entries.find(key);
         return found == shard.entries.end() || found->second.value != nullptr;
@@ -141,7 +108,6 @@ class Cache {
     ++shard.stats.lookups;
     ++shard.stats.misses;
     shard.entries.emplace(key, Entry{});  // in-flight placeholder
-    trace::Metrics::counter(misses_name_);
     lock.unlock();
 
     std::shared_ptr<const V> value;
@@ -155,26 +121,21 @@ class Cache {
     }
 
     lock.lock();
-    shard.entries[key].value = value;
+    Entry& entry = shard.entries[key];
+    entry.value = value;
+    entry.recency = shard.recency.insert(shard.recency.begin(), key);
     ++shard.stats.inserts;
-    ++shard.resident;
-    shard.policy->on_insert(key);
-    if (options_.capacity > 0) {
-      while (shard.resident > options_.capacity) {
-        const std::uint64_t evicted = shard.policy->victim();
-        shard.policy->on_erase(evicted);
-        shard.entries.erase(evicted);
-        --shard.resident;
-        ++shard.stats.evictions;
-        trace::Metrics::counter(evictions_name_);
-      }
+    while (options_.capacity > 0 && shard.recency.size() > options_.capacity) {
+      shard.entries.erase(shard.recency.back());
+      shard.recency.pop_back();
+      ++shard.stats.evictions;
     }
     shard.cv.notify_all();
     return value;
   }
 
-  /// Resident value for `key`, or nullptr. Does not touch the policy or
-  /// the stats — an observation aid for tests, not a lookup path.
+  /// Resident value for `key`, or nullptr. Does not touch recency or the
+  /// stats — an observation aid for tests, not a lookup path.
   std::shared_ptr<const V> peek(std::uint64_t key) const {
     const Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -183,8 +144,8 @@ class Cache {
   }
 
   /// Counters aggregated over shards.
-  PolicyStats stats() const {
-    PolicyStats total;
+  Stats stats() const {
+    Stats total;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       total.merge(shard.stats);
@@ -197,41 +158,23 @@ class Cache {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.resident;
+      total += shard.recency.size();
     }
     return total;
-  }
-
-  /// The recorded lookup keys in canonical (tag, seq) order — the input
-  /// replay_trace consumes. Empty unless record_trace was set.
-  std::vector<std::uint64_t> access_trace() const {
-    std::vector<TraceEntry> entries;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      entries.insert(entries.end(), shard.trace.begin(), shard.trace.end());
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const TraceEntry& a, const TraceEntry& b) {
-                return a.tag != b.tag ? a.tag < b.tag : a.seq < b.seq;
-              });
-    std::vector<std::uint64_t> keys;
-    keys.reserve(entries.size());
-    for (const TraceEntry& entry : entries) keys.push_back(entry.key);
-    return keys;
   }
 
  private:
   struct Entry {
     std::shared_ptr<const V> value;  ///< null while the compute is in flight
+    std::list<std::uint64_t>::iterator recency;  ///< valid once published
   };
   struct Shard {
     mutable std::mutex mutex;
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, Entry> entries;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::size_t resident = 0;  ///< published entries (excludes in-flight)
-    PolicyStats stats;
-    std::vector<TraceEntry> trace;
+    /// Published keys, most recently used first (excludes in-flight).
+    std::list<std::uint64_t> recency;
+    Stats stats;
   };
 
   Shard& shard_for(std::uint64_t key) noexcept {
@@ -245,9 +188,6 @@ class Cache {
   }
 
   CacheOptions options_;
-  std::string hits_name_;
-  std::string misses_name_;
-  std::string evictions_name_;
   std::vector<Shard> shards_;
 };
 

@@ -6,7 +6,7 @@
 // lint configuration, ...). Versioned state is folded into the key, so
 // invalidation is free: bumping a knowledge-state or corpus version
 // changes every key derived from it and the stale entries simply stop
-// being reachable (and age out under the replacement policy).
+// being reachable (and, in a bounded cache, age out under LRU eviction).
 //
 // The mixer is FNV-1a for byte content with a SplitMix64 finalisation
 // step per field, which keeps single-field edits avalanching into the

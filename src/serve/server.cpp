@@ -14,6 +14,9 @@ namespace {
 // same separation eval/parallel.cpp keeps for trials).
 constexpr std::uint64_t kServeChaosSalt = 0x39d2f1b7a85c64e9ULL;
 
+/// Shards per cache layer: spreads worker contention across locks.
+constexpr std::size_t kCacheShards = 8;
+
 const sim::Distribution kEmptyReference;
 
 /// Every fail-point site in the request path; the breaker board tracks
@@ -105,28 +108,18 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   require(options_.chaos_scenario.empty() || !options_.cache.enabled,
           "Server: chaos_scenario and cache.enabled are mutually exclusive "
           "(injected faults are per-request; memoized computes are shared)");
-  require(options_.cache.shards >= 1, "Server: cache.shards >= 1");
   // Resources are built mutable so the retrieval cache can be attached
   // to the BM25 stores, then frozen behind the const shared_ptr every
   // worker reads through.
   auto resources =
       std::make_shared<agents::TechniqueResources>(options_.technique);
   if (options_.cache.enabled && !options_.cache.bypass) {
-    const auto make = [&](const char* name) {
-      cache::CacheOptions cache_options;
-      cache_options.name = name;
-      cache_options.capacity = options_.cache.capacity;
-      cache_options.policy = options_.cache.policy;
-      cache_options.shards = options_.cache.shards;
-      cache_options.record_trace = options_.cache.record_trace;
-      return cache_options;
-    };
+    const cache::CacheOptions cache_options{
+        .capacity = options_.cache.capacity, .shards = kCacheShards};
     generation_cache_ =
-        std::make_shared<agents::GenerationCache>(make("generation"));
-    retrieval_cache_ =
-        std::make_shared<llm::RetrievalCache>(make("retrieval"));
-    analysis_cache_ =
-        std::make_shared<agents::AnalysisCache>(make("analysis"));
+        std::make_shared<agents::GenerationCache>(cache_options);
+    retrieval_cache_ = std::make_shared<llm::RetrievalCache>(cache_options);
+    analysis_cache_ = std::make_shared<agents::AnalysisCache>(cache_options);
     resources->enable_retrieval_cache(retrieval_cache_);
   }
   resources_ = std::move(resources);
@@ -289,11 +282,6 @@ RequestResult Server::run_request(const Request& request,
                      request_seed(options_.seed ^ kServeChaosSalt, request.id));
     injector_scope.emplace(&*injector);
   }
-
-  // Tag this request's cache accesses so recorded traces reconstruct a
-  // canonical (request-id, call-sequence) order at any thread count.
-  std::optional<cache::CacheTagScope> tag_scope;
-  if (options_.cache.enabled) tag_scope.emplace(request.id);
 
   // Outlives the try so an aborted run's partial degradation ladder (the
   // request's per-site fault evidence) can be salvaged in the catches.
@@ -493,8 +481,7 @@ std::vector<CacheLayerReport> Server::cache_reports() const {
   std::vector<CacheLayerReport> reports;
   const auto add = [&](const char* layer, const auto& cache_ptr) {
     if (cache_ptr == nullptr) return;
-    reports.push_back(
-        {layer, cache_ptr->stats(), cache_ptr->access_trace()});
+    reports.push_back({layer, cache_ptr->stats()});
   };
   add("generation", generation_cache_);
   add("retrieval", retrieval_cache_);

@@ -49,32 +49,29 @@ namespace qcgen::serve {
 /// and analysis (hash(source, lint config) -> diagnostics; plus judged
 /// distributions keyed by circuit digest). Hits are byte-identical to
 /// misses: cached computes are content-seeded pure functions, so a
-/// cache can only change latency, never results. Mutually exclusive
-/// with chaos scenarios (injected faults are per-request, memoized
-/// computes are not).
+/// cache (and its eviction) can only change latency, never results.
+/// Mutually exclusive with chaos scenarios (injected faults are
+/// per-request, memoized computes are not).
 struct CacheConfig {
   bool enabled = false;
-  cache::PolicyKind policy = cache::PolicyKind::kLru;
-  /// Per-shard entry capacity; 0 = unbounded. Unbounded keeps live
-  /// hit/miss totals thread-count invariant (misses == unique keys);
-  /// bounded-capacity policy studies belong in offline replay of the
-  /// recorded access trace (cache::replay_trace).
+  /// Per-shard entry capacity, evicted least-recently-used first;
+  /// 0 = unbounded. Unbounded keeps hit/miss totals thread-count
+  /// invariant (misses == unique keys). When capacity > 0, which
+  /// computes rerun depends on the worker schedule, so the spans and
+  /// counters recorded inside memoized computes (analyze.*, bm25.*,
+  /// generation) count once per compute and a server trace summary is
+  /// thread-count invariant only at capacity 0.
   std::size_t capacity = 0;
-  std::size_t shards = 8;
-  /// Record the per-request-tagged access trace for offline replay.
-  bool record_trace = false;
   /// Certification mode: run the content-addressed compute path with no
   /// memoization at all — the "uncached path" tests compare cached runs
   /// against byte-for-byte.
   bool bypass = false;
 };
 
-/// Live statistics of one cache layer, plus its canonical access trace
-/// (empty unless CacheConfig::record_trace), for benches and tests.
+/// Live statistics of one cache layer, for benches and tests.
 struct CacheLayerReport {
   std::string layer;  ///< "generation", "retrieval", "analysis"
-  cache::PolicyStats stats;
-  std::vector<std::uint64_t> trace;
+  cache::Stats stats;
 };
 
 class Server {
@@ -177,10 +174,10 @@ class Server {
   std::vector<BreakerTransition> breaker_transitions() const;
 
   const AdmissionController& admission() const noexcept { return admission_; }
-  /// Per-layer cache statistics and (when recorded) access traces, in
-  /// fixed layer order generation/retrieval/analysis. Empty when caching
-  /// is disabled or bypassed. Call after drain(): stats totals are only
-  /// schedule-invariant once every in-flight compute has resolved.
+  /// Per-layer cache statistics in fixed layer order generation/
+  /// retrieval/analysis. Empty when caching is disabled or bypassed.
+  /// Call after drain(): unbounded totals are only schedule-invariant
+  /// once every in-flight compute has resolved.
   std::vector<CacheLayerReport> cache_reports() const;
   Stats stats() const;
   /// Wall-clock submit -> completion latency per completed/failed

@@ -1,8 +1,8 @@
-// Tests for the content-addressed cache subsystem: key hashing,
-// replacement policies (LRU / LFU / the Belady LTI oracle), the sharded
-// single-flight Cache, offline trace replay, and the three memoization
-// layers wired onto it (generation, retrieval, analysis) — including the
-// hit-equals-miss byte-identity contract and version-bump invalidation.
+// Tests for the content-addressed cache subsystem: key hashing, the
+// sharded single-flight Cache with LRU bounding, and the three
+// memoization layers wired onto it (generation, retrieval, analysis) —
+// including the hit-equals-miss byte-identity contract and version-bump
+// invalidation.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "agents/technique_resources.hpp"
 #include "common/cache/cache.hpp"
 #include "common/cache/hash.hpp"
-#include "common/cache/policy.hpp"
-#include "common/cache/replay.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "eval/suite.hpp"
@@ -29,9 +27,9 @@ using namespace qcgen;
 
 namespace {
 
-/// Every PolicyStats must obey the conservation laws regardless of the
+/// Every Stats must obey the conservation laws regardless of the
 /// access pattern or thread schedule that produced it.
-void expect_conserved(const cache::PolicyStats& stats) {
+void expect_conserved(const cache::Stats& stats) {
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_LE(stats.inserts, stats.misses);
   EXPECT_LE(stats.evictions, stats.inserts);
@@ -75,116 +73,10 @@ TEST(KeyHasher, NegativeZeroNormalises) {
 }
 
 // ---------------------------------------------------------------------------
-// Policies
-
-TEST(Policy, NamesRoundTrip) {
-  for (const cache::PolicyKind kind :
-       {cache::PolicyKind::kLru, cache::PolicyKind::kLfu,
-        cache::PolicyKind::kLti}) {
-    const auto parsed = cache::parse_policy_kind(cache::policy_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(cache::parse_policy_kind("belady").has_value());
-}
-
-TEST(Policy, LruEvictsLeastRecentlyUsed) {
-  const auto policy = cache::make_policy(cache::PolicyKind::kLru);
-  policy->on_insert(1);
-  policy->on_insert(2);
-  policy->on_insert(3);
-  policy->on_access(1);
-  EXPECT_EQ(policy->victim(), 2u);
-  policy->on_erase(2);
-  EXPECT_EQ(policy->victim(), 3u);
-}
-
-TEST(Policy, LfuEvictsLeastFrequentRecencyBreaksTies) {
-  const auto policy = cache::make_policy(cache::PolicyKind::kLfu);
-  policy->on_insert(1);
-  policy->on_insert(2);
-  policy->on_insert(3);
-  policy->on_access(1);
-  policy->on_access(1);
-  policy->on_access(3);
-  // 2 has the lowest frequency.
-  EXPECT_EQ(policy->victim(), 2u);
-  policy->on_access(2);
-  policy->on_access(2);
-  // Frequencies now 1:3, 2:3, 3:2.
-  EXPECT_EQ(policy->victim(), 3u);
-  policy->on_access(3);
-  // All at 3 accesses: 1 is the least recently touched.
-  EXPECT_EQ(policy->victim(), 1u);
-}
-
-TEST(Policy, LtiIsReplayOnly) {
-  EXPECT_THROW(cache::make_policy(cache::PolicyKind::kLti),
-               InvalidArgumentError);
-}
-
-// ---------------------------------------------------------------------------
-// replay_trace
-
-TEST(Replay, BeladyOracleBeatsOnlinePoliciesOnTheClassicCycle) {
-  // The canonical adversarial trace for LRU at capacity 2: a 3-key
-  // cycle. LRU and LFU both thrash to zero hits; Belady keeps one key
-  // resident across each wrap and earns a hit per cycle.
-  const std::vector<std::uint64_t> trace = {1, 2, 3, 1, 2, 3};
-  const auto lru = cache::replay_trace(trace, 2, cache::PolicyKind::kLru);
-  const auto lfu = cache::replay_trace(trace, 2, cache::PolicyKind::kLfu);
-  const auto lti = cache::replay_trace(trace, 2, cache::PolicyKind::kLti);
-  expect_conserved(lru);
-  expect_conserved(lfu);
-  expect_conserved(lti);
-  EXPECT_EQ(lru.lookups, trace.size());
-  EXPECT_EQ(lru.hits, 0u);
-  EXPECT_EQ(lfu.hits, 0u);
-  EXPECT_EQ(lti.hits, 2u);  // hand-simulated: hits at positions 3 and 5
-  EXPECT_EQ(lti.misses, 4u);
-}
-
-TEST(Replay, DeterministicAndLtiOptimalOnPseudoRandomTraces) {
-  // Zipf-ish synthetic trace: small keys dominate.
-  std::vector<std::uint64_t> trace;
-  std::uint64_t state = 7;
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t draw = splitmix64(state);
-    trace.push_back(1 + (draw % 8 == 0 ? draw % 32 : draw % 6));
-  }
-  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3},
-                                     std::size_t{8}}) {
-    const auto lru = cache::replay_trace(trace, capacity,
-                                         cache::PolicyKind::kLru);
-    const auto lfu = cache::replay_trace(trace, capacity,
-                                         cache::PolicyKind::kLfu);
-    const auto lti = cache::replay_trace(trace, capacity,
-                                         cache::PolicyKind::kLti);
-    expect_conserved(lru);
-    expect_conserved(lfu);
-    expect_conserved(lti);
-    // Replays are pure: same trace, same stats.
-    EXPECT_EQ(lru, cache::replay_trace(trace, capacity,
-                                       cache::PolicyKind::kLru));
-    EXPECT_EQ(lti, cache::replay_trace(trace, capacity,
-                                       cache::PolicyKind::kLti));
-    // Belady optimality: no online policy beats the oracle.
-    EXPECT_GE(lti.hits, lru.hits) << "capacity " << capacity;
-    EXPECT_GE(lti.hits, lfu.hits) << "capacity " << capacity;
-  }
-}
-
-TEST(Replay, RejectsZeroCapacity) {
-  const std::vector<std::uint64_t> trace = {1, 2};
-  EXPECT_THROW(cache::replay_trace(trace, 0, cache::PolicyKind::kLru),
-               InvalidArgumentError);
-}
-
-// ---------------------------------------------------------------------------
 // Cache
 
 TEST(Cache, ComputesOncePerKeyAndCountsHits) {
-  cache::Cache<int> cache({.name = "t"});
+  cache::Cache<int> cache({});
   int computes = 0;
   const auto compute = [&] {
     ++computes;
@@ -210,7 +102,7 @@ TEST(Cache, ComputesOncePerKeyAndCountsHits) {
 }
 
 TEST(Cache, FailedComputeIsNeverPublished) {
-  cache::Cache<int> cache({.name = "t"});
+  cache::Cache<int> cache({});
   EXPECT_THROW(cache.get_or_compute(
                    1, []() -> int { throw std::runtime_error("boom"); }),
                std::runtime_error);
@@ -225,9 +117,7 @@ TEST(Cache, FailedComputeIsNeverPublished) {
 }
 
 TEST(Cache, BoundedSingleShardEvictsByPolicy) {
-  cache::Cache<int> cache(
-      {.name = "t", .capacity = 2, .policy = cache::PolicyKind::kLru,
-       .shards = 1});
+  cache::Cache<int> cache({.capacity = 2, .shards = 1});
   const auto value = [](int v) { return [v] { return v; }; };
   (void)cache.get_or_compute(1, value(1));
   (void)cache.get_or_compute(2, value(2));
@@ -245,15 +135,11 @@ TEST(Cache, BoundedSingleShardEvictsByPolicy) {
 }
 
 TEST(Cache, RejectsInvalidOptions) {
-  EXPECT_THROW(cache::Cache<int>({.name = "t", .shards = 0}),
-               InvalidArgumentError);
-  EXPECT_THROW(cache::Cache<int>({.name = "t",
-                                  .policy = cache::PolicyKind::kLti}),
-               InvalidArgumentError);
+  EXPECT_THROW(cache::Cache<int>({.shards = 0}), InvalidArgumentError);
 }
 
 TEST(Cache, SingleFlightCoalescesConcurrentMisses) {
-  cache::Cache<int> cache({.name = "t", .shards = 1});
+  cache::Cache<int> cache({.shards = 1});
   std::atomic<int> computes{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -284,9 +170,7 @@ TEST(Cache, MultiThreadHammerOnOneShardKeepsInvariants) {
   // TSan target: many threads, one shard, bounded capacity — maximum
   // lock/cv contention. Totals are schedule-dependent here (eviction
   // interleaves with lookups), but conservation must always hold.
-  cache::Cache<int> cache(
-      {.name = "t", .capacity = 4, .policy = cache::PolicyKind::kLfu,
-       .shards = 1});
+  cache::Cache<int> cache({.capacity = 4, .shards = 1});
   constexpr int kThreads = 8;
   constexpr int kOps = 200;
   std::vector<std::thread> threads;
@@ -310,67 +194,6 @@ TEST(Cache, MultiThreadHammerOnOneShardKeepsInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Access-trace recording
-
-TEST(CacheTagScope, NestsAndRestores) {
-  cache::CacheTagScope outer(5);
-  EXPECT_EQ(cache::CacheTagScope::next(), (std::pair<std::uint64_t,
-                                           std::uint64_t>{5, 0}));
-  EXPECT_EQ(cache::CacheTagScope::next(), (std::pair<std::uint64_t,
-                                           std::uint64_t>{5, 1}));
-  {
-    cache::CacheTagScope inner(7);
-    EXPECT_EQ(cache::CacheTagScope::next(), (std::pair<std::uint64_t,
-                                             std::uint64_t>{7, 0}));
-  }
-  // The outer scope's sequence resumes where it left off.
-  EXPECT_EQ(cache::CacheTagScope::next(), (std::pair<std::uint64_t,
-                                           std::uint64_t>{5, 2}));
-}
-
-TEST(Cache, AccessTraceIsCanonicalAcrossThreadInterleavings) {
-  // Two "requests" (tags 1 and 2) with fixed per-request access
-  // sequences, executed under different interleavings: the recorded
-  // trace sorts to the same canonical order either way.
-  const auto run = [](bool swap) {
-    cache::Cache<int> cache({.name = "t", .shards = 4, .record_trace = true});
-    const auto request1 = [&] {
-      cache::CacheTagScope scope(1);
-      for (const std::uint64_t key : {10u, 11u, 10u}) {
-        (void)cache.get_or_compute(key, [key] { return static_cast<int>(key); });
-      }
-    };
-    const auto request2 = [&] {
-      cache::CacheTagScope scope(2);
-      for (const std::uint64_t key : {11u, 12u}) {
-        (void)cache.get_or_compute(key, [key] { return static_cast<int>(key); });
-      }
-    };
-    if (swap) {
-      std::thread b(request2);
-      request1();
-      b.join();
-    } else {
-      std::thread a(request1);
-      request2();
-      a.join();
-    }
-    return cache.access_trace();
-  };
-  const auto forward = run(false);
-  const auto swapped = run(true);
-  const std::vector<std::uint64_t> canonical = {10, 11, 10, 11, 12};
-  EXPECT_EQ(forward, canonical);
-  EXPECT_EQ(swapped, canonical);
-}
-
-TEST(Cache, TraceOffByDefault) {
-  cache::Cache<int> cache({.name = "t"});
-  (void)cache.get_or_compute(1, [] { return 1; });
-  EXPECT_TRUE(cache.access_trace().empty());
-}
-
-// ---------------------------------------------------------------------------
 // Generation layer
 
 TEST(GenerationLayer, CachedHitsAreByteIdenticalToUncached) {
@@ -379,7 +202,7 @@ TEST(GenerationLayer, CachedHitsAreByteIdenticalToUncached) {
   const auto resources =
       std::make_shared<const agents::TechniqueResources>(technique);
   const auto cache = std::make_shared<agents::GenerationCache>(
-      cache::CacheOptions{.name = "generation"});
+      cache::CacheOptions{});
 
   agents::CodeGenAgent cached(technique, resources, /*seed=*/1);
   cached.set_content_addressed(cache);
@@ -441,7 +264,7 @@ TEST(RetrievalLayer, CachedHitsMatchUncachedRetrieval) {
   llm::VectorStore uncached(chunks);
   llm::VectorStore cached(chunks);
   const auto cache = std::make_shared<llm::RetrievalCache>(
-      cache::CacheOptions{.name = "retrieval"});
+      cache::CacheOptions{});
   cached.attach_cache(cache);
   EXPECT_EQ(uncached.content_version(), cached.content_version());
 
@@ -465,7 +288,7 @@ TEST(RetrievalLayer, CachedHitsMatchUncachedRetrieval) {
 
 TEST(RetrievalLayer, CorpusVersionKeepsSharedCacheCollisionFree) {
   const auto cache = std::make_shared<llm::RetrievalCache>(
-      cache::CacheOptions{.name = "retrieval"});
+      cache::CacheOptions{});
   llm::VectorStore guides(llm::chunk_documents(
       llm::algorithm_guide_corpus(), llm::ChunkStrategy::kBasic, 48));
   llm::VectorStore api(llm::chunk_documents(llm::qiskit_api_corpus(0.0),
@@ -503,7 +326,7 @@ TEST(AnalysisLayer, CachedReportsAreByteIdenticalToUncached) {
   const agents::SemanticAnalyzerAgent uncached;
   agents::SemanticAnalyzerAgent cached;
   const auto cache = std::make_shared<agents::AnalysisCache>(
-      cache::CacheOptions{.name = "analysis"});
+      cache::CacheOptions{});
   cached.set_analysis_cache(cache);
 
   for (const std::string& source : {good, bad}) {
@@ -529,7 +352,7 @@ TEST(AnalysisLayer, BehaviorCheckCachesTheJudgedDistribution) {
       "measure_all; }";
   agents::SemanticAnalyzerAgent agent;
   const auto cache = std::make_shared<agents::AnalysisCache>(
-      cache::CacheOptions{.name = "analysis"});
+      cache::CacheOptions{});
   agent.set_analysis_cache(cache);
   const auto report = agent.analyze(source);
   ASSERT_TRUE(report.circuit.has_value());

@@ -142,9 +142,7 @@ TEST(CancelScope, RestoresPreviousBindingOnExit) {
 // Single-flight cache x cancellation
 
 TEST(Cancellation, CancelledComputeNeverPublishes) {
-  cache::CacheOptions options;
-  options.name = "test";
-  cache::Cache<int> cache(options);
+  cache::Cache<int> cache({});
 
   // A pre-cancelled scope: the compute's checkpoint throws before a
   // value exists, and the single-flight placeholder must unpublish.

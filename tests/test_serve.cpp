@@ -424,10 +424,11 @@ TEST(ServerCache, CachedResultsAreByteIdenticalToBypass) {
   const auto catalog = small_catalog();
   // Repeated cases so the caches actually earn hits; unlimited admission
   // so every request runs the full pipeline.
-  auto run = [&](bool bypass) {
+  auto run = [&](bool bypass, std::size_t capacity) {
     auto options = server_options(2, serve::AdmissionOptions::unlimited());
     options.cache.enabled = true;
     options.cache.bypass = bypass;
+    options.cache.capacity = capacity;
     serve::Server server(options, catalog);
     std::vector<std::future<serve::RequestResult>> futures;
     for (std::uint64_t id = 0; id < 9; ++id) {
@@ -440,34 +441,43 @@ TEST(ServerCache, CachedResultsAreByteIdenticalToBypass) {
     server.drain();
     std::vector<std::string> prints;
     for (auto& future : futures) prints.push_back(fingerprint(future.get()));
-    if (!bypass) {
-      // The memoized run really did serve hits.
-      std::uint64_t hits = 0;
-      for (const auto& report : server.cache_reports()) {
-        hits += report.stats.hits;
-      }
-      EXPECT_GT(hits, 0u);
-    } else {
+    cache::Stats total;
+    for (const auto& report : server.cache_reports()) {
+      total.merge(report.stats);
+    }
+    if (bypass) {
       EXPECT_TRUE(server.cache_reports().empty());
+    } else if (capacity == 0) {
+      // The unbounded run really did serve hits.
+      EXPECT_GT(total.hits, 0u);
+      EXPECT_EQ(total.evictions, 0u);
+    } else {
+      // One entry per shard is far below the working set, so entries
+      // are evicted; whether any lookup still hits depends on the
+      // worker schedule, so hits are not asserted.
+      EXPECT_GT(total.evictions, 0u);
     }
     return prints;
   };
-  // Hit-equals-miss certification: the memoized run must be byte-
-  // identical to the same content-addressed computes with no cache.
-  const auto cached = run(false);
-  const auto uncached = run(true);
-  ASSERT_EQ(cached.size(), uncached.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i], uncached[i]) << "request " << i;
+  // Hit-equals-miss certification: the memoized runs, unbounded and
+  // bounded, must be byte-identical to the same content-addressed
+  // computes with no cache.
+  const auto uncached = run(true, 0);
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{1}}) {
+    const auto cached = run(false, capacity);
+    ASSERT_EQ(cached.size(), uncached.size());
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+      EXPECT_EQ(cached[i], uncached[i])
+          << "request " << i << " at capacity " << capacity;
+    }
   }
 }
 
-TEST(ServerCache, CountersAndTracesAreThreadCountInvariant) {
+TEST(ServerCache, CountersAreThreadCountInvariantWhenUnbounded) {
   const auto catalog = small_catalog();
   auto run = [&](std::size_t threads) {
     auto options = server_options(threads, serve::AdmissionOptions::unlimited());
     options.cache.enabled = true;
-    options.cache.record_trace = true;
     serve::Server server(options, catalog);
     serve::Session session(server, /*session_id=*/3);
     std::vector<std::future<serve::RequestResult>> futures;
@@ -486,12 +496,9 @@ TEST(ServerCache, CountersAndTracesAreThreadCountInvariant) {
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].layer, parallel[i].layer);
-    // Live caches are unbounded, so hit/miss totals are a pure function
-    // of the unique key set — identical at any worker interleaving.
+    // Unbounded caches: hit/miss totals are a pure function of the
+    // unique key set — identical at any worker interleaving.
     EXPECT_EQ(serial[i].stats, parallel[i].stats) << serial[i].layer;
-    // And the (request-tag, sequence)-sorted trace is canonical.
-    EXPECT_EQ(serial[i].trace, parallel[i].trace) << serial[i].layer;
-    EXPECT_EQ(serial[i].stats.lookups, serial[i].trace.size());
     EXPECT_EQ(serial[i].stats.evictions, 0u);
   }
 }
