@@ -117,6 +117,19 @@ scripts/validate_bench_json.py \
   build-check/BENCH_chaos_t1.json build-check/BENCH_chaos_t8.json
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_chaos_t1.json build-check/BENCH_chaos_t8.json
+# The sweep's last row fails every trial at generate, so the array it
+# compares is empty. A mixed scenario records real ladder steps on every
+# stage (generate, analyze, verify, repair, qec) and must match too.
+LADDER_SCENARIO='retrieval.query=error(0.5);llm.generate=error(0.6)@pass>1;analyzer.abstract=error(0.3);analyzer.simulate=error(0.3);qec.decode=error(1.0)'
+for threads in 1 8; do
+  ./build-check/bench/bench_chaos --quick --seed 7 --threads "$threads" \
+    --scenario "$LADDER_SCENARIO" \
+    --json "build-check/BENCH_chaos_ladder_t$threads.json" >/dev/null
+done
+scripts/validate_bench_json.py \
+  build-check/BENCH_chaos_ladder_t1.json build-check/BENCH_chaos_ladder_t8.json
+scripts/validate_bench_json.py --compare \
+  build-check/BENCH_chaos_ladder_t1.json build-check/BENCH_chaos_ladder_t8.json
 
 echo "==> [4/11] translation validation (verify suites + bench_equivalence)"
 # Every equivalence verdict is cross-checked against exact simulation;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <string_view>
 
 #include "common/cancel.hpp"
 #include "common/failpoint.hpp"
@@ -97,6 +97,16 @@ void note_degradation(PipelineResult& result, PassTrace* pass_trace,
   result.degradations.push_back(std::move(event));
 }
 
+/// The rung each ladder starts its next stage invocation on, local to one
+/// run(). Budget-pressure pre-walks lower it for the rest of the run;
+/// failure fallbacks never touch it, so they last one invocation only.
+struct Rungs {
+  bool rag = true;             ///< generate/repair consult the RAG stores
+  bool abstract_lints = true;  ///< analyze runs the abstract interpreter
+  bool behavioral = true;      ///< verify simulates against the reference
+  std::vector<qec::DecoderKind> decoders{};  ///< QEC ladder; empty = none
+};
+
 /// True when every diagnostic the repair was asked to fix carries a
 /// preservation claim — only then is a behaviour change a defect rather
 /// than the point of the repair.
@@ -132,6 +142,63 @@ void certify_repair(PipelineResult& result, PassTrace& trace,
 }
 
 }  // namespace
+
+/// One stage invocation's degradation ladder, current rung first.
+struct MultiAgentPipeline::Ladder {
+  const char* stage = "";
+  int pass = 0;                   ///< DegradationEvent::pass
+  PassTrace* trace = nullptr;     ///< also gets the events (null: none)
+  std::vector<std::string_view> rungs{};  ///< the runnable rungs
+  /// Terminal give-up step once the runnable rungs are exhausted; with no
+  /// floor (empty) the stage raises PipelineStageError instead.
+  std::string_view floor_from{}, floor_to{};
+  bool retrieval_only = false;  ///< rung steps help retrieval faults only
+  const char* checkpoint = nullptr;   ///< checked before every rung's run
+  const char* charge_site = nullptr;  ///< charged after the top rung's run
+  double charge_units = 0.0;
+};
+
+/// Runs the current rung under the resilience policy and steps down one
+/// rung per failure, recording each step as a DegradationEvent.
+/// `pressed` is a budget-pressure pre-walk: the top rung is stepped past
+/// without running. Returns the rung that succeeded, or the rung count
+/// when the stage fell to its floor; throws PipelineStageError when a
+/// failure has nowhere to step or the policy does not degrade.
+std::size_t MultiAgentPipeline::walk(
+    PipelineResult& result, const Ladder& ladder,
+    const std::function<void(std::size_t)>& run, bool pressed) {
+  const std::size_t rungs = ladder.rungs.size();
+  for (std::size_t rung = 0; rung < rungs; ++rung) {
+    std::optional<StageFailure> failure;
+    if (rung == 0 && pressed) {
+      failure = StageFailure{"", "budget-pressure"};
+    } else {
+      if (ladder.checkpoint != nullptr) cancel::checkpoint(ladder.checkpoint);
+      failure = run_guarded(ladder.stage, resilience_, resilience_rng_,
+                            result, [&] { run(rung); });
+      if (rung == 0 && ladder.charge_site != nullptr) {
+        cancel::charge(ladder.charge_site, ladder.charge_units);
+      }
+    }
+    if (!failure.has_value()) return rung;
+    const bool next =
+        rung + 1 < rungs &&
+        (!ladder.retrieval_only || failure->site.empty() ||
+         failure->site == "retrieval.query");
+    if (!resilience_.degrade || (!next && ladder.floor_to.empty())) {
+      throw PipelineStageError(ladder.stage, failure->site,
+                               result.stage_retries, failure->what);
+    }
+    note_degradation(
+        result, ladder.trace,
+        {ladder.pass, ladder.stage,
+         std::string(next ? ladder.rungs[rung] : ladder.floor_from),
+         std::string(next ? ladder.rungs[rung + 1] : ladder.floor_to),
+         failure->what, failure->site});
+    if (!next) break;
+  }
+  return rungs;
+}
 
 MultiAgentPipeline::MultiAgentPipeline(
     const TechniqueConfig& technique,
@@ -181,7 +248,6 @@ PipelineResult MultiAgentPipeline::run(const llm::TaskSpec& task,
                                        const sim::Distribution& reference,
                                        std::size_t prompt_index) {
   PipelineResult result;
-  last_degradations_.clear();
   try {
     run_into(result, task, reference, prompt_index);
   } catch (...) {
@@ -200,57 +266,57 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
                                   const sim::Distribution& reference,
                                   std::size_t prompt_index) {
   qtrace::TraceSpan run_span("pipeline.run");
-  llm::GenerationResult generation;
-  cancel::checkpoint("pipeline.generate");
-  // Tight deadline budget: pre-walk the rag rung before spending any of
-  // the remainder on retrieval (the same reduced configuration a
-  // retrieval failure or a loaded admission controller degrades to).
-  if (resilience_.degrade && rag_enabled_ &&
-      (codegen_.config().rag_api || codegen_.config().rag_guides) &&
-      cancel::budget_pressure() >= resilience_.pressure_no_rag) {
-    note_degradation(result, nullptr,
-                     {0, "generate", "rag", "no-rag", "budget-pressure", ""});
-    rag_enabled_ = false;
+  const bool rag_technique =
+      codegen_.config().rag_api || codegen_.config().rag_guides;
+  Rungs rungs{.rag = rag_enabled_,
+              .abstract_lints = analyzer_.options().analysis.abstract_lints,
+              .behavioral = !reference.empty()};
+  if (qec_agent_.has_value() && device_.has_value()) {
+    // Configured decoder -> union-find -> lookup (distance 3 only; the
+    // lookup decoder does not scale past it).
+    const QecDecoderAgent::Options& configured = qec_agent_->options();
+    rungs.decoders = {configured.decoder};
+    for (const qec::DecoderKind kind :
+         {qec::DecoderKind::kUnionFind, qec::DecoderKind::kLookup}) {
+      if (kind != configured.decoder && (kind != qec::DecoderKind::kLookup ||
+                                         configured.target_distance == 3)) {
+        rungs.decoders.push_back(kind);
+      }
+    }
   }
-  // Admission control may have pre-walked the rag rung (rag_enabled_
-  // false), in which case the ladder has nowhere further to go.
-  const bool has_rag =
-      rag_enabled_ &&
-      (codegen_.config().rag_api || codegen_.config().rag_guides);
-  // A no-RAG retry only helps when the failure plausibly came from the
-  // retrieval path, not from an injected model fault.
-  const auto rag_rung_applies = [&](const StageFailure& failure) {
-    return has_rag &&
-           (failure.site.empty() || failure.site == "retrieval.query");
+  // Tight deadline budget: pre-walk a ladder before spending any of the
+  // remainder on its top rung.
+  const auto pressed = [&](double threshold) {
+    return resilience_.degrade && cancel::budget_pressure() >= threshold;
+  };
+  // Admission control may have taken the rag rung away already, in which
+  // case no-rag is the only rung left. On a technique without retrieval
+  // the flag is still handed through: it is part of the generation key.
+  const auto rag_rungs = [&]() -> std::vector<std::string_view> {
+    if (rungs.rag && rag_technique) return {"rag", "no-rag"};
+    return {"no-rag"};
   };
 
+  llm::GenerationResult generation;
+  cancel::checkpoint("pipeline.generate");
   {
     qtrace::TraceSpan span("pipeline.generate");
-    auto failed = run_guarded(
-        "generate", resilience_, resilience_rng_, result, [&] {
-          generation = codegen_.generate(task, prompt_index, rag_enabled_);
-        });
-    if (failed.has_value() && resilience_.degrade &&
-        rag_rung_applies(*failed)) {
-      note_degradation(
-          result, nullptr,
-          {0, "generate", "rag", "no-rag", failed->what, failed->site});
-      failed = run_guarded("generate", resilience_, resilience_rng_, result,
-                           [&] {
-                             generation = codegen_.generate(
-                                 task, prompt_index, /*use_rag=*/false);
-                           });
-    }
-    if (failed.has_value()) {
-      throw PipelineStageError("generate", failed->site, result.stage_retries,
-                               failed->what);
-    }
+    const Ladder ladder{.stage = "generate",
+                        .rungs = rag_rungs(),
+                        .retrieval_only = true};
+    const bool pressure =
+        rungs.rag && rag_technique && pressed(resilience_.pressure_no_rag);
+    walk(
+        result, ladder,
+        [&](std::size_t rung) {
+          generation =
+              codegen_.generate(task, prompt_index, rungs.rag && rung == 0);
+        },
+        pressure);
+    if (pressure) rungs.rag = false;
   }
   cancel::charge("pipeline.generate", resilience_.stage_costs.generate);
   const int max_passes = codegen_.config().max_passes;
-  // Verification pre-degraded to static-only once pressure crossed the
-  // threshold (recorded on the first pass it applies to, held after).
-  bool budget_static_only = false;
 
   // Lowered circuit of the previous pass and whether its repair carried
   // a preservation obligation — the inputs to repair certification.
@@ -262,32 +328,18 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
 
   for (int pass = 1; pass <= max_passes; ++pass) {
     cancel::checkpoint("pipeline.analyze");
-    PassTrace trace;
+    PassTrace& trace = result.trace.emplace_back();
     trace.pass = pass;
     StaticReport static_report;
     {
       qtrace::TraceSpan span("pipeline.analyze");
-      auto failed = run_guarded(
-          "analyze", resilience_, resilience_rng_, result,
-          [&] { static_report = analyzer_.analyze(generation.source); });
-      if (failed.has_value() && resilience_.degrade &&
-          analyzer_.options().analysis.abstract_lints) {
-        // Ladder: abstract interpretation down -> core lint passes only.
-        note_degradation(result, &trace,
-                         {pass, "analyze", "abstract-lints", "core-lints",
-                          failed->what, failed->site});
-        failed = run_guarded("analyze", resilience_, resilience_rng_, result,
-                             [&] {
-                               static_report =
-                                   degraded_analyzer().analyze(
-                                       generation.source);
-                             });
-      }
-      if (failed.has_value()) {
-        result.trace.push_back(trace);
-        throw PipelineStageError("analyze", failed->site,
-                                 result.stage_retries, failed->what);
-      }
+      Ladder ladder{.stage = "analyze", .pass = pass, .trace = &trace,
+                    .rungs = {"abstract-lints", "core-lints"}};
+      if (!rungs.abstract_lints) ladder.rungs.erase(ladder.rungs.begin());
+      walk(result, ladder, [&](std::size_t rung) {
+        static_report = (rung == 0 ? analyzer_ : degraded_analyzer())
+                            .analyze(generation.source);
+      });
     }
     cancel::charge("pipeline.analyze", resilience_.stage_costs.analyze);
     trace.syntactic_ok = static_report.syntactic_ok;
@@ -302,97 +354,67 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
 
     bool semantic_ok = false;
     if (static_report.syntactic_ok) {
-      // Tight budget: pre-degrade behavioural verification to the
-      // static-only verdict before spending the remainder simulating.
-      if (!reference.empty() && !budget_static_only && resilience_.degrade &&
-          cancel::budget_pressure() >= resilience_.pressure_static_only) {
-        budget_static_only = true;
-        note_degradation(result, &trace,
-                         {pass, "verify", "behavioral", "static-only",
-                          "budget-pressure", ""});
-      }
-      if (reference.empty() || budget_static_only) {
-        // Static-only mode: semantic verdict mirrors syntactic.
-        semantic_ok = true;
-        trace.tvd = 0.0;
-      } else {
-        qtrace::TraceSpan span("pipeline.verify");
-        cancel::checkpoint("pipeline.verify");
-        BehaviorReport behavior;
-        auto failed = run_guarded("verify", resilience_, resilience_rng_,
-                                  result, [&] {
-                                    behavior = analyzer_.check_behavior(
-                                        *static_report.circuit, reference);
-                                  });
-        cancel::charge("pipeline.verify", resilience_.stage_costs.verify);
-        if (!failed.has_value()) {
-          semantic_ok = behavior.matches;
-          trace.tvd = behavior.tvd;
-        } else if (resilience_.degrade) {
-          // Ladder: behavioural verification down -> static-only verdict.
-          note_degradation(result, &trace,
-                           {pass, "verify", "behavioral", "static-only",
-                            failed->what, failed->site});
-          semantic_ok = true;
-          trace.tvd = 0.0;
+      // Static-only verdict (no reference, or the behavioural rung is
+      // gone): semantic mirrors syntactic.
+      semantic_ok = true;
+      trace.tvd = 0.0;
+      if (rungs.behavioral) {
+        const Ladder ladder{.stage = "verify",
+                            .pass = pass,
+                            .trace = &trace,
+                            .rungs = {"behavioral"},
+                            .floor_from = "behavioral",
+                            .floor_to = "static-only",
+                            .charge_site = "pipeline.verify",
+                            .charge_units = resilience_.stage_costs.verify};
+        if (pressed(resilience_.pressure_static_only)) {
+          walk(result, ladder, nullptr, /*pressed=*/true);
+          rungs.behavioral = false;
         } else {
-          result.trace.push_back(trace);
-          throw PipelineStageError("verify", failed->site,
-                                   result.stage_retries, failed->what);
+          qtrace::TraceSpan span("pipeline.verify");
+          cancel::checkpoint("pipeline.verify");
+          BehaviorReport behavior;
+          if (walk(result, ladder, [&](std::size_t) {
+                behavior = analyzer_.check_behavior(*static_report.circuit,
+                                                    reference);
+              }) == 0) {
+            semantic_ok = behavior.matches;
+            trace.tvd = behavior.tvd;
+          }
         }
       }
     }
     trace.semantic_ok = semantic_ok;
-    result.trace.push_back(trace);
     result.passes_used = pass;
 
-    if (semantic_ok || pass == max_passes) {
-      result.syntactic_ok = trace.syntactic_ok;
-      result.semantic_ok = semantic_ok;
-      result.generation = generation;
-      if (static_report.circuit.has_value()) {
-        result.circuit = static_report.circuit;
-      }
-      final_resources = static_report.resources;
-      break;
-    }
-    // Feed the error trace back for the next inference pass.
-    prev_circuit = static_report.circuit;
-    prev_obligated = repair_is_preservation_obligated(static_report.diagnostics);
-    qtrace::TraceSpan span("pipeline.repair");
-    qtrace::Metrics::counter("pipeline.repair_passes");
-    cancel::checkpoint("pipeline.repair");
-    auto failed = run_guarded(
-        "repair", resilience_, resilience_rng_, result, [&] {
-          generation = codegen_.repair(
-              task, generation, static_report.diagnostics,
-              /*semantic_failure=*/static_report.syntactic_ok, prompt_index,
-              pass, rag_enabled_);
-        });
-    cancel::charge("pipeline.repair", resilience_.stage_costs.repair);
-    if (failed.has_value() && resilience_.degrade &&
-        rag_rung_applies(*failed)) {
-      note_degradation(
-          result, &result.trace.back(),
-          {pass, "repair", "rag", "no-rag", failed->what, failed->site});
-      failed = run_guarded("repair", resilience_, resilience_rng_, result,
-                           [&] {
-                             generation = codegen_.repair(
-                                 task, generation, static_report.diagnostics,
-                                 static_report.syntactic_ok, prompt_index,
-                                 pass, /*use_rag=*/false);
-                           });
-    }
-    if (failed.has_value()) {
-      if (!resilience_.degrade) {
-        throw PipelineStageError("repair", failed->site, result.stage_retries,
-                                 failed->what);
-      }
+    bool done = semantic_ok || pass == max_passes;
+    if (!done) {
+      // Feed the error trace back for the next inference pass.
+      prev_circuit = static_report.circuit;
+      prev_obligated =
+          repair_is_preservation_obligated(static_report.diagnostics);
+      qtrace::TraceSpan span("pipeline.repair");
+      qtrace::Metrics::counter("pipeline.repair_passes");
+      cancel::checkpoint("pipeline.repair");
       // Terminal rung: repair unavailable — keep the best pass so far
       // instead of failing the trial.
-      note_degradation(
-          result, &result.trace.back(),
-          {pass, "repair", "multi-pass", "abort", failed->what, failed->site});
+      const Ladder ladder{.stage = "repair",
+                          .pass = pass,
+                          .trace = &trace,
+                          .rungs = rag_rungs(),
+                          .floor_from = "multi-pass",
+                          .floor_to = "abort",
+                          .retrieval_only = true,
+                          .charge_site = "pipeline.repair",
+                          .charge_units = resilience_.stage_costs.repair};
+      done = walk(result, ladder, [&](std::size_t rung) {
+               generation = codegen_.repair(
+                   task, generation, static_report.diagnostics,
+                   /*semantic_failure=*/static_report.syntactic_ok,
+                   prompt_index, pass, rungs.rag && rung == 0);
+             }) == ladder.rungs.size();
+    }
+    if (done) {
       result.syntactic_ok = trace.syntactic_ok;
       result.semantic_ok = semantic_ok;
       result.generation = generation;
@@ -409,48 +431,24 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   if (result.semantic_ok) qtrace::Metrics::counter("pipeline.semantic_ok");
   qtrace::Metrics::observe("pipeline.passes_used",
                           static_cast<double>(result.passes_used));
-  if (qec_agent_.has_value() && device_.has_value() && result.semantic_ok) {
+  if (!rungs.decoders.empty() && result.semantic_ok) {
     qtrace::TraceSpan span("pipeline.qec_plan");
-    // Ladder: configured decoder -> union-find -> lookup (distance 3
-    // only; the lookup decoder does not scale past it).
-    std::vector<qec::DecoderKind> ladder{qec_agent_->options().decoder};
-    const auto add_rung = [&](qec::DecoderKind kind) {
-      if (std::find(ladder.begin(), ladder.end(), kind) == ladder.end()) {
-        ladder.push_back(kind);
-      }
-    };
-    add_rung(qec::DecoderKind::kUnionFind);
-    if (qec_agent_->options().target_distance == 3) {
-      add_rung(qec::DecoderKind::kLookup);
+    Ladder ladder{.stage = "qec",
+                  .pass = result.passes_used,
+                  .floor_to = "none",
+                  .checkpoint = "pipeline.qec_plan"};
+    for (const qec::DecoderKind kind : rungs.decoders) {
+      ladder.rungs.push_back(qec::decoder_kind_name(kind));
     }
-    const std::size_t rungs = resilience_.degrade ? ladder.size() : 1;
-    for (std::size_t rung = 0; rung < rungs; ++rung) {
-      cancel::checkpoint("pipeline.qec_plan");
-      std::optional<QecPlan> plan;
-      auto failed = run_guarded(
-          "qec", resilience_, resilience_rng_, result, [&] {
-            failpoint::trip("qec.decode", result.passes_used);
-            QecDecoderAgent::Options options = qec_agent_->options();
-            options.decoder = ladder[rung];
-            plan = QecDecoderAgent(options).plan_for(*device_,
-                                                     &final_resources);
-          });
-      if (!failed.has_value()) {
-        result.qec = std::move(plan);
-        break;
-      }
-      if (!resilience_.degrade) {
-        throw PipelineStageError("qec", failed->site, result.stage_retries,
-                                 failed->what);
-      }
-      const std::string next =
-          rung + 1 < ladder.size()
-              ? std::string(qec::decoder_kind_name(ladder[rung + 1]))
-              : "none";
-      note_degradation(result, nullptr,
-                       {result.passes_used, "qec",
-                        std::string(qec::decoder_kind_name(ladder[rung])),
-                        next, failed->what, failed->site});
+    ladder.floor_from = ladder.rungs.back();
+    std::optional<QecPlan> plan;
+    if (walk(result, ladder, [&](std::size_t rung) {
+          failpoint::trip("qec.decode", result.passes_used);
+          QecDecoderAgent::Options options = qec_agent_->options();
+          options.decoder = rungs.decoders[rung];
+          plan = QecDecoderAgent(options).plan_for(*device_, &final_resources);
+        }) < ladder.rungs.size()) {
+      result.qec = std::move(plan);
     }
     cancel::charge("pipeline.qec_plan", resilience_.stage_costs.qec);
   }

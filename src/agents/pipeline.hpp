@@ -7,12 +7,13 @@
 // retry-with-backoff, per-stage budget limits, and graceful-degradation
 // ladders (abstract interpreter -> core lints only; MWPM decoder ->
 // union-find -> lookup; behavioural verification -> static-only;
-// RAG retrieval -> bare generation). Degradations are recorded as
-// DegradationEvents on the pass trace and the final result; a stage
-// that stays down after its ladder is exhausted raises
+// RAG retrieval -> bare generation), all walked by one rung helper. Each
+// step is recorded as a DegradationEvent on the pass trace and the final
+// result; a stage that stays down after its ladder is exhausted raises
 // PipelineStageError, which the trial scheduler contains as a
 // TrialFailure instead of letting it abort the experiment.
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -196,12 +197,11 @@ class MultiAgentPipeline {
     resilience_ = options;
   }
 
-  /// Admission-control hook (serve layer): pre-walks the first rung of
-  /// the generate/repair degradation ladder, so every generation and
-  /// repair in this pipeline bypasses the RAG stores — the same reduced
-  /// configuration a retrieval failure would degrade to at runtime.
+  /// Admission-control hook (serve layer): every run() starts the
+  /// generate/repair ladder below its rag rung, so generation and repair
+  /// bypass the RAG stores — the same reduced configuration a retrieval
+  /// failure would degrade to at runtime.
   void set_rag_enabled(bool enabled) noexcept { rag_enabled_ = enabled; }
-  bool rag_enabled() const noexcept { return rag_enabled_; }
 
   /// Wires the serving caches through to the agents (the retrieval cache
   /// rides inside the shared TechniqueResources and needs no per-
@@ -233,6 +233,12 @@ class MultiAgentPipeline {
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
                 const sim::Distribution& reference, std::size_t prompt_index);
 
+  struct Ladder;  ///< one stage invocation's ladder (pipeline.cpp)
+  /// The rung helper every ladder walks through (see pipeline.cpp).
+  std::size_t walk(PipelineResult& result, const Ladder& ladder,
+                   const std::function<void(std::size_t)>& run,
+                   bool pressed = false);
+
   /// Analyzer with the abstract interpreter disabled — the "core lints
   /// only" ladder rung; constructed lazily on first degradation.
   const SemanticAnalyzerAgent& degraded_analyzer();
@@ -244,7 +250,7 @@ class MultiAgentPipeline {
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
   ResilienceOptions resilience_;
-  bool rag_enabled_ = true;  ///< admission pre-degradation (see setter)
+  bool rag_enabled_ = true;  ///< admission rag rung (see setter)
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor
 };

@@ -74,7 +74,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
       } catch (const std::exception& error) {
         matrix.degradations.push_back(
             {case_idx, 0,
-             {0, "oracle", "reference", "static-only", error.what()}});
+             {0, "oracle", "reference", "static-only", error.what(), ""}});
         references.push_back(&kEmptyReference);
       }
     }

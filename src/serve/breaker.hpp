@@ -12,8 +12,9 @@
 //                consecutive failing requests open it.
 //   * open       requests arriving within `cooldown_vt` virtual units of
 //                the opening short-circuit straight to the site's
-//                degraded path (no-rag, skip-QEC, static-only, or
-//                fail-fast — see Server for the site -> action map).
+//                degraded path (no-rag, core-lints, static-only,
+//                skip-QEC or fail-fast — see kSiteTable in server.cpp
+//                for the site -> action map).
 //   * half-open  after the cooldown, a seeded per-(site, request-id)
 //                Bernoulli draw picks probe requests that exercise the
 //                real path; `half_open_successes` consecutive probe

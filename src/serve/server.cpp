@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -19,13 +20,33 @@ constexpr std::size_t kCacheShards = 8;
 
 const sim::Distribution kEmptyReference;
 
-/// Every fail-point site in the request path; the breaker board tracks
-/// all of them whether or not a chaos scenario mentions them (organic
-/// failures attribute sites too, via PipelineStageError::site).
-const std::vector<std::string> kBreakerSites = {
-    "analyzer.abstract", "analyzer.parse",   "analyzer.simulate",
-    "llm.generate",      "oracle.reference", "pool.task",
-    "qec.decode",        "retrieval.query"};
+/// The rungs a request starts its pipeline on, set from its admission
+/// level and the breakers open at its arrival.
+struct StartingConfig {
+  std::string fail_fast_site{};  ///< first open fail-fast site ("" = run)
+  bool rag = true;
+  bool abstract_lints = true;
+  bool behavioral = true;  ///< narrowed to "has a reference" once looked up
+  bool qec = false;
+};
+
+/// Every fail-point site in the request path, with the starting rung an
+/// open breaker there takes away: no-rag, core-lints, static-only or
+/// skip-QEC. Null means fail fast: the site has no cheaper rung. The
+/// breaker board tracks every site whether or not a chaos scenario
+/// mentions it (organic failures attribute sites too, via
+/// PipelineStageError::site). Fail-fast sites come first, in precedence
+/// order: the first open one names the failure.
+constexpr std::pair<const char*, bool StartingConfig::*> kSiteTable[] = {
+    {"llm.generate", nullptr},
+    {"analyzer.parse", nullptr},
+    {"pool.task", nullptr},
+    {"retrieval.query", &StartingConfig::rag},
+    {"analyzer.abstract", &StartingConfig::abstract_lints},
+    {"analyzer.simulate", &StartingConfig::behavioral},
+    {"oracle.reference", &StartingConfig::behavioral},
+    {"qec.decode", &StartingConfig::qec},
+};
 
 /// The sites this request failed at, for the breaker event log: the
 /// terminal failure site (kFailed only) plus every site that forced a
@@ -53,47 +74,49 @@ std::vector<std::string> failed_sites_of(const RequestResult& result) {
 /// the catalog is prewarmed at construction, so serving requests only
 /// ever do the const cache lookup.
 std::vector<std::string> succeeded_sites_of(
-    const RequestResult& result, const agents::MultiAgentPipeline* pipeline,
-    const agents::TechniqueConfig& technique, bool behavioral,
-    bool have_reference, bool abstract_lints, bool qec_ran,
+    const RequestResult& result, const StartingConfig& config,
+    const agents::TechniqueConfig& technique,
     const std::vector<std::string>& failed_sites) {
   std::vector<std::string> sites;
-  if (result.outcome != RequestOutcome::kCompleted || pipeline == nullptr) {
+  if (result.outcome != RequestOutcome::kCompleted) {
     return sites;  // an abort vouches for nothing
   }
   // Stages every completed pipeline run exercises.
   sites = {"analyzer.parse", "llm.generate", "pool.task"};
-  if (abstract_lints && result.pipeline.syntactic_ok) {
+  if (config.abstract_lints && result.pipeline.syntactic_ok) {
     sites.push_back("analyzer.abstract");
   }
-  if (pipeline->rag_enabled() && (technique.rag_api || technique.rag_guides)) {
-    sites.push_back("retrieval.query");
-  }
+  bool rag_prewalked = false;
   bool verify_degraded = false;
   bool qec_degraded = false;
   for (const agents::DegradationEvent& event : result.pipeline.degradations) {
+    if (event.stage == "generate" && event.reason == "budget-pressure") {
+      rag_prewalked = true;
+    }
     if (event.stage == "verify") verify_degraded = true;
     if (event.stage == "qec") qec_degraded = true;
   }
-  bool any_syntactic_pass = false;
-  for (const agents::PassTrace& pass : result.pipeline.trace) {
-    if (pass.syntactic_ok) any_syntactic_pass = true;
+  if (config.rag && !rag_prewalked &&
+      (technique.rag_api || technique.rag_guides)) {
+    sites.push_back("retrieval.query");
   }
-  if (behavioral && have_reference && any_syntactic_pass && !verify_degraded) {
+  const bool any_syntactic_pass = std::any_of(
+      result.pipeline.trace.begin(), result.pipeline.trace.end(),
+      [](const agents::PassTrace& pass) { return pass.syntactic_ok; });
+  if (config.behavioral && any_syntactic_pass && !verify_degraded) {
     sites.push_back("analyzer.simulate");
   }
-  if (qec_ran && !qec_degraded) sites.push_back("qec.decode");
+  // The QEC stage only runs after a semantically-verified pass (the same
+  // condition the pipeline gates on).
+  if (config.qec && result.pipeline.semantic_ok && !qec_degraded) {
+    sites.push_back("qec.decode");
+  }
   std::sort(sites.begin(), sites.end());
   // A site cannot be evidence for and against at once: failures win.
-  std::vector<std::string> filtered;
-  filtered.reserve(sites.size());
-  for (std::string& site : sites) {
-    if (std::find(failed_sites.begin(), failed_sites.end(), site) ==
-        failed_sites.end()) {
-      filtered.push_back(std::move(site));
-    }
-  }
-  return filtered;
+  std::erase_if(sites, [&](const std::string& site) {
+    return std::binary_search(failed_sites.begin(), failed_sites.end(), site);
+  });
+  return sites;
 }
 
 }  // namespace
@@ -131,7 +154,9 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   if (options_.breaker.enabled) {
     BreakerOptions breaker_options = options_.breaker;
     if (breaker_options.seed == 0) breaker_options.seed = options_.seed;
-    breaker_ = std::make_unique<BreakerBoard>(breaker_options, kBreakerSites);
+    std::vector<std::string> sites;
+    for (const auto& [site, rung] : kSiteTable) sites.emplace_back(site);
+    breaker_ = std::make_unique<BreakerBoard>(breaker_options, sites);
   }
   // Prewarm makes reference_for read-only for catalog cases, so worker
   // threads can look references up concurrently; the prompt index fixes
@@ -286,13 +311,13 @@ RequestResult Server::run_request(const Request& request,
   // Outlives the try so an aborted run's partial degradation ladder (the
   // request's per-site fault evidence) can be salvaged in the catches.
   std::optional<agents::MultiAgentPipeline> pipeline;
-  // Exercise accounting for the breaker's positive evidence (see
-  // succeeded_sites_of): which optional stages this request's
-  // configuration actually ran.
-  bool behavioral = false;
-  bool have_reference = false;
-  bool abstract_lints = false;
-  bool qec_ran = false;
+  // Admission pre-walks the generate/repair ladder's first rung, and
+  // static-only admission the verify ladder's.
+  StartingConfig config{
+      .rag = ticket.level == AdmissionLevel::kFull,
+      .abstract_lints = options_.analyzer.analysis.abstract_lints,
+      .behavioral = ticket.level != AdmissionLevel::kStaticOnly,
+      .qec = request.options.qec && options_.qec.has_value()};
   try {
     // Born-cancelled requests resolve here, before the breaker gate —
     // they never block on (or contribute signal to) the event log.
@@ -303,69 +328,51 @@ RequestResult Server::run_request(const Request& request,
     // real path and their outcome drives the close / re-open edge.
     std::map<std::string, BreakerDecision> verdicts;
     if (breaker_ != nullptr) verdicts = breaker_->decide(request.id);
-    const auto short_circuited = [&](const char* site) {
-      const auto it = verdicts.find(site);
-      return it != verdicts.end() && it->second.short_circuit;
-    };
     for (const auto& [site, verdict] : verdicts) {
       if (verdict.short_circuit) result.breaker_short_circuits.push_back(site);
       if (verdict.probing) result.breaker_probes.push_back(site);
     }
-    // Sites with no cheaper rung to fall back to fail fast while open:
-    // a structured kFailed beats burning deadline budget on a path that
-    // has been failing persistently.
-    std::string fail_fast_site;
-    for (const char* site : {"llm.generate", "analyzer.parse", "pool.task"}) {
-      if (short_circuited(site)) {
-        fail_fast_site = site;
-        break;
+    for (const auto& [site, rung] : kSiteTable) {
+      const auto it = verdicts.find(site);
+      if (it == verdicts.end() || !it->second.short_circuit) continue;
+      if (rung != nullptr) {
+        config.*rung = false;
+      } else if (config.fail_fast_site.empty()) {
+        // A structured kFailed beats burning deadline budget on a path
+        // that has been failing persistently.
+        config.fail_fast_site = site;
       }
     }
 
-    // Static-only admissions verify against an empty reference; so do
-    // requests for cases outside the prewarmed catalog (only the const
-    // cache lookup is worker-safe — reference_for would lazily compile
-    // the gold program, a mutation we must not race across workers) and
-    // requests whose behavioural-verification dependencies
-    // (analyzer.simulate / oracle.reference) have an open breaker.
-    behavioral = ticket.level != AdmissionLevel::kStaticOnly &&
-                 !short_circuited("analyzer.simulate") &&
-                 !short_circuited("oracle.reference");
+    // Requests for cases outside the prewarmed catalog verify static-
+    // only too: only the const cache lookup is worker-safe (reference_for
+    // would lazily compile the gold program, a mutation we must not race
+    // across workers).
     const sim::Distribution* reference = &kEmptyReference;
     std::size_t prompt_index = prompt_index_.size();
     if (const auto found = prompt_index_.find(request.test_case.id);
         found != prompt_index_.end()) {
       prompt_index = found->second;
-      if (behavioral) {
-        if (const sim::Distribution* cached =
-                oracle_.find(request.test_case.id)) {
-          reference = cached;
-        }
-      }
+      const sim::Distribution* cached =
+          config.behavioral ? oracle_.find(request.test_case.id) : nullptr;
+      if (cached != nullptr) reference = cached;
     }
-    have_reference = !reference->empty();
+    config.behavioral = !reference->empty();
 
-    if (!fail_fast_site.empty()) {
+    if (!config.fail_fast_site.empty()) {
       result.outcome = RequestOutcome::kFailed;
       result.failure_stage = "request";
-      result.failure_site = fail_fast_site;
-      result.failure_what = "circuit breaker open at " + fail_fast_site;
+      result.failure_site = config.fail_fast_site;
+      result.failure_what =
+          "circuit breaker open at " + config.fail_fast_site;
       trace::Metrics::counter("breaker.fail_fast");
       trace::Metrics::counter("serve.request_failures");
     } else {
       failpoint::trip("pool.task");
-      // An open qec.decode breaker short-circuits to the "skip QEC
-      // planning" rung; an open analyzer.abstract one pre-walks the
-      // analyzer ladder to core lints only.
       agents::SemanticAnalyzerAgent::Options analyzer = options_.analyzer;
-      if (short_circuited("analyzer.abstract")) {
-        analyzer.analysis.abstract_lints = false;
-      }
-      abstract_lints = analyzer.analysis.abstract_lints;
-      const bool qec_enabled =
-          request.options.qec && !short_circuited("qec.decode");
+      analyzer.analysis.abstract_lints = config.abstract_lints;
       pipeline.emplace(options_.technique, resources_, analyzer,
-                       qec_enabled ? options_.qec : std::nullopt,
+                       config.qec ? options_.qec : std::nullopt,
                        options_.device,
                        request_seed(options_.seed, request.id));
       pipeline->set_resilience(options_.resilience);
@@ -374,18 +381,9 @@ RequestResult Server::run_request(const Request& request,
         // addressed computes run, nothing is memoized.
         pipeline->set_caches({true, generation_cache_, analysis_cache_});
       }
-      // Admission pre-walks the generate/repair ladder's first rung; an
-      // open retrieval.query breaker forces the same rung.
-      if (ticket.level != AdmissionLevel::kFull ||
-          short_circuited("retrieval.query")) {
-        pipeline->set_rag_enabled(false);
-      }
+      pipeline->set_rag_enabled(config.rag);
       result.pipeline =
           pipeline->run(request.test_case.task, *reference, prompt_index);
-      // The QEC stage only runs after a semantically-verified pass (the
-      // same condition the pipeline gates on).
-      qec_ran = qec_enabled && options_.qec.has_value() &&
-                options_.device.has_value() && result.pipeline.semantic_ok;
       result.outcome = RequestOutcome::kCompleted;
       trace::Metrics::counter("serve.completed");
     }
@@ -429,11 +427,9 @@ RequestResult Server::run_request(const Request& request,
   // path — the decide() gate of later-arriving requests depends on it.
   if (breaker_ != nullptr) {
     const std::vector<std::string> failed = failed_sites_of(result);
-    breaker_->report(
-        request.id, failed,
-        succeeded_sites_of(result, pipeline.has_value() ? &*pipeline : nullptr,
-                           options_.technique, behavioral, have_reference,
-                           abstract_lints, qec_ran, failed));
+    breaker_->report(request.id, failed,
+                     succeeded_sites_of(result, config, options_.technique,
+                                        failed));
   }
   return result;
 }

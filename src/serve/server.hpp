@@ -15,11 +15,10 @@
 // Each request executes on its own cheap per-request pipeline seeded by
 // request_seed(seed, id), so any interleaving of worker execution — any
 // --threads value, any enqueue order — yields bit-identical per-request
-// results. Admission degradations pre-walk the pipeline's resilience
-// ladders (rag -> no-rag via MultiAgentPipeline::set_rag_enabled;
-// behavioural -> static-only verification via an empty reference), and
-// sheds resolve the request future immediately with a structured
-// RequestOutcome::kShed.
+// results. The admission level and the site table in server.cpp (each
+// open breaker's action: fail-fast, no-rag, core-lints, static-only or
+// skip-QEC) pick the rungs a request's pipeline starts on, and sheds
+// resolve the request future immediately with RequestOutcome::kShed.
 
 #include <future>
 #include <map>

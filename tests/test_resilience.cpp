@@ -5,6 +5,8 @@
 // topologies, empty suites, empty references).
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,6 +18,7 @@
 #include "agents/qec_agent.hpp"
 #include "agents/semantic_agent.hpp"
 #include "agents/topology.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "eval/judge.hpp"
@@ -122,6 +125,117 @@ TEST(Resilience, OracleHandlesZeroShotOptionsAndEmptyReference) {
   EXPECT_TRUE(behavior.checked);
   EXPECT_FALSE(behavior.matches);
   EXPECT_EQ(behavior.tvd, 1.0);
+}
+
+// ---------------------------------------------------------------------
+// Single-pipeline ladder characterization: the exact DegradationEvent
+// list each rung records, driven on one MultiAgentPipeline directly.
+
+/// One event as "pass stage from->to | reason | site", so a mismatch
+/// prints as a readable diff.
+std::vector<std::string> event_lines(
+    const std::vector<agents::DegradationEvent>& events) {
+  std::vector<std::string> lines;
+  for (const agents::DegradationEvent& event : events) {
+    lines.push_back(std::to_string(event.pass) + " " + event.stage + " " +
+                    event.from + "->" + event.to + " | " + event.reason +
+                    " | " + event.site);
+  }
+  return lines;
+}
+
+struct LadderCase {
+  eval::TestCase test_case;
+  std::size_t prompt_index = 0;
+  sim::Distribution reference;
+};
+
+LadderCase ladder_case(std::size_t index) {
+  const auto suite = eval::semantic_suite();
+  eval::ReferenceOracle oracle;
+  return {suite[index], index, oracle.reference_for(suite[index])};
+}
+
+/// Fail-fast policy with ladders on, so the first failure walks a rung.
+agents::MultiAgentPipeline ladder_pipeline(bool with_qec, int max_passes = 2) {
+  std::optional<agents::QecDecoderAgent::Options> qec;
+  std::optional<agents::DeviceTopology> device;
+  if (with_qec) {
+    qec.emplace();
+    qec->trials = 200;
+    device = agents::DeviceTopology::grid(5, 5);
+  }
+  auto technique = test_technique();
+  technique.max_passes = max_passes;
+  agents::MultiAgentPipeline pipeline(technique, {}, qec, device, 4242);
+  agents::ResilienceOptions resilience;
+  resilience.max_stage_retries = 0;
+  pipeline.set_resilience(resilience);
+  return pipeline;
+}
+
+/// Runs `pipeline` on `ladder` with a deadline budget pre-charged to
+/// `pressure` installed for the run.
+agents::PipelineResult run_under_pressure(agents::MultiAgentPipeline& pipeline,
+                                          const LadderCase& ladder,
+                                          double pressure) {
+  cancel::DeadlineBudget budget(100.0);
+  budget.charge(100.0 * pressure);
+  cancel::CancelScope scope(cancel::CancellationToken{}, &budget);
+  return pipeline.run(ladder.test_case.task, ladder.reference,
+                      ladder.prompt_index);
+}
+
+TEST(ResilienceLadder, BudgetPressureDropsRagPastTheFirstThreshold) {
+  const LadderCase ladder = ladder_case(0);
+  auto pipeline = ladder_pipeline(false);
+  const agents::PipelineResult result =
+      run_under_pressure(pipeline, ladder, 0.6);
+  EXPECT_EQ(event_lines(result.degradations),
+            (std::vector<std::string>{
+                "0 generate rag->no-rag | budget-pressure | "}));
+}
+
+TEST(ResilienceLadder, BudgetPressureDropsBehaviouralVerifyPastTheSecond) {
+  const LadderCase ladder = ladder_case(0);
+  auto pipeline = ladder_pipeline(false);
+  const agents::PipelineResult result =
+      run_under_pressure(pipeline, ladder, 0.85);
+  ASSERT_TRUE(result.trace.front().syntactic_ok);
+  EXPECT_EQ(event_lines(result.degradations),
+            (std::vector<std::string>{
+                "0 generate rag->no-rag | budget-pressure | ",
+                "1 verify behavioral->static-only | budget-pressure | "}));
+  EXPECT_EQ(event_lines(result.trace.front().degradations),
+            (std::vector<std::string>{
+                "1 verify behavioral->static-only | budget-pressure | "}));
+}
+
+TEST(ResilienceLadder, PressureDegradationDoesNotOutliveTheRun) {
+  // Content-addressed generation and a single pass keep the run a pure
+  // function of its inputs, so a reused pipeline must match a fresh one.
+  const LadderCase ladder = ladder_case(0);
+  auto technique = test_technique();
+  technique.max_passes = 1;
+  agents::MultiAgentPipeline reused(technique, {}, std::nullopt, std::nullopt,
+                                    4242);
+  agents::MultiAgentPipeline fresh(technique, {}, std::nullopt, std::nullopt,
+                                   4242);
+  reused.set_caches({true, nullptr, nullptr});
+  fresh.set_caches({true, nullptr, nullptr});
+  ASSERT_FALSE(run_under_pressure(reused, ladder, 0.6).degradations.empty());
+
+  const agents::PipelineResult second = reused.run(
+      ladder.test_case.task, ladder.reference, ladder.prompt_index);
+  const agents::PipelineResult expected = fresh.run(
+      ladder.test_case.task, ladder.reference, ladder.prompt_index);
+  ASSERT_GT(expected.generation.retrieval.api_hits, 0u);
+  EXPECT_TRUE(second.degradations.empty());
+  EXPECT_EQ(second.generation.source, expected.generation.source);
+  EXPECT_EQ(second.generation.retrieval.api_hits,
+            expected.generation.retrieval.api_hits);
+  EXPECT_EQ(second.syntactic_ok, expected.syntactic_ok);
+  EXPECT_EQ(second.semantic_ok, expected.semantic_ok);
 }
 
 #if QCGEN_FAILPOINTS_ENABLED
@@ -375,6 +489,85 @@ TEST(ResilienceChaos, DelayBeyondStageBudgetFailsTheStageDeterministically) {
   }
   EXPECT_EQ(first.trial_failures, second.trial_failures);
   EXPECT_EQ(first.degradations, second.degradations);
+}
+
+// ---------------------------------------------------------------------
+// Ladder rungs forced by injected faults, one rung family per scenario.
+
+/// The event_lines rendering of a rung forced by an injected fault.
+std::string injected(int pass, const std::string& rung,
+                     const std::string& site) {
+  return std::to_string(pass) + " " + rung + " | injected fault at " + site +
+         " | " + site;
+}
+
+/// The events a fresh fail-fast pipeline records on `ladder` with
+/// `scenario` armed.
+std::vector<std::string> ladder_events(const char* scenario,
+                                       const LadderCase& ladder,
+                                       bool with_qec = false,
+                                       int max_passes = 2) {
+  auto pipeline = ladder_pipeline(with_qec, max_passes);
+  failpoint::Injector injector(std::make_shared<const failpoint::Scenario>(
+                                   failpoint::Scenario::parse(scenario)),
+                               7);
+  failpoint::InjectorScope scope(&injector);
+  const agents::PipelineResult result = pipeline.run(
+      ladder.test_case.task, ladder.reference, ladder.prompt_index);
+  return event_lines(result.degradations);
+}
+
+TEST(ResilienceLadder, RetrievalOutageWalksGenerateToNoRag) {
+  EXPECT_EQ(ladder_events("retrieval.query=error(1.0)", ladder_case(0)),
+            (std::vector<std::string>{
+                injected(0, "generate rag->no-rag", "retrieval.query")}));
+}
+
+TEST(ResilienceLadder, RetrievalOutageWalksRepairToNoRag) {
+  // Generation spends the first two queries (API + guide store); every
+  // third query fails, which lands on the first repair that replans.
+  EXPECT_EQ(ladder_events("retrieval.query=error(1.0)@every=3",
+                          ladder_case(47), /*with_qec=*/false,
+                          /*max_passes=*/10),
+            (std::vector<std::string>{
+                injected(4, "repair rag->no-rag", "retrieval.query")}));
+}
+
+TEST(ResilienceLadder, RepairOutageAbortsTheMultiPassLoop) {
+  // Every second llm.generate hit fails: generation succeeds, the first
+  // repair does not.
+  EXPECT_EQ(ladder_events("llm.generate=error(1.0)@every=2", ladder_case(0)),
+            (std::vector<std::string>{
+                injected(1, "repair multi-pass->abort", "llm.generate")}));
+}
+
+TEST(ResilienceLadder, AbstractOutageFallsBackToCoreLintsEachPass) {
+  EXPECT_EQ(ladder_events("analyzer.abstract=error(1.0)", ladder_case(0)),
+            (std::vector<std::string>{
+                injected(1, "analyze abstract-lints->core-lints",
+                         "analyzer.abstract"),
+                injected(2, "analyze abstract-lints->core-lints",
+                         "analyzer.abstract")}));
+}
+
+TEST(ResilienceLadder, SimulatorOutageFallsBackToStaticOnly) {
+  EXPECT_EQ(ladder_events("analyzer.simulate=error(1.0)", ladder_case(0)),
+            (std::vector<std::string>{
+                injected(1, "verify behavioral->static-only",
+                         "analyzer.simulate")}));
+}
+
+TEST(ResilienceLadder, DecoderOutageWalksEveryDecoderToNone) {
+  // Static-only verification passes the syntactically valid first pass,
+  // which is what lets the QEC stage run at all.
+  EXPECT_EQ(ladder_events("analyzer.simulate=error(1.0);qec.decode=error(1.0)",
+                          ladder_case(0), /*with_qec=*/true),
+            (std::vector<std::string>{
+                injected(1, "verify behavioral->static-only",
+                         "analyzer.simulate"),
+                injected(1, "qec mwpm->union-find", "qec.decode"),
+                injected(1, "qec union-find->lookup", "qec.decode"),
+                injected(1, "qec lookup->none", "qec.decode")}));
 }
 
 #endif  // QCGEN_FAILPOINTS_ENABLED

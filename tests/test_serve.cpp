@@ -394,6 +394,8 @@ TEST(Server, UncatalogedCasesRunStaticOnlyVerification) {
   EXPECT_EQ(result.level, serve::AdmissionLevel::kFull);
 }
 
+#if QCGEN_FAILPOINTS_ENABLED
+
 TEST(Server, ChaosFailuresAreContainedAsStructuredOutcomes) {
   const auto catalog = small_catalog();
   auto options = server_options(2, serve::AdmissionOptions::unlimited());
@@ -416,6 +418,8 @@ TEST(Server, ChaosFailuresAreContainedAsStructuredOutcomes) {
   EXPECT_EQ(server.stats().failed, 6u);
   EXPECT_EQ(server.stats().completed, 0u);
 }
+
+#endif  // QCGEN_FAILPOINTS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Cross-request caching
