@@ -187,6 +187,18 @@ scripts/validate_bench_json.py \
   build-check/BENCH_serving_t1.json build-check/BENCH_serving_t8.json
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_serving_t1.json build-check/BENCH_serving_t8.json
+# The trace summary (span counts, counters, histogram aggregates) is
+# deterministic too: a traced run with its QEC stage must match between
+# 1 and 8 workers.
+for threads in 1 8; do
+  ./build-check/bench/bench_serving --quick --seed 7 --threads "$threads" \
+    --trace "build-check/TRACE_serving_t$threads.json" \
+    --json "build-check/BENCH_serving_trace_t$threads.json" >/dev/null
+done
+scripts/validate_bench_json.py \
+  build-check/BENCH_serving_trace_t1.json build-check/BENCH_serving_trace_t8.json
+scripts/validate_bench_json.py --compare \
+  build-check/BENCH_serving_trace_t1.json build-check/BENCH_serving_trace_t8.json
 
 echo "==> [7/11] request lifecycle (lifecycle suites + chaos-armed bench_serving)"
 # Deadline propagation, cooperative cancellation and per-site circuit

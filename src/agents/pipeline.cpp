@@ -446,7 +446,8 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
           failpoint::trip("qec.decode", result.passes_used);
           QecDecoderAgent::Options options = qec_agent_->options();
           options.decoder = rungs.decoders[rung];
-          plan = QecDecoderAgent(options).plan_for(*device_, &final_resources);
+          plan = QecDecoderAgent(options).plan_for(
+              *device_, &final_resources, caches_.qec_lifetime.get());
         }) < ladder.rungs.size()) {
       result.qec = std::move(plan);
     }

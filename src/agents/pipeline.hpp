@@ -156,16 +156,20 @@ struct PipelineResult {
   int rejected_repairs = 0;
 };
 
-/// Shared memoization layers handed to a pipeline by the serving path
-/// (off everywhere else: eval trial matrices stay bit-identical to the
-/// uncached pipeline). See CodeGenAgent::set_content_addressed and
-/// SemanticAnalyzerAgent::set_analysis_cache for the exact semantics.
+/// Shared memoization layers handed to a pipeline. The content-addressed
+/// generation and analysis caches come from the serving path only (eval
+/// trial matrices stay bit-identical to the uncached pipeline); see
+/// CodeGenAgent::set_content_addressed and
+/// SemanticAnalyzerAgent::set_analysis_cache for their exact semantics.
+/// The QEC lifetime memo is handed out by both the server and
+/// eval::run_trial_matrix: it returns exactly what a recompute would.
 struct PipelineCaches {
   /// Engage content-addressed generation even when `generation` is null
   /// — the pure-recompute bypass certification tests run against.
   bool content_addressed = false;
   std::shared_ptr<GenerationCache> generation;
   std::shared_ptr<AnalysisCache> analysis;
+  std::shared_ptr<QecLifetimeMemo> qec_lifetime;
 };
 
 class MultiAgentPipeline {

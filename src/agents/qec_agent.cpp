@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/trace.hpp"
 
 namespace qcgen::agents {
 
@@ -54,6 +56,26 @@ void solve_distance(ResourcePlan& plan, double measured_error,
 
 }  // namespace
 
+qec::LifetimeReport QecLifetimeMemo::measure(
+    int distance, double p_data, const qec::LifetimeConfig& config) {
+  const Key key{distance,      config.decoder, p_data, config.meas_error_ratio,
+                config.rounds, config.trials,  config.seed};
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto found = reports_.find(key); found != reports_.end()) {
+    return found->second;
+  }
+  const trace::SinkScope untraced(nullptr);
+  const qec::LifetimeReport report = qec::measure_lifetime(
+      qec::SurfaceCode::rotated(distance), p_data, config);
+  reports_.emplace(key, report);
+  return report;
+}
+
+std::size_t QecLifetimeMemo::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return reports_.size();
+}
+
 QecDecoderAgent::QecDecoderAgent(Options options) : options_(options) {
   require(options_.target_distance >= 3 && options_.target_distance % 2 == 1,
           "QecDecoderAgent: distance must be odd and >= 3");
@@ -69,7 +91,8 @@ double physical_data_error(const sim::NoiseModel& noise) {
 
 QecPlan QecDecoderAgent::plan_for(
     const DeviceTopology& device,
-    const qasm::analysis::ResourceSummary* program) const {
+    const qasm::analysis::ResourceSummary* program,
+    QecLifetimeMemo* memo) const {
   QecPlan plan;
   plan.physical_noise = device.noise();
   plan.decoder = options_.decoder;
@@ -101,7 +124,6 @@ QecPlan QecDecoderAgent::plan_for(
   }
   plan.synthesis_cost = graph_nodes * graph_nodes * topology_factor;
 
-  const qec::SurfaceCode code = qec::SurfaceCode::rotated(plan.distance);
   qec::LifetimeConfig config;
   config.decoder = options_.decoder;
   const double p_data = physical_data_error(device.noise());
@@ -114,7 +136,14 @@ QecPlan QecDecoderAgent::plan_for(
           : 1.0;
   config.trials = options_.trials;
   config.seed = options_.seed;
-  plan.lifetime = qec::measure_lifetime(code, p_data, config);
+  // The Monte Carlo loop's first cancellation point, taken here so a memo
+  // hit observes a cancelled or exhausted request at the same site.
+  cancel::checkpoint("qec.decode.round");
+  plan.lifetime =
+      memo != nullptr
+          ? memo->measure(plan.distance, p_data, config)
+          : qec::measure_lifetime(qec::SurfaceCode::rotated(plan.distance),
+                                  p_data, config);
   plan.effective_noise =
       qec::qec_effective_noise(device.noise(), plan.lifetime);
 

@@ -8,6 +8,10 @@
 // methodology. The agent is topology-specific: non-lattice devices incur
 // a retraining/synthesis cost, the scalability problem Sec V-E flags.
 
+#include <compare>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -88,6 +92,41 @@ struct QecPlan {
   ResourcePlan resources;
 };
 
+/// Memo of plan_for's Monte Carlo lifetime estimate. The estimate is a
+/// pure function of its inputs (distance, decoder, device noise, trial
+/// count and the options seed; never a request's seed), so one owner — a
+/// serve::Server, or one eval::run_trial_matrix call — hands a single
+/// memo to every pipeline it builds and computes each key once. Keys are
+/// bounded by the owner's QEC options: one per decoder rung. Thread-safe;
+/// a miss is computed under the mutex, records into no trace sink (which
+/// caller fills the memo depends on the thread schedule), and stays
+/// unfilled when the computation throws (a cancelled fill).
+class QecLifetimeMemo {
+ public:
+  /// The memoized qec::measure_lifetime(SurfaceCode::rotated(distance),
+  /// p_data, config).
+  qec::LifetimeReport measure(int distance, double p_data,
+                              const qec::LifetimeConfig& config);
+
+  /// Number of filled keys.
+  std::size_t size() const;
+
+ private:
+  struct Key {
+    int distance = 0;
+    qec::DecoderKind decoder = qec::DecoderKind::kMwpm;
+    double p_data = 0.0;
+    double meas_error_ratio = 0.0;
+    std::size_t rounds = 0;
+    std::size_t trials = 0;
+    std::uint64_t seed = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  mutable std::mutex mutex_;
+  std::map<Key, qec::LifetimeReport> reports_;
+};
+
 class QecDecoderAgent {
  public:
   struct Options {
@@ -108,10 +147,11 @@ class QecDecoderAgent {
   /// Plans QEC for a device; infeasible plans carry a reason. When a
   /// program resource summary is supplied (static analysis of the
   /// program about to run fault-tolerantly), the plan also carries a
-  /// ResourcePlan cost estimate.
+  /// ResourcePlan cost estimate. With a `memo`, the lifetime estimate
+  /// is read from (or filled into) it instead of recomputed.
   QecPlan plan_for(const DeviceTopology& device,
-                   const qasm::analysis::ResourceSummary* program =
-                       nullptr) const;
+                   const qasm::analysis::ResourceSummary* program = nullptr,
+                   QecLifetimeMemo* memo = nullptr) const;
 
   /// Constructs the decoders for a feasible plan (both stabilizer types).
   static std::pair<std::unique_ptr<qec::Decoder>,

@@ -80,6 +80,10 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     }
   }
 
+  // Every trial's QEC stage reads one lifetime estimate per decoder rung.
+  agents::PipelineCaches caches;
+  caches.qec_lifetime = std::make_shared<agents::QecLifetimeMemo>();
+
   const std::size_t n_trials = suite.size() * samples_per_case;
   matrix.trials.resize(n_trials);
   std::vector<TrialResult>& results = matrix.trials;
@@ -121,6 +125,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
           technique, resources, options.analyzer, options.qec, options.device,
           trial_seed(options.seed, case_idx, sample_idx));
       pipeline.set_resilience(options.resilience);
+      pipeline.set_caches(caches);
       out.pipeline = pipeline.run(suite[case_idx].task, *references[case_idx],
                                   case_idx);
     } catch (const agents::PipelineStageError& error) {

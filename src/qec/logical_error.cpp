@@ -75,6 +75,9 @@ LogicalErrorEstimate estimate_logical_error(const SurfaceCode& code,
   // instead of finishing the full trial budget. Checked every 32 trials
   // to keep the hot loop unburdened (the RNG stream is untouched, so
   // completed runs stay bit-identical with or without an armed deadline).
+  // In a pipeline this loop runs once per QecLifetimeMemo key, as the
+  // memo's fill: QecDecoderAgent::plan_for takes the first checkpoint
+  // itself, so a request served from the memo stops at the same site.
   constexpr std::size_t kCancelCheckStride = 32;
   for (std::size_t t = 0; t < config.trials; ++t) {
     if (t % kCancelCheckStride == 0) cancel::checkpoint("qec.decode.round");

@@ -376,11 +376,11 @@ RequestResult Server::run_request(const Request& request,
                        options_.device,
                        request_seed(options_.seed, request.id));
       pipeline->set_resilience(options_.resilience);
-      if (options_.cache.enabled) {
-        // bypass mode leaves both pointers null: the same content-
-        // addressed computes run, nothing is memoized.
-        pipeline->set_caches({true, generation_cache_, analysis_cache_});
-      }
+      // bypass mode leaves both cache pointers null: the same content-
+      // addressed computes run, nothing is memoized. The QEC lifetime
+      // memo is shared in every cache mode (it is not content-addressed).
+      pipeline->set_caches({options_.cache.enabled, generation_cache_,
+                            analysis_cache_, qec_lifetime_});
       pipeline->set_rag_enabled(config.rag);
       result.pipeline =
           pipeline->run(request.test_case.task, *reference, prompt_index);

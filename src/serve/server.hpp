@@ -205,6 +205,10 @@ class Server {
   std::shared_ptr<agents::GenerationCache> generation_cache_;
   std::shared_ptr<llm::RetrievalCache> retrieval_cache_;
   std::shared_ptr<agents::AnalysisCache> analysis_cache_;
+  /// Shared by every request's pipeline in every cache mode; each
+  /// decoder rung's estimate is filled by the first request to plan it.
+  std::shared_ptr<agents::QecLifetimeMemo> qec_lifetime_ =
+      std::make_shared<agents::QecLifetimeMemo>();
   eval::ReferenceOracle oracle_;
   std::map<std::string, std::size_t> prompt_index_;  ///< catalog order
   std::shared_ptr<const failpoint::Scenario> scenario_;

@@ -150,6 +150,46 @@ TEST(EvaluateTechnique, TraceSummaryIdenticalAtAnyThreadCount) {
 #endif
 }
 
+TEST(EvaluateTechnique, TraceSummaryWithQecIdenticalAtAnyThreadCount) {
+  // The QEC stage reads its lifetime estimate from a memo that whichever
+  // trial the schedule runs first fills; the fill records into no sink, so
+  // per-trial traces and the merged summary stay schedule-independent.
+  const auto suite = small_suite();
+  const auto technique =
+      agents::TechniqueConfig::with_multipass(llm::ModelProfile::kStarCoder3B, 3);
+
+  RunnerOptions serial;
+  serial.seed = 2025;
+  serial.threads = 1;
+  agents::QecDecoderAgent::Options qec;
+  qec.trials = 100;
+  serial.qec = qec;
+  serial.device = agents::DeviceTopology::grid(5, 5);
+  trace::TraceSink serial_sink;
+  serial.trace = &serial_sink;
+
+  RunnerOptions wide = serial;
+  wide.threads = 8;
+  trace::TraceSink wide_sink;
+  wide.trace = &wide_sink;
+
+  const TrialMatrix a = run_trial_matrix(technique, suite, 2, serial);
+  const TrialMatrix b = run_trial_matrix(technique, suite, 2, wide);
+
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (std::size_t i = 0; i < a.trials.size(); ++i) {
+    EXPECT_EQ(a.trials[i].trace, b.trials[i].trace) << "trial " << i;
+  }
+  EXPECT_EQ(serial_sink.summary(), wide_sink.summary());
+  EXPECT_EQ(serial_sink.summary_json().dump(), wide_sink.summary_json().dump());
+#if QCGEN_TRACE_ENABLED
+  const auto& spans = serial_sink.summary().span_counts;
+  const auto it = spans.find("pipeline.qec_plan");
+  ASSERT_NE(it, spans.end());
+  EXPECT_GT(it->second, 0u);
+#endif
+}
+
 TEST(EvaluateTechnique, UntracedRunLeavesSummaryEmpty) {
   const auto suite = small_suite();
   const auto technique =

@@ -103,6 +103,120 @@ TEST(Resilience, QecPlanOnDegenerateTopologyIsInfeasibleNotFatal) {
   EXPECT_TRUE(good.feasible) << good.reason;
 }
 
+// ---------------------------------------------------------------------
+// QEC lifetime memo: a memoized plan is the plan a recompute gives, and
+// a cancelled request is cancelled at the same site with or without it.
+
+agents::QecDecoderAgent memo_agent(qec::DecoderKind decoder) {
+  agents::QecDecoderAgent::Options options;
+  options.decoder = decoder;
+  options.trials = 200;
+  options.seed = 31;
+  return agents::QecDecoderAgent(options);
+}
+
+qasm::analysis::ResourceSummary memo_program() {
+  qasm::analysis::ResourceSummary summary;
+  summary.computed = true;
+  summary.qubits = 3;
+  summary.depth = 8;
+  summary.t_count = 4;
+  summary.t_depth = 2;
+  summary.two_qubit_count = 2;
+  summary.two_qubit_pairs = {{0, 1, 1}, {0, 2, 1}};
+  return summary;
+}
+
+void expect_same_plan(const agents::QecPlan& got,
+                      const agents::QecPlan& want) {
+  ASSERT_TRUE(got.feasible) << got.reason;
+  ASSERT_TRUE(want.feasible) << want.reason;
+  EXPECT_EQ(got.lifetime.physical_error_per_round,
+            want.lifetime.physical_error_per_round);
+  EXPECT_EQ(got.lifetime.logical_error_per_round,
+            want.lifetime.logical_error_per_round);
+  EXPECT_EQ(got.lifetime.physical_lifetime_rounds,
+            want.lifetime.physical_lifetime_rounds);
+  EXPECT_EQ(got.lifetime.logical_lifetime_rounds,
+            want.lifetime.logical_lifetime_rounds);
+  EXPECT_EQ(got.lifetime.lifetime_extension,
+            want.lifetime.lifetime_extension);
+  EXPECT_EQ(got.lifetime.suppression_factor,
+            want.lifetime.suppression_factor);
+  EXPECT_EQ(got.effective_noise, want.effective_noise);
+  EXPECT_EQ(got.synthesis_cost, want.synthesis_cost);
+  EXPECT_TRUE(got.resources.computed);
+  EXPECT_EQ(agents::resource_plan_to_json(got.resources).dump(),
+            agents::resource_plan_to_json(want.resources).dump());
+}
+
+const qec::DecoderKind kMemoDecoders[] = {qec::DecoderKind::kMwpm,
+                                          qec::DecoderKind::kUnionFind,
+                                          qec::DecoderKind::kLookup};
+
+TEST(QecLifetimeMemo, MissAndHitBothEqualAnUnmemoizedPlan) {
+  const auto program = memo_program();
+  for (const auto& device : {agents::DeviceTopology::grid(5, 5),
+                             agents::DeviceTopology::ibm_brisbane()}) {
+    for (const qec::DecoderKind decoder : kMemoDecoders) {
+      SCOPED_TRACE(device.name() + " " +
+                   std::string(qec::decoder_kind_name(decoder)));
+      const agents::QecDecoderAgent agent = memo_agent(decoder);
+      const agents::QecPlan fresh = agent.plan_for(device, &program);
+      agents::QecLifetimeMemo memo;
+      expect_same_plan(agent.plan_for(device, &program, &memo), fresh);
+      EXPECT_EQ(memo.size(), 1u);
+      expect_same_plan(agent.plan_for(device, &program, &memo), fresh);
+      EXPECT_EQ(memo.size(), 1u);
+    }
+  }
+}
+
+TEST(QecLifetimeMemo, ExhaustedDeadlineCancelsAtTheDecoderRoundEvenOnAHit) {
+  const auto device = agents::DeviceTopology::grid(5, 5);
+  const auto program = memo_program();
+  const agents::QecDecoderAgent agent = memo_agent(qec::DecoderKind::kMwpm);
+  agents::QecLifetimeMemo warm;
+  (void)agent.plan_for(device, &program, &warm);
+  ASSERT_EQ(warm.size(), 1u);
+
+  cancel::DeadlineBudget budget(1.0);
+  budget.charge(1.0);
+  const cancel::CancelScope scope(cancel::CancellationToken(), &budget);
+  agents::QecLifetimeMemo* const memos[] = {nullptr, &warm};
+  for (agents::QecLifetimeMemo* memo : memos) {
+    try {
+      (void)agent.plan_for(device, &program, memo);
+      ADD_FAILURE() << "plan_for finished past an exhausted deadline";
+    } catch (const cancel::CancelledError& error) {
+      EXPECT_EQ(error.cause(), cancel::Cause::kDeadlineExceeded);
+      EXPECT_EQ(error.site(), "qec.decode.round");
+    }
+  }
+}
+
+TEST(QecLifetimeMemo, CancelledFillLeavesTheMemoEmpty) {
+  const auto device = agents::DeviceTopology::grid(5, 5);
+  const auto program = memo_program();
+  const agents::QecDecoderAgent agent = memo_agent(qec::DecoderKind::kMwpm);
+  agents::QecLifetimeMemo memo;
+  {
+    cancel::DeadlineBudget budget(1.0);
+    budget.charge(1.0);
+    const cancel::CancelScope scope(cancel::CancellationToken(), &budget);
+    EXPECT_THROW((void)agent.plan_for(device, &program, &memo),
+                 cancel::CancelledError);
+    // The fill itself, cancelled by the Monte Carlo loop's checkpoint.
+    qec::LifetimeConfig config;
+    config.trials = 200;
+    EXPECT_THROW((void)memo.measure(3, 0.01, config), cancel::CancelledError);
+  }
+  EXPECT_EQ(memo.size(), 0u);
+  expect_same_plan(agent.plan_for(device, &program, &memo),
+                   agent.plan_for(device, &program));
+  EXPECT_EQ(memo.size(), 1u);
+}
+
 TEST(Resilience, OracleHandlesZeroShotOptionsAndEmptyReference) {
   const auto suite = small_suite(3);
   eval::ReferenceOracle::Options zero_shots;
@@ -221,8 +335,8 @@ TEST(ResilienceLadder, PressureDegradationDoesNotOutliveTheRun) {
                                     4242);
   agents::MultiAgentPipeline fresh(technique, {}, std::nullopt, std::nullopt,
                                    4242);
-  reused.set_caches({true, nullptr, nullptr});
-  fresh.set_caches({true, nullptr, nullptr});
+  reused.set_caches({true, nullptr, nullptr, nullptr});
+  fresh.set_caches({true, nullptr, nullptr, nullptr});
   ASSERT_FALSE(run_under_pressure(reused, ladder, 0.6).degradations.empty());
 
   const agents::PipelineResult second = reused.run(
