@@ -1,8 +1,6 @@
 #include "llm/tokenizer.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <set>
 
 namespace qcgen::llm {
 
@@ -44,23 +42,5 @@ std::vector<std::string> tokenize(std::string_view text) {
 }
 
 std::size_t count_tokens(std::string_view text) { return tokenize(text).size(); }
-
-void Vocabulary::add_document(std::string_view text) {
-  ++num_documents_;
-  std::set<std::string> unique;
-  for (auto& t : tokenize(text)) unique.insert(std::move(t));
-  for (const auto& t : unique) ++document_frequency_[t];
-}
-
-std::size_t Vocabulary::document_frequency(const std::string& token) const {
-  auto it = document_frequency_.find(token);
-  return it == document_frequency_.end() ? 0 : it->second;
-}
-
-double Vocabulary::idf(const std::string& token) const {
-  const double n = static_cast<double>(num_documents_);
-  const double df = static_cast<double>(document_frequency(token));
-  return std::log((n - df + 0.5) / (df + 0.5) + 1.0);  // BM25+ smoothing
-}
 
 }  // namespace qcgen::llm

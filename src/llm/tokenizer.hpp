@@ -3,7 +3,6 @@
 // accounting (the paper reports its training corpus in tokens: 3M raw,
 // upsampled to 9M).
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,24 +15,5 @@ std::vector<std::string> tokenize(std::string_view text);
 
 /// Token count of a text under tokenize().
 std::size_t count_tokens(std::string_view text);
-
-/// Document-frequency-style vocabulary accumulator.
-class Vocabulary {
- public:
-  /// Adds all tokens of a document; duplicate tokens within the document
-  /// count once for document frequency.
-  void add_document(std::string_view text);
-
-  std::size_t num_documents() const noexcept { return num_documents_; }
-  std::size_t size() const noexcept { return document_frequency_.size(); }
-  /// Documents containing the token (0 for unknown tokens).
-  std::size_t document_frequency(const std::string& token) const;
-  /// Smoothed inverse document frequency.
-  double idf(const std::string& token) const;
-
- private:
-  std::size_t num_documents_ = 0;
-  std::map<std::string, std::size_t> document_frequency_;
-};
 
 }  // namespace qcgen::llm

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
 
 #include "common/cache/hash.hpp"
 #include "common/error.hpp"
@@ -63,19 +63,43 @@ std::vector<Chunk> chunk_documents(const std::vector<Document>& docs,
   return chunks;
 }
 
+namespace {
+constexpr double kK1 = 1.5;
+constexpr double kB = 0.75;
+}  // namespace
+
 VectorStore::VectorStore(std::vector<Chunk> chunks)
     : chunks_(std::move(chunks)) {
   require(!chunks_.empty(), "VectorStore: empty chunk set");
-  chunk_tokens_.reserve(chunks_.size());
-  chunk_len_.reserve(chunks_.size());
+  require(chunks_.size() <= UINT32_MAX, "VectorStore: too many chunks");
+  std::vector<double> chunk_len;
+  chunk_len.reserve(chunks_.size());
   double total_len = 0.0;
   cache::KeyHasher version;
   version.mix(static_cast<std::uint64_t>(chunks_.size()));
-  for (const Chunk& c : chunks_) {
-    vocabulary_.add_document(c.text);
-    chunk_tokens_.push_back(tokenize(c.text));
-    chunk_len_.push_back(static_cast<double>(chunk_tokens_.back().size()));
-    total_len += chunk_len_.back();
+  std::vector<std::uint32_t> ids;
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    const Chunk& c = chunks_[i];
+    // Intern the chunk's tokens, then run-length count the sorted ids:
+    // one posting per distinct term, appended in chunk order.
+    ids.clear();
+    for (std::string& token : tokenize(c.text)) {
+      const auto [it, inserted] = term_ids_.try_emplace(
+          std::move(token), static_cast<std::uint32_t>(terms_.size()));
+      if (inserted) terms_.emplace_back();
+      ids.push_back(it->second);
+    }
+    std::sort(ids.begin(), ids.end());
+    for (std::size_t run = 0; run < ids.size();) {
+      std::size_t next = run + 1;
+      while (next < ids.size() && ids[next] == ids[run]) ++next;
+      terms_[ids[run]].postings.push_back(
+          Posting{static_cast<std::uint32_t>(i),
+                  static_cast<std::uint32_t>(next - run)});
+      run = next;
+    }
+    chunk_len.push_back(static_cast<double>(ids.size()));
+    total_len += chunk_len.back();
     version.mix(c.doc_id).mix(c.text);
     version.mix(static_cast<std::uint64_t>(c.freshness));
     version.mix(c.algorithm.has_value());
@@ -83,46 +107,49 @@ VectorStore::VectorStore(std::vector<Chunk> chunks)
       version.mix(static_cast<std::uint64_t>(*c.algorithm));
     }
   }
-  avg_len_ = total_len / static_cast<double>(chunks_.size());
-  content_version_ = version.digest();
-}
-
-double VectorStore::score(const std::string& query_token,
-                          std::size_t chunk_idx) const {
-  constexpr double k1 = 1.5;
-  constexpr double b = 0.75;
-  std::size_t tf = 0;
-  for (const std::string& t : chunk_tokens_[chunk_idx]) {
-    if (t == query_token) ++tf;
+  const double avg_len = total_len / static_cast<double>(chunks_.size());
+  norm_.reserve(chunks_.size());
+  for (const double len : chunk_len) {
+    norm_.push_back(kK1 * (1.0 - kB + kB * len / avg_len));
   }
-  if (tf == 0) return 0.0;
-  const double idf = vocabulary_.idf(query_token);
-  const double norm =
-      k1 * (1.0 - b + b * chunk_len_[chunk_idx] / avg_len_);
-  return idf * (static_cast<double>(tf) * (k1 + 1.0)) /
-         (static_cast<double>(tf) + norm);
+  const double n = static_cast<double>(chunks_.size());
+  for (Term& term : terms_) {
+    const double df = static_cast<double>(term.postings.size());
+    term.idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);  // BM25+ smoothing
+  }
+  content_version_ = version.digest();
 }
 
 std::vector<ScoredIndex> VectorStore::retrieve_uncached(
     const std::string& query, std::size_t k) const {
-  const auto query_tokens = tokenize(query);
+  // Query order, duplicates included: each chunk's sum adds the same
+  // terms in the same order as a full scan (see the header comment).
+  std::vector<double> acc(chunks_.size(), 0.0);
+  for (const std::string& token : tokenize(query)) {
+    const auto it = term_ids_.find(token);
+    if (it == term_ids_.end()) continue;
+    const Term& term = terms_[it->second];
+    for (const Posting& p : term.postings) {
+      const double tf = static_cast<double>(p.tf);
+      acc[p.chunk] += term.idf * (tf * (kK1 + 1.0)) / (tf + norm_[p.chunk]);
+    }
+  }
   std::vector<ScoredIndex> hits;
-  hits.reserve(chunks_.size());
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    double s = 0.0;
-    for (const std::string& qt : query_tokens) s += score(qt, i);
-    if (s > 0.0) hits.push_back(ScoredIndex{i, s});
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    if (acc[i] > 0.0) hits.push_back(ScoredIndex{i, acc[i]});
   }
   // Equal scores fall back to chunk index: a total, stable order. The
   // previous doc_id tie-break left same-document ties in unspecified
   // order (std::sort is not stable), so retrieval output could depend on
   // the sort implementation — fatal once these results are cache values.
-  std::sort(hits.begin(), hits.end(),
-            [](const ScoredIndex& a, const ScoredIndex& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.index < b.index;
-            });
-  if (hits.size() > k) hits.resize(k);
+  const auto top = hits.begin() +
+                   static_cast<std::ptrdiff_t>(std::min(k, hits.size()));
+  std::partial_sort(hits.begin(), top, hits.end(),
+                    [](const ScoredIndex& a, const ScoredIndex& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.index < b.index;
+                    });
+  hits.erase(top, hits.end());
   return hits;
 }
 

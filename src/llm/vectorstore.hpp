@@ -6,9 +6,26 @@
 // used (and blamed for part of RAG's weakness), and a structure-aware
 // splitter that respects sentence boundaries — the ABL-RAG ablation
 // compares them.
+//
+// Scoring is BM25 (k1 = 1.5, b = 0.75, BM25+ idf smoothing) over an
+// inverted index. The constructor tokenizes each chunk once, interns
+// its terms and appends one (chunk, tf) posting per distinct term, so a
+// term's postings are in chunk order and its df is their count. Each
+// chunk's length norm and each term's idf are computed there too. A
+// query walks the postings of its tokens in query order, duplicates
+// included, adding idf * tf * (k1 + 1) / (tf + norm) into a dense
+// per-chunk accumulator.
+//
+// The scores are bit-identical to a scan that sums every query token's
+// term over every chunk. Each chunk's sum adds the same terms in the same
+// order with the same expression; the scan's extra terms are the +0.0 of
+// tokens absent from the chunk, and since every term is positive (idf > 0)
+// the sum is never -0.0, so adding +0.0 leaves it unchanged.
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cache/cache.hpp"
@@ -82,15 +99,23 @@ class VectorStore {
                                   std::size_t k) const;
 
  private:
-  double score(const std::string& query_token, std::size_t chunk_idx) const;
+  /// One chunk containing a term, with the term's count in it.
+  struct Posting {
+    std::uint32_t chunk = 0;
+    std::uint32_t tf = 0;
+  };
+  struct Term {
+    std::vector<Posting> postings;  ///< ascending chunk index
+    double idf = 0.0;
+  };
+
   std::vector<ScoredIndex> retrieve_uncached(const std::string& query,
                                              std::size_t k) const;
 
   std::vector<Chunk> chunks_;
-  Vocabulary vocabulary_;
-  std::vector<std::vector<std::string>> chunk_tokens_;
-  std::vector<double> chunk_len_;
-  double avg_len_ = 0.0;
+  std::unordered_map<std::string, std::uint32_t> term_ids_;
+  std::vector<Term> terms_;   ///< indexed by term id
+  std::vector<double> norm_;  ///< per chunk: k1 * (1 - b + b * len / avg)
   std::uint64_t content_version_ = 0;
   std::shared_ptr<RetrievalCache> cache_;
 };

@@ -2,15 +2,116 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <set>
+
+#include "agents/codegen_agent.hpp"
+#include "agents/technique_resources.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "eval/suite.hpp"
 #include "llm/corpus.hpp"
+#include "llm/tasks.hpp"
 #include "llm/tokenizer.hpp"
 #include "llm/vectorstore.hpp"
 
 namespace qcgen::llm {
 namespace {
+
+// The BM25 scan the postings index replaced, kept as the oracle the store
+// must match bit for bit: a per-document df set, tf by string compare
+// against every chunk token, every query token scored against every
+// chunk, then a full sort and a top-k cut.
+class ScanOracle {
+ public:
+  explicit ScanOracle(const std::vector<Chunk>& chunks) {
+    double total_len = 0.0;
+    for (const Chunk& c : chunks) {
+      std::set<std::string> unique;
+      for (const std::string& t : tokenize(c.text)) unique.insert(t);
+      for (const std::string& t : unique) ++df_[t];
+      chunk_tokens_.push_back(tokenize(c.text));
+      chunk_len_.push_back(static_cast<double>(chunk_tokens_.back().size()));
+      total_len += chunk_len_.back();
+    }
+    avg_len_ = total_len / static_cast<double>(chunks.size());
+  }
+
+  std::size_t document_frequency(const std::string& token) const {
+    const auto it = df_.find(token);
+    return it == df_.end() ? 0 : it->second;
+  }
+
+  double idf(const std::string& token) const {
+    const double n = static_cast<double>(chunk_tokens_.size());
+    const double df = static_cast<double>(document_frequency(token));
+    return std::log((n - df + 0.5) / (df + 0.5) + 1.0);
+  }
+
+  std::vector<ScoredIndex> retrieve(const std::string& query,
+                                    std::size_t k) const {
+    const auto query_tokens = tokenize(query);
+    std::vector<ScoredIndex> hits;
+    for (std::size_t i = 0; i < chunk_tokens_.size(); ++i) {
+      double s = 0.0;
+      for (const std::string& qt : query_tokens) s += score(qt, i);
+      if (s > 0.0) hits.push_back(ScoredIndex{i, s});
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const ScoredIndex& a, const ScoredIndex& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.index < b.index;
+              });
+    if (hits.size() > k) hits.resize(k);
+    return hits;
+  }
+
+ private:
+  double score(const std::string& query_token, std::size_t i) const {
+    constexpr double k1 = 1.5;
+    constexpr double b = 0.75;
+    std::size_t tf = 0;
+    for (const std::string& t : chunk_tokens_[i]) {
+      if (t == query_token) ++tf;
+    }
+    if (tf == 0) return 0.0;
+    const double norm = k1 * (1.0 - b + b * chunk_len_[i] / avg_len_);
+    return idf(query_token) * (static_cast<double>(tf) * (k1 + 1.0)) /
+           (static_cast<double>(tf) + norm);
+  }
+
+  std::map<std::string, std::size_t> df_;
+  std::vector<std::vector<std::string>> chunk_tokens_;
+  std::vector<double> chunk_len_;
+  double avg_len_ = 0.0;
+};
+
+// Compares store and oracle hits for every (query, k), index and score
+// bit pattern; adds the number of (query, k) pairs compared to `checks`.
+void expect_matches_oracle(const VectorStore& store, const ScanOracle& oracle,
+                           const std::vector<std::string>& queries,
+                           const std::vector<std::size_t>& ks,
+                           std::size_t& checks) {
+  for (const std::string& query : queries) {
+    for (const std::size_t k : ks) {
+      const auto got = store.retrieve(query, k);
+      const auto want = oracle.retrieve(query, k);
+      ++checks;
+      ASSERT_EQ(got.size(), want.size()) << query << " k=" << k;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(static_cast<std::size_t>(got[i].chunk - store.chunks().data()),
+                  want[i].index)
+            << query << " k=" << k << " rank " << i;
+        EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+            << query << " k=" << k << " rank " << i << ": " << got[i].score
+            << " vs " << want[i].score;
+      }
+    }
+  }
+}
 
 TEST(Tokenizer, LowercasesAndSplits) {
   const auto tokens = tokenize("Apply a Hadamard, then CX!");
@@ -32,21 +133,87 @@ TEST(Tokenizer, CountTokens) {
   EXPECT_EQ(count_tokens("one two three"), 3u);
 }
 
-TEST(Vocabulary, DocumentFrequencyAndIdf) {
-  Vocabulary vocab;
-  vocab.add_document("alpha beta");
-  vocab.add_document("alpha gamma");
-  EXPECT_EQ(vocab.num_documents(), 2u);
-  EXPECT_EQ(vocab.document_frequency("alpha"), 2u);
-  EXPECT_EQ(vocab.document_frequency("beta"), 1u);
-  EXPECT_EQ(vocab.document_frequency("missing"), 0u);
-  EXPECT_GT(vocab.idf("beta"), vocab.idf("alpha"));
+std::vector<Chunk> text_chunks(const std::vector<std::string>& texts) {
+  std::vector<Chunk> chunks;
+  for (const std::string& text : texts) {
+    Chunk c;
+    c.doc_id = "d" + std::to_string(chunks.size());
+    c.text = text;
+    chunks.push_back(std::move(c));
+  }
+  return chunks;
 }
 
-TEST(Vocabulary, DuplicateTokensCountOncePerDocument) {
-  Vocabulary vocab;
-  vocab.add_document("word word word");
-  EXPECT_EQ(vocab.document_frequency("word"), 1u);
+TEST(VectorStore, DocumentFrequencyAndIdfMatchOracle) {
+  const auto chunks = text_chunks({"alpha beta", "alpha gamma"});
+  const ScanOracle oracle(chunks);
+  EXPECT_EQ(oracle.document_frequency("alpha"), 2u);
+  EXPECT_EQ(oracle.document_frequency("beta"), 1u);
+  EXPECT_EQ(oracle.document_frequency("missing"), 0u);
+  EXPECT_GT(oracle.idf("beta"), oracle.idf("alpha"));
+  const VectorStore store(chunks);
+  std::size_t checks = 0;
+  expect_matches_oracle(store, oracle,
+                        {"alpha", "beta", "gamma", "missing", "alpha beta",
+                         "beta alpha gamma", "alpha alpha beta"},
+                        {1, 2, 3}, checks);
+  EXPECT_EQ(checks, 21u);
+  // The rarer term outscores the common one on the chunk holding both.
+  const auto beta = store.retrieve("beta", 1);
+  const auto alpha = store.retrieve("alpha", 1);
+  ASSERT_EQ(beta.size(), 1u);
+  ASSERT_EQ(alpha.size(), 1u);
+  EXPECT_GT(beta[0].score, alpha[0].score);
+}
+
+TEST(VectorStore, DuplicateTokensCountOncePerDocumentMatchOracle) {
+  const auto chunks = text_chunks({"word word word", "other text"});
+  const ScanOracle oracle(chunks);
+  EXPECT_EQ(oracle.document_frequency("word"), 1u);
+  const VectorStore store(chunks);
+  std::size_t checks = 0;
+  expect_matches_oracle(store, oracle, {"word", "word word", "other word"},
+                        {1, 2}, checks);
+  EXPECT_EQ(checks, 6u);
+}
+
+TEST(VectorStore, PostingsMatchScanOracleBitForBit) {
+  std::vector<std::string> queries = {"", "zzzzz xxxxx qqqqq",
+                                      "grover grover oracle grover",
+                                      "import import qiskit qiskit_ibm_runtime"};
+  for (const eval::TestCase& c : eval::semantic_suite()) {
+    const std::string prompt = prompt_text(c.task);
+    queries.push_back(prompt);
+    queries.push_back(prompt + " import module library version");
+  }
+  std::vector<std::vector<Document>> corpora = {
+      qiskit_api_corpus(0.0), qiskit_api_corpus(0.3), qiskit_api_corpus(0.6),
+      algorithm_guide_corpus()};
+  std::size_t checks = 0;
+  for (const auto& corpus : corpora) {
+    for (const ChunkStrategy strategy :
+         {ChunkStrategy::kBasic, ChunkStrategy::kStructureAware}) {
+      const auto chunks = chunk_documents(corpus, strategy);
+      const ScanOracle oracle(chunks);
+      const VectorStore store(chunks);
+      expect_matches_oracle(store, oracle, queries, {1, 4, chunks.size() + 1},
+                            checks);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(checks, 8 * queries.size() * 3);
+}
+
+TEST(VectorStore, DefaultTechniqueContentVersionsArePinned) {
+  // The retrieval-cache key folds in content_version(); these are the
+  // values the scan-based store produced, so cached entries keyed before
+  // the postings index keep their meaning.
+  const agents::TechniqueResources resources(
+      agents::TechniqueConfig::with_rag(ModelProfile::kStarCoder3B));
+  ASSERT_NE(resources.api_store(), nullptr);
+  ASSERT_NE(resources.guide_store(), nullptr);
+  EXPECT_EQ(resources.api_store()->content_version(), 1630314859272610592ull);
+  EXPECT_EQ(resources.guide_store()->content_version(), 6377768565210794744ull);
 }
 
 TEST(Corpus, ApiCorpusStaleFractionControl) {
