@@ -4,11 +4,11 @@
 Record (from the repository root):
 
     python3 scripts/perf_ledger.py [--workloads W ...] [--runs K]
-        [--seconds S] [--seed0 N] [--trace 0|1] [--baseline DIR]
+        [--seconds S] [--seed0 N] [--baseline DIR]
 
-runs K seeds (seed0 .. seed0+K-1) of every workload through
-perfbench/run.py, each for BENCHMARK.json's run_seconds unless --seconds
-says otherwise, taking the workloads in turn for each seed so that all
+runs K seeds (seed0 .. seed0+K-1) of every BENCHMARK.json workload
+through perfbench/run.py with tracing off, each for BENCHMARK.json's
+run_seconds unless --seconds says otherwise, taking the workloads in turn for each seed so that all
 of them sample the same spells of host speed, and writes one
 BENCH_perf_<workload>.json per workload at the repository root. With
 --baseline DIR (a checkout of another commit, e.g. the parent), every
@@ -29,7 +29,7 @@ seeds both ledgers ran (ties count for neither side).
 
 A ledger file holds, per metric, the median, p25 and p75 (inclusive
 quartiles), n and the per-run values in seed order, plus the workload,
-seconds per run, seeds, trace flag and the commit the runs measured.
+seconds per run, seeds and the commit the runs measured.
 Only the standard library is used.
 """
 
@@ -41,7 +41,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_WORKLOADS = ("poisson-low", "cache-zipf")
 
 
 def ledger_name(workload):
@@ -61,11 +60,11 @@ def commit_of(tree):
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def run_once(tree, workload, seed, seconds, trace):
-    """One perfbench run in `tree`; returns its metrics as {name: value}."""
+def run_once(tree, workload, seed, seconds):
+    """One untraced perfbench run in `tree`; returns {metric: value}."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+               "--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
@@ -91,7 +90,7 @@ def write_ledger(tree, workload, runs, seeds, args):
     for name in runs[0]:
         metrics[name] = summarize([run[name] for run in runs])
     ledger = {"workload": workload, "commit": commit_of(tree),
-              "seconds": args.seconds, "trace": args.trace, "seeds": seeds,
+              "seconds": args.seconds, "seeds": seeds,
               "metrics": metrics}
     path = os.path.join(tree, ledger_name(workload))
     with open(path, "w") as out:
@@ -109,7 +108,7 @@ def record(args):
         for workload in args.workloads:
             for tree in order:
                 runs[(tree, workload)].append(
-                    run_once(tree, workload, seed, args.seconds, args.trace))
+                    run_once(tree, workload, seed, args.seconds))
                 print("%s seed %d %s: %s" % (
                     workload, seed, "baseline" if tree != ROOT else "this tree",
                     json.dumps(runs[(tree, workload)][-1])), file=sys.stderr)
@@ -183,12 +182,12 @@ def compare(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", nargs="+", default=list(DEFAULT_WORKLOADS))
+    spec = benchmark_spec()
+    parser.add_argument("--workloads", nargs="+",
+                        default=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int,
-                        default=benchmark_spec()["run_seconds"])
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--seed0", type=int, default=101)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--baseline", metavar="DIR",
                         help="also run this checkout, alternating with this tree")
     parser.add_argument("--compare", metavar="REF",

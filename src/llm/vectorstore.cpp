@@ -138,10 +138,9 @@ std::vector<ScoredIndex> VectorStore::retrieve_uncached(
   for (std::size_t i = 0; i < acc.size(); ++i) {
     if (acc[i] > 0.0) hits.push_back(ScoredIndex{i, acc[i]});
   }
-  // Equal scores fall back to chunk index: a total, stable order. The
-  // previous doc_id tie-break left same-document ties in unspecified
-  // order (std::sort is not stable), so retrieval output could depend on
-  // the sort implementation — fatal once these results are cache values.
+  // Equal scores fall back to chunk index: a total order, so the top k
+  // never depends on the sort implementation — these results are cache
+  // values and must be the same on every run.
   const auto top = hits.begin() +
                    static_cast<std::ptrdiff_t>(std::min(k, hits.size()));
   std::partial_sort(hits.begin(), top, hits.end(),
