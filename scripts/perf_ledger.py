@@ -3,33 +3,32 @@
 
 Record (from the repository root):
 
-    python3 scripts/perf_ledger.py [--workloads W ...] [--runs K]
-        [--seconds S] [--seed0 N] [--baseline DIR]
+    python3 scripts/perf_ledger.py --baseline DIR [--runs K] [--seed0 N]
 
 runs K seeds (seed0 .. seed0+K-1) of every BENCHMARK.json workload
 through perfbench/run.py with tracing off, each for BENCHMARK.json's
-run_seconds unless --seconds says otherwise, taking the workloads in turn for each seed so that all
-of them sample the same spells of host speed, and writes one
-BENCH_perf_<workload>.json per workload at the repository root. With
---baseline DIR (a checkout of another commit, e.g. the parent), every
-(seed, workload) also runs in DIR right before or after this tree, the
-two sides alternating which goes first, and DIR's ledger is written to
-DIR/BENCH_perf_<workload>.json.
+run_seconds, on this tree and on DIR (a checkout of another commit,
+normally the parent). Each (seed, workload) runs on both sides back to
+back, the sides alternating which goes first, and the workloads take
+turns per seed, so both sides sample the same spells of host speed. It
+writes this tree's ledger to BENCH_perf_<workload>.json and DIR's to
+BENCH_perf_<workload>.baseline.json, both at this repository's root and
+both stamped with one session id.
 
 Compare:
 
-    python3 scripts/perf_ledger.py --compare REF [--workloads W ...]
+    python3 scripts/perf_ledger.py --compare
 
-prints a markdown table of this tree's ledger files against REF's: REF is
-a directory holding BENCH_perf_*.json files or a git revision whose
-committed files are read (e.g. HEAD, to compare a fresh recording with
-the committed one). For each metric it shows both sides' p25/p50/p75,
-the ratio of medians, the reference's IQR, and the win count over the
-seeds both ledgers ran (ties count for neither side).
+prints a markdown table of BENCH_perf_<workload>.json against
+BENCH_perf_<workload>.baseline.json for every workload: both sides'
+p25/p50/p75, the ratio of medians, the baseline's IQR and the win count
+over the seeds (ties count for neither side). It refuses ledgers that
+did not come from one recording session, since numbers from different
+sessions differ by host drift as much as by code.
 
 A ledger file holds, per metric, the median, p25 and p75 (inclusive
 quartiles), n and the per-run values in seed order, plus the workload,
-seconds per run, seeds and the commit the runs measured.
+seconds per run, seeds, the commit the runs measured and the session id.
 Only the standard library is used.
 """
 
@@ -39,12 +38,14 @@ import os
 import statistics
 import subprocess
 import sys
+import uuid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def ledger_name(workload):
-    return "BENCH_perf_%s.json" % workload
+def ledger_path(workload, side):
+    suffix = ".baseline" if side == "baseline" else ""
+    return os.path.join(ROOT, "BENCH_perf_%s%s.json" % (workload, suffix))
 
 
 def commit_of(tree):
@@ -85,83 +86,66 @@ def summarize(values):
             "values": values}
 
 
-def write_ledger(tree, workload, runs, seeds, args):
-    metrics = {}
-    for name in runs[0]:
-        metrics[name] = summarize([run[name] for run in runs])
-    ledger = {"workload": workload, "commit": commit_of(tree),
-              "seconds": args.seconds, "seeds": seeds,
-              "metrics": metrics}
-    path = os.path.join(tree, ledger_name(workload))
-    with open(path, "w") as out:
-        json.dump(ledger, out, indent=2, sort_keys=True)
-        out.write("\n")
-    print("wrote %s" % path, file=sys.stderr)
-
-
-def record(args):
-    trees = [ROOT] + ([os.path.abspath(args.baseline)] if args.baseline else [])
+def record(spec, args):
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    trees = {"this": ROOT, "baseline": os.path.abspath(args.baseline)}
     seeds = [args.seed0 + i for i in range(args.runs)]
-    runs = {(tree, w): [] for tree in trees for w in args.workloads}
+    session = uuid.uuid4().hex
+    runs = {(side, w): [] for side in trees for w in workloads}
     for i, seed in enumerate(seeds):
-        order = trees if i % 2 == 0 else trees[::-1]
-        for workload in args.workloads:
-            for tree in order:
-                runs[(tree, workload)].append(
-                    run_once(tree, workload, seed, args.seconds))
+        order = ["this", "baseline"] if i % 2 == 0 else ["baseline", "this"]
+        for workload in workloads:
+            for side in order:
+                runs[(side, workload)].append(
+                    run_once(trees[side], workload, seed, seconds))
                 print("%s seed %d %s: %s" % (
-                    workload, seed, "baseline" if tree != ROOT else "this tree",
-                    json.dumps(runs[(tree, workload)][-1])), file=sys.stderr)
-    for (tree, workload), tree_runs in runs.items():
-        write_ledger(tree, workload, tree_runs, seeds, args)
+                    workload, seed, side,
+                    json.dumps(runs[(side, workload)][-1])), file=sys.stderr)
+    for (side, workload), side_runs in runs.items():
+        ledger = {"workload": workload, "commit": commit_of(trees[side]),
+                  "session": session, "seconds": seconds, "seeds": seeds,
+                  "metrics": {name: summarize([run[name] for run in side_runs])
+                              for name in side_runs[0]}}
+        path = ledger_path(workload, side)
+        with open(path, "w") as out:
+            json.dump(ledger, out, indent=2, sort_keys=True)
+            out.write("\n")
+        print("wrote %s" % path, file=sys.stderr)
 
 
-def load_reference(ref, workload):
-    if os.path.isdir(ref):
-        with open(os.path.join(ref, ledger_name(workload))) as f:
-            return json.load(f)
-    show = subprocess.run(["git", "-C", ROOT, "show",
-                           "%s:%s" % (ref, ledger_name(workload))],
-                          capture_output=True, text=True)
-    if show.returncode != 0:
-        sys.exit("perf_ledger: no %s at %s" % (ledger_name(workload), ref))
-    return json.loads(show.stdout)
-
-
-def benchmark_spec():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+def load(workload, side):
+    path = ledger_path(workload, side)
+    if not os.path.exists(path):
+        sys.exit("perf_ledger: %s is missing; record with --baseline first"
+                 % os.path.relpath(path, ROOT))
+    with open(path) as f:
         return json.load(f)
-
-
-def metric_directions():
-    """{metric: "higher"|"lower"} from BENCHMARK.json."""
-    spec = benchmark_spec()
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def fmt(value):
     return "%.4g" % value
 
 
-def compare(args):
-    better = metric_directions()
-    print("| workload | metric | reference p25/p50/p75 | this p25/p50/p75 "
-          "| ratio | reference IQR | wins |")
+def compare(spec):
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    pairs = [(w["name"], load(w["name"], "baseline"), load(w["name"], "this"))
+             for w in spec["workloads"]]
+    for workload, ref, new in pairs:
+        for key in ("session", "seconds", "seeds"):
+            if ref.get(key) is None or ref.get(key) != new.get(key):
+                sys.exit("perf_ledger: %s ledgers differ in %s (%s vs %s); "
+                         "only ledgers from one --baseline recording compare"
+                         % (workload, key, ref.get(key), new.get(key)))
+    print("| workload | metric | baseline p25/p50/p75 | this p25/p50/p75 "
+          "| ratio | baseline IQR | wins |")
     print("|---|---|---|---|---|---|---|")
-    for workload in args.workloads:
-        ref = load_reference(args.compare, workload)
-        with open(os.path.join(ROOT, ledger_name(workload))) as f:
-            new = json.load(f)
-        shared = [s for s in new["seeds"] if s in ref["seeds"]]
+    for workload, ref, new in pairs:
         for name, mine in new["metrics"].items():
-            theirs = ref["metrics"].get(name)
-            if theirs is None:
-                continue
+            theirs = ref["metrics"][name]
             wins = ties = 0
-            for seed in shared:
-                a = theirs["values"][ref["seeds"].index(seed)]
-                b = mine["values"][new["seeds"].index(seed)]
+            for a, b in zip(theirs["values"], mine["values"]):
                 if a == b:
                     ties += 1
                 elif (b > a) == (better.get(name) == "higher"):
@@ -172,33 +156,32 @@ def compare(args):
                 workload, name,
                 "/".join(fmt(theirs[q]) for q in ("p25", "median", "p75")),
                 "/".join(fmt(mine[q]) for q in ("p25", "median", "p75")),
-                ratio, fmt(theirs["p75"] - theirs["p25"]), wins, len(shared),
-                " (%d ties)" % ties if ties else ""))
+                ratio, fmt(theirs["p75"] - theirs["p25"]), wins,
+                len(new["seeds"]), " (%d ties)" % ties if ties else ""))
     print()
-    print("reference %s, this tree %s; %d s per run, seeds %s" % (
-        ref["commit"], new["commit"], new["seconds"],
+    print("baseline %s, this tree %s; session %s; %d s per run, seeds %s" % (
+        ref["commit"], new["commit"], new["session"], new["seconds"],
         ",".join(str(s) for s in new["seeds"])))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    spec = benchmark_spec()
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in spec["workloads"]])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--baseline", metavar="DIR",
+                      help="record: run this checkout, alternating with this tree")
+    mode.add_argument("--compare", action="store_true",
+                      help="print this tree's ledger against the baseline ledger")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--seed0", type=int, default=101)
-    parser.add_argument("--baseline", metavar="DIR",
-                        help="also run this checkout, alternating with this tree")
-    parser.add_argument("--compare", metavar="REF",
-                        help="compare this tree's ledger with REF's (dir or git rev)")
     args = parser.parse_args()
     if args.runs < 1:
         sys.exit("perf_ledger: --runs must be >= 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
     if args.compare:
-        compare(args)
+        compare(spec)
     else:
-        record(args)
+        record(spec, args)
 
 
 if __name__ == "__main__":
