@@ -92,6 +92,7 @@ def record(spec, args):
     trees = {"this": ROOT, "baseline": os.path.abspath(args.baseline)}
     seeds = [args.seed0 + i for i in range(args.runs)]
     session = uuid.uuid4().hex
+    commits = {side: commit_of(tree) for side, tree in trees.items()}
     runs = {(side, w): [] for side in trees for w in workloads}
     for i, seed in enumerate(seeds):
         order = ["this", "baseline"] if i % 2 == 0 else ["baseline", "this"]
@@ -103,7 +104,7 @@ def record(spec, args):
                     workload, seed, side,
                     json.dumps(runs[(side, workload)][-1])), file=sys.stderr)
     for (side, workload), side_runs in runs.items():
-        ledger = {"workload": workload, "commit": commit_of(trees[side]),
+        ledger = {"workload": workload, "commit": commits[side],
                   "session": session, "seconds": seconds, "seeds": seeds,
                   "metrics": {name: summarize([run[name] for run in side_runs])
                               for name in side_runs[0]}}
