@@ -69,7 +69,8 @@ std::uint64_t circuit_digest(const sim::Circuit& circuit) noexcept {
 
 SemanticAnalyzerAgent::SemanticAnalyzerAgent(Options options)
     : options_(options),
-      options_digest_(analyzer_options_digest(options_.analysis)) {
+      options_digest_(analyzer_options_digest(options_.analysis)),
+      lint_config_(options_.analysis.to_lint_config()) {
   require(options_.shots >= 1, "SemanticAnalyzerAgent: shots >= 1");
   require(options_.tvd_threshold > 0.0 && options_.tvd_threshold < 1.0,
           "SemanticAnalyzerAgent: tvd_threshold in (0,1)");
@@ -106,20 +107,32 @@ StaticReport SemanticAnalyzerAgent::analyze_impl(
     trace::TraceSpan span("analyze.parse");
     return qasm::parse(source);
   }();
-  report.diagnostics = parsed.diagnostics;
-  if (!parsed.ok()) {
+  const bool parsed_ok = parsed.ok();
+  report.diagnostics = std::move(parsed.diagnostics);
+  if (!parsed_ok) {
     trace::Metrics::counter("analyze.parse_failures");
     report.error_trace = qasm::format_error_trace(report.diagnostics);
     return report;
   }
-  report.resources = [&] {
+  // One ProgramFacts feeds both the entry summary and every lint pass.
+  const qasm::lint::ProgramFacts facts = [&] {
+    trace::TraceSpan span("lint.facts");
+    return qasm::lint::ProgramFacts::compute(*parsed.program);
+  }();
+  // The summary is reachability-free: it feeds the QEC ResourcePlan, and
+  // lint's resource lattice reuses it for every circuit that abstract
+  // reachability cannot change.
+  qasm::analysis::ResourceFacts resources = [&] {
     trace::TraceSpan span("analyze.resources");
-    return qasm::analysis::summarize_entry(*parsed.program);
+    qasm::analysis::ResourceFacts out =
+        qasm::analysis::ResourceFacts::compute(facts);
+    report.resources = qasm::analysis::summarize_entry(facts, out);
+    return out;
   }();
   qasm::AnalysisReport analysis = [&] {
     trace::TraceSpan span("analyze.lint");
-    return qasm::analyze(*parsed.program, qasm::LanguageRegistry::current(),
-                         options_.analysis);
+    return qasm::lint::run_passes(facts, qasm::LanguageRegistry::current(),
+                                  lint_config_, &resources);
   }();
   report.diagnostics.insert(report.diagnostics.end(),
                             analysis.diagnostics.begin(),

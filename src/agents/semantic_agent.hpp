@@ -106,6 +106,8 @@ class SemanticAnalyzerAgent {
 
   Options options_;
   std::uint64_t options_digest_ = 0;
+  /// options_.analysis resolved against the built-in passes, once.
+  qasm::lint::CompiledLintConfig lint_config_;
   std::shared_ptr<AnalysisCache> cache_;
 };
 

@@ -29,11 +29,22 @@ class InternalError : public QcgenError {
 };
 
 /// Precondition helper: throws InvalidArgumentError when cond is false.
+/// Pass a string literal: it becomes a std::string only when the check
+/// fails. A message that must be computed belongs in an explicit
+/// `if (!cond) throw InvalidArgumentError(...)`, so a passing check never
+/// formats it.
+inline void require(bool cond, const char* message) {
+  if (!cond) throw InvalidArgumentError(message);
+}
 inline void require(bool cond, const std::string& message) {
   if (!cond) throw InvalidArgumentError(message);
 }
 
-/// Invariant helper: throws InternalError when cond is false.
+/// Invariant helper: throws InternalError when cond is false. Same
+/// literal-message idiom as require().
+inline void ensure(bool cond, const char* message) {
+  if (!cond) throw InternalError(message);
+}
 inline void ensure(bool cond, const std::string& message) {
   if (!cond) throw InternalError(message);
 }

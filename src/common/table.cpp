@@ -13,10 +13,11 @@ Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
 }
 
 void Table::add_row(std::vector<std::string> row) {
-  require(row.size() == headers_.size(),
-          "Table row arity mismatch: expected " +
-              std::to_string(headers_.size()) + ", got " +
-              std::to_string(row.size()));
+  if (row.size() != headers_.size()) {
+    throw InvalidArgumentError("Table row arity mismatch: expected " +
+                               std::to_string(headers_.size()) + ", got " +
+                               std::to_string(row.size()));
+  }
   rows_.push_back(std::move(row));
 }
 

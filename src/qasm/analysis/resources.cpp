@@ -1,7 +1,9 @@
 #include "qasm/analysis/resources.hpp"
 
 #include <algorithm>
+#include <optional>
 
+#include "common/error.hpp"
 #include "qasm/lint/abstract/interpreter.hpp"
 
 namespace qcgen::qasm::analysis {
@@ -54,7 +56,6 @@ struct Schedule {
 /// `include_maybe` is false only certainly-reachable ops are placed
 /// (the lower bound of the depth interval).
 Schedule schedule_asap(const CircuitFacts& facts,
-                       const LanguageRegistry& registry,
                        const std::vector<OpFact::Reach>& reach,
                        bool include_maybe) {
   const CircuitDecl& circ = *facts.circuit;
@@ -102,12 +103,8 @@ Schedule schedule_asap(const CircuitFacts& facts,
     const std::size_t layer = ready + 1;
     out.layer[i] = layer;
     out.depth = std::max(out.depth, layer);
-    bool is_t = false;
-    if (const auto* gate = std::get_if<GateStmt>(op.stmt)) {
-      const auto kind = registry.resolve_gate(gate->name);
-      is_t = kind.has_value() &&
-             (*kind == sim::GateKind::kT || *kind == sim::GateKind::kTdg);
-    }
+    const bool is_t = op.gate == sim::GateKind::kT ||
+                      op.gate == sim::GateKind::kTdg;
     const std::size_t t_out = t_in + (is_t ? 1 : 0);
     out.t_depth = std::max(out.t_depth, t_out);
     for (const std::size_t q : qubits) {
@@ -179,11 +176,11 @@ std::vector<std::size_t> schedule_alap(const CircuitFacts& facts,
 }
 
 void count_op(CircuitResources& res, const FlatOp& op, const CircuitDecl& circ,
-              const LanguageRegistry& registry, bool certain) {
+              bool certain) {
   res.total_ops.add(certain);
   if (const auto* gate = std::get_if<GateStmt>(op.stmt)) {
     res.gate_count.add(certain);
-    const auto kind = registry.resolve_gate(gate->name);
+    const std::optional<sim::GateKind> kind = op.gate;
     const std::string name =
         kind ? std::string(sim::gate_name(*kind)) : gate->name;
     res.histogram[name].add(certain);
@@ -262,7 +259,6 @@ void compute_lifetimes(CircuitResources& res, const CircuitFacts& facts) {
 }
 
 CircuitResources compute_circuit(const CircuitFacts& facts,
-                                 const LanguageRegistry& registry,
                                  const lint::abstract::CircuitAbstractFacts*
                                      abstract_facts) {
   CircuitResources res;
@@ -290,12 +286,12 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
     if (!executable(op, circ)) continue;
     res.ops[i].counted = true;
     res.ops[i].certain = reach[i] == OpFact::Reach::kRun;
-    count_op(res, op, circ, registry, res.ops[i].certain);
+    count_op(res, op, circ, res.ops[i].certain);
   }
 
   // Depth interval: upper-bound schedule places kRun + kMaybe ops, the
   // lower bound re-schedules with only the certain ops.
-  const Schedule upper = schedule_asap(facts, registry, reach, true);
+  const Schedule upper = schedule_asap(facts, reach, true);
   res.depth.max = upper.depth;
   res.t_depth.max = upper.t_depth;
   const bool has_maybe =
@@ -303,7 +299,7 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
         return r == OpFact::Reach::kMaybe;
       });
   if (has_maybe) {
-    const Schedule lower = schedule_asap(facts, registry, reach, false);
+    const Schedule lower = schedule_asap(facts, reach, false);
     res.depth.min = lower.depth;
     res.t_depth.min = lower.t_depth;
   } else {
@@ -325,9 +321,7 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> pairs;
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
     if (!res.ops[i].counted) continue;
-    const auto* gate = std::get_if<GateStmt>(facts.ops[i].stmt);
-    if (gate == nullptr) continue;
-    const auto kind = registry.resolve_gate(gate->name);
+    const std::optional<sim::GateKind> kind = facts.ops[i].gate;
     if (!kind || sim::gate_info(*kind).num_qubits != 2) continue;
     std::vector<std::size_t> qs = qubit_operands(facts.ops[i], circ);
     if (qs.size() != 2 || qs[0] == qs[1]) continue;
@@ -343,8 +337,11 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
 }  // namespace
 
 ResourceFacts ResourceFacts::compute(const lint::ProgramFacts& facts,
-                                     const LanguageRegistry& registry,
-                                     const AbstractFacts* abstract) {
+                                     const AbstractFacts* abstract,
+                                     ResourceFacts* reachability_free) {
+  require(reachability_free == nullptr ||
+              reachability_free->circuits.size() == facts.circuits.size(),
+          "ResourceFacts::compute: reachability-free facts of another program");
   ResourceFacts out;
   out.circuits.reserve(facts.circuits.size());
   for (std::size_t ci = 0; ci < facts.circuits.size(); ++ci) {
@@ -352,7 +349,15 @@ ResourceFacts ResourceFacts::compute(const lint::ProgramFacts& facts,
         abstract != nullptr && ci < abstract->circuits.size()
             ? &abstract->circuits[ci]
             : nullptr;
-    out.circuits.push_back(compute_circuit(facts.circuits[ci], registry, acf));
+    // The interpreter gives every unguarded op kRun, the same verdict
+    // as no abstract facts at all, so only a circuit with a guarded op
+    // can cost differently with reachability.
+    if (reachability_free != nullptr &&
+        (acf == nullptr || !facts.circuits[ci].has_guarded_op)) {
+      out.circuits.push_back(std::move(reachability_free->circuits[ci]));
+    } else {
+      out.circuits.push_back(compute_circuit(facts.circuits[ci], acf));
+    }
   }
   return out;
 }
@@ -376,18 +381,21 @@ ResourceSummary summarize(const CircuitResources& resources) {
   return out;
 }
 
-ResourceSummary summarize_entry(const Program& program,
-                                const LanguageRegistry& registry) {
-  const CircuitDecl* entry = program.entry();
-  if (entry == nullptr) return {};
-  const lint::ProgramFacts facts = lint::ProgramFacts::compute(program);
-  const ResourceFacts resources = ResourceFacts::compute(facts, registry);
+ResourceSummary summarize_entry(const lint::ProgramFacts& facts,
+                                const ResourceFacts& resources) {
+  const CircuitDecl* entry =
+      facts.program != nullptr ? facts.program->entry() : nullptr;
   for (std::size_t ci = 0; ci < facts.circuits.size(); ++ci) {
     if (facts.circuits[ci].circuit == entry) {
       return summarize(resources.circuits[ci]);
     }
   }
   return {};
+}
+
+ResourceSummary summarize_entry(const Program& program) {
+  const lint::ProgramFacts facts = lint::ProgramFacts::compute(program);
+  return summarize_entry(facts, ResourceFacts::compute(facts));
 }
 
 }  // namespace qcgen::qasm::analysis

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "qasm/ast.hpp"
-#include "qasm/language.hpp"
 #include "qasm/lint/facts.hpp"
 
 namespace qcgen::qasm::lint::abstract {
@@ -166,9 +165,13 @@ struct ResourceFacts {
 
   /// `abstract` refines conditional costs with reachability verdicts;
   /// pass nullptr to treat every guarded op as maybe-reachable.
+  /// `reachability_free`, when given, must be compute(facts) of the same
+  /// facts: a circuit that reachability cannot change (no guarded op, or
+  /// no abstract facts) is moved out of it instead of being recomputed.
   static ResourceFacts compute(
-      const lint::ProgramFacts& facts, const LanguageRegistry& registry,
-      const lint::abstract::AbstractFacts* abstract = nullptr);
+      const lint::ProgramFacts& facts,
+      const lint::abstract::AbstractFacts* abstract = nullptr,
+      ResourceFacts* reachability_free = nullptr);
 };
 
 /// Flat scalar digest of one circuit's resources — the program-side
@@ -191,11 +194,14 @@ struct ResourceSummary {
 
 ResourceSummary summarize(const CircuitResources& resources);
 
-/// Resources of the program's entry circuit (empty summary when the
-/// program has no analyzable entry). Convenience for callers outside
-/// the lint driver (semantic agent, benches).
-ResourceSummary summarize_entry(const Program& program,
-                                const LanguageRegistry& registry =
-                                    LanguageRegistry::current());
+/// Summary of the program's entry circuit, read from `resources`
+/// (computed over `facts`); empty when the program has no analyzable
+/// entry.
+ResourceSummary summarize_entry(const lint::ProgramFacts& facts,
+                                const ResourceFacts& resources);
+
+/// Reachability-free resources of the program's entry circuit.
+/// Convenience for callers outside the lint driver (benches).
+ResourceSummary summarize_entry(const Program& program);
 
 }  // namespace qcgen::qasm::analysis

@@ -16,8 +16,10 @@ void lower_stmt(const CircuitDecl& decl, const Stmt& stmt,
         using T = std::decay_t<decltype(s)>;
         if constexpr (std::is_same_v<T, GateStmt>) {
           auto kind = registry.resolve_gate(s.name);
-          require(kind.has_value(),
-                  "build_circuit: unknown gate '" + s.name + "'");
+          if (!kind) {
+            throw InvalidArgumentError("build_circuit: unknown gate '" +
+                                       s.name + "'");
+          }
           sim::Operation op;
           op.kind = *kind;
           for (const RegRef& ref : s.operands) op.qubits.push_back(ref.index);
@@ -66,11 +68,15 @@ sim::Circuit build_circuit(const Program& program,
 
 sim::Circuit compile_or_throw(std::string_view source) {
   ParseResult parsed = parse(source);
-  require(parsed.ok(), "compile_or_throw: parse failed:\n" +
-                           format_error_trace(parsed.diagnostics));
+  if (!parsed.ok()) {
+    throw InvalidArgumentError("compile_or_throw: parse failed:\n" +
+                               format_error_trace(parsed.diagnostics));
+  }
   AnalysisReport report = analyze(*parsed.program);
-  require(report.ok(), "compile_or_throw: analysis failed:\n" +
-                           format_error_trace(report.diagnostics));
+  if (!report.ok()) {
+    throw InvalidArgumentError("compile_or_throw: analysis failed:\n" +
+                               format_error_trace(report.diagnostics));
+  }
   return build_circuit(*parsed.program);
 }
 

@@ -42,9 +42,12 @@ enum class TokenKind {
 
 std::string_view token_kind_name(TokenKind kind);
 
+/// One token. `text` views the source passed to lex(), so a token is
+/// valid only while that source is alive; copy the text out (as the
+/// parser does into the AST) to keep it longer.
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;
+  std::string_view text;
   double number = 0.0;  ///< valid when kind == kNumber
   int line = 1;
   int column = 1;
@@ -59,7 +62,7 @@ struct LexResult {
 };
 
 /// Tokenises a full source text. `//` line comments and `#` line comments
-/// are skipped.
+/// are skipped. Token texts view `source`, which must outlive the result.
 LexResult lex(std::string_view source);
 
 }  // namespace qcgen::qasm

@@ -235,7 +235,7 @@ class TopologyConformancePass final : public LintPass {
         const FlatOp& op = facts.ops[i];
         const GateStmt* gate = as_gate(op);
         if (gate == nullptr) continue;
-        const auto kind = ctx.registry.resolve_gate(gate->name);
+        const std::optional<sim::GateKind> kind = op.gate;
         if (!kind || sim::gate_info(*kind).num_qubits != 2) continue;
         const std::vector<std::size_t> qs = qubit_operands(op, circ);
         if (qs.size() != 2 || qs[0] == qs[1]) continue;

@@ -33,10 +33,9 @@ std::vector<std::size_t> control_positions(GateKind kind) {
 
 class Interpreter {
  public:
-  Interpreter(const CircuitFacts& facts, const LanguageRegistry& registry)
+  explicit Interpreter(const CircuitFacts& facts)
       : facts_(facts),
         circ_(*facts.circuit),
-        registry_(registry),
         state_(circ_.num_qubits, circ_.num_clbits) {}
 
   void run(CircuitAbstractFacts& out) {
@@ -46,6 +45,7 @@ class Interpreter {
       fact.reach = evaluate_guards(op, fact);
       if (fact.reach == OpFact::Reach::kUnreachable) continue;
       certain_ = fact.reach == OpFact::Reach::kRun;
+      op_ = &op;
       std::visit([&](const auto& s) { transfer(s, fact); }, *op.stmt);
     }
     out.computed = true;
@@ -133,7 +133,7 @@ class Interpreter {
   }
 
   void transfer(const GateStmt& s, OpFact& fact) {
-    const std::optional<GateKind> kind = registry_.resolve_gate(s.name);
+    const std::optional<GateKind> kind = op_->gate;
     std::vector<std::size_t> qs;
     qs.reserve(s.operands.size());
     for (const RegRef& ref : s.operands) qs.push_back(ref.index);
@@ -194,15 +194,14 @@ class Interpreter {
 
   const CircuitFacts& facts_;
   const CircuitDecl& circ_;
-  const LanguageRegistry& registry_;
   AbstractState state_;
+  const FlatOp* op_ = nullptr;  ///< op being transferred
   bool certain_ = true;
 };
 
 }  // namespace
 
-AbstractFacts AbstractFacts::compute(const ProgramFacts& facts,
-                                     const LanguageRegistry& registry) {
+AbstractFacts AbstractFacts::compute(const ProgramFacts& facts) {
   AbstractFacts out;
   out.circuits.resize(facts.circuits.size());
   for (std::size_t i = 0; i < facts.circuits.size(); ++i) {
@@ -215,7 +214,7 @@ AbstractFacts AbstractFacts::compute(const ProgramFacts& facts,
         circ.num_clbits > kMaxAbstractClbits) {
       continue;
     }
-    Interpreter(cf, registry).run(acf);
+    Interpreter(cf).run(acf);
   }
   return out;
 }

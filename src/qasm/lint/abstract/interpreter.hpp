@@ -62,8 +62,7 @@ struct AbstractFacts {
   /// Parallel to ProgramFacts::circuits.
   std::vector<CircuitAbstractFacts> circuits;
 
-  static AbstractFacts compute(const ProgramFacts& facts,
-                               const LanguageRegistry& registry);
+  static AbstractFacts compute(const ProgramFacts& facts);
 };
 
 }  // namespace qcgen::qasm::lint::abstract

@@ -181,7 +181,7 @@ class GatesPass final : public LintPass {
   void check_gate(const PassContext& ctx, const CircuitDecl& circ,
                   const GateStmt& gate, const FlatOp& op,
                   DiagnosticSink& sink) const {
-    if (!ctx.registry.is_known_gate(gate.name)) {
+    if (!op.gate) {
       sink.report(Severity::kError, DiagCode::kUnknownGate,
                   "unknown gate '" + gate.name + "'", gate.line);
       // Still bounds-check operands so one bad mnemonic doesn't hide
@@ -191,7 +191,7 @@ class GatesPass final : public LintPass {
       }
       return;
     }
-    const sim::GateKind kind = *ctx.registry.resolve_gate(gate.name);
+    const sim::GateKind kind = *op.gate;
     if (ctx.registry.is_deprecated_gate_alias(gate.name)) {
       const std::string canonical(sim::gate_name(kind));
       std::optional<FixIt> fix;

@@ -325,8 +325,8 @@ class RedundantPairPass final : public LintPass {
         const GateStmt* a = as_gate(first);
         const GateStmt* b = as_gate(second);
         if (!a || !b) continue;
-        const auto ka = ctx.registry.resolve_gate(a->name);
-        const auto kb = ctx.registry.resolve_gate(b->name);
+        const std::optional<sim::GateKind> ka = first.gate;
+        const std::optional<sim::GateKind> kb = second.gate;
         if (!ka || !kb || *ka != *kb || !self_inverse(*ka)) continue;
         const std::vector<std::size_t> qa = qubit_operands(first, circ);
         const std::vector<std::size_t> qb = qubit_operands(second, circ);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 
@@ -35,54 +34,54 @@ bool AnalysisReport::only_syntactic_errors() const {
 
 namespace lint {
 
-AnalysisReport run_passes(const Program& program,
+CompiledLintConfig::CompiledLintConfig(LintConfig lint_config,
+                                       const PassRegistry& pass_registry)
+    : config(std::move(lint_config)), registry(&pass_registry) {
+  enabled.reserve(registry->passes().size());
+  for (const auto& pass : registry->passes()) {
+    const std::string_view id = pass->id();
+    const bool on = config.pass_enabled(id);
+    enabled.push_back(on);
+    want_abstract = want_abstract || (on && id.starts_with("abstract."));
+    want_resources = want_resources || (on && id.starts_with("resource."));
+  }
+}
+
+AnalysisReport run_passes(const ProgramFacts& facts,
                           const LanguageRegistry& language,
-                          const PassRegistry& registry,
-                          const LintConfig& config) {
-  const ProgramFacts facts = [&] {
-    trace::TraceSpan span("lint.facts");
-    return ProgramFacts::compute(program);
-  }();
+                          const CompiledLintConfig& compiled,
+                          analysis::ResourceFacts* reachability_free) {
   // The abstract interpreter runs once, and only if some abstract.* pass
   // will actually read its results.
   std::optional<abstract::AbstractFacts> abstract_facts;
-  const bool want_abstract = std::any_of(
-      registry.passes().begin(), registry.passes().end(),
-      [&](const std::unique_ptr<LintPass>& pass) {
-        return pass->id().substr(0, 9) == "abstract." &&
-               config.pass_enabled(pass->id());
-      });
-  if (want_abstract) {
+  if (compiled.want_abstract) {
     failpoint::trip("analyzer.abstract");
     trace::TraceSpan span("lint.abstract-interpret");
-    abstract_facts = abstract::AbstractFacts::compute(facts, language);
+    abstract_facts = abstract::AbstractFacts::compute(facts);
   }
   // Same deal for the resource lattice: computed once, only when some
   // resource.* pass will read it. It reuses the abstract reachability
   // verdicts when the interpreter ran, so conditional costs tighten.
   std::optional<analysis::ResourceFacts> resource_facts;
-  const bool want_resources = std::any_of(
-      registry.passes().begin(), registry.passes().end(),
-      [&](const std::unique_ptr<LintPass>& pass) {
-        return pass->id().substr(0, 9) == "resource." &&
-               config.pass_enabled(pass->id());
-      });
-  if (want_resources) {
+  if (compiled.want_resources) {
     trace::TraceSpan span("lint.resource-analysis");
     resource_facts = analysis::ResourceFacts::compute(
-        facts, language, abstract_facts ? &*abstract_facts : nullptr);
+        facts, abstract_facts ? &*abstract_facts : nullptr,
+        reachability_free);
   }
-  const PassContext ctx{program, facts, language, config,
+  const PassContext ctx{*facts.program, facts, language, compiled.config,
                         abstract_facts ? &*abstract_facts : nullptr,
                         resource_facts ? &*resource_facts : nullptr};
   AnalysisReport report;
-  for (const auto& pass : registry.passes()) {
-    if (!config.pass_enabled(pass->id())) continue;
+  const auto& passes = compiled.registry->passes();
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    if (!compiled.enabled[i]) continue;
+    const LintPass& pass = *passes[i];
     // Pass ids are stable string literals, so they double as per-pass
     // span names ("dataflow.dead-code", "abstract.trivial-gate", ...).
-    trace::TraceSpan span(pass->id());
-    DiagnosticSink sink(report.diagnostics, pass->id(), config);
-    pass->run(ctx, sink);
+    trace::TraceSpan span(pass.id());
+    DiagnosticSink sink(report.diagnostics, pass.id(), compiled.config);
+    pass.run(ctx, sink);
   }
   // Deterministic presentation for the repair loop: order by source
   // position, then by pass id for same-line overlap; identical
@@ -95,16 +94,36 @@ AnalysisReport run_passes(const Program& program,
                      return std::tie(a.line, a.pass_id) <
                             std::tie(b.line, b.pass_id);
                    });
-  std::set<std::tuple<std::string, int, DiagCode, std::string>> seen;
+  // After the sort every (line, pass) key is one contiguous run, so a
+  // duplicate can only sit earlier in the current run.
   std::vector<Diagnostic> unique;
   unique.reserve(report.diagnostics.size());
+  std::size_t run_begin = 0;
   for (Diagnostic& d : report.diagnostics) {
-    if (seen.insert({d.pass_id, d.line, d.code, d.message}).second) {
-      unique.push_back(std::move(d));
+    if (!unique.empty() && (unique.back().line != d.line ||
+                            unique.back().pass_id != d.pass_id)) {
+      run_begin = unique.size();
     }
+    const bool duplicate = std::any_of(
+        unique.begin() + static_cast<std::ptrdiff_t>(run_begin), unique.end(),
+        [&](const Diagnostic& u) {
+          return u.code == d.code && u.message == d.message;
+        });
+    if (!duplicate) unique.push_back(std::move(d));
   }
   report.diagnostics = std::move(unique);
   return report;
+}
+
+AnalysisReport run_passes(const Program& program,
+                          const LanguageRegistry& language,
+                          const PassRegistry& registry,
+                          const LintConfig& config) {
+  const ProgramFacts facts = [&] {
+    trace::TraceSpan span("lint.facts");
+    return ProgramFacts::compute(program);
+  }();
+  return run_passes(facts, language, CompiledLintConfig(config, registry));
 }
 
 }  // namespace lint

@@ -1,5 +1,7 @@
 #include "qasm/lint/facts.hpp"
 
+#include <algorithm>
+
 namespace qcgen::qasm::lint {
 
 namespace {
@@ -16,6 +18,10 @@ void flatten_stmt(const Stmt& stmt, std::vector<const IfStmt*>& guards,
   op.stmt = &stmt;
   op.guards = guards;
   op.line = stmt_line(stmt);
+  if (const auto* gate = std::get_if<GateStmt>(&stmt)) {
+    sim::GateKind kind;
+    if (sim::parse_gate_name(gate->name, kind)) op.gate = kind;
+  }
   out.push_back(std::move(op));
 }
 
@@ -94,6 +100,9 @@ ProgramFacts ProgramFacts::compute(const Program& program) {
       for (const Stmt& stmt : circ.body) {
         flatten_stmt(stmt, guards, facts.ops);
       }
+      facts.has_guarded_op =
+          std::any_of(facts.ops.begin(), facts.ops.end(),
+                      [](const FlatOp& op) { return op.guarded(); });
       facts.qubit_events.resize(circ.num_qubits);
       facts.clbit_events.resize(circ.num_clbits);
       record_events(facts);

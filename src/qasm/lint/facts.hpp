@@ -9,9 +9,11 @@
 // reachability (dead-code) walk the flat op list.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "qasm/ast.hpp"
+#include "sim/gates.hpp"
 
 namespace qcgen::qasm {
 
@@ -29,6 +31,10 @@ struct FlatOp {
   const Stmt* stmt = nullptr;
   std::vector<const IfStmt*> guards;
   int line = 0;
+  /// Resolved kind of a gate statement's mnemonic (current or legacy
+  /// alias, as LanguageRegistry::resolve_gate); empty for unknown
+  /// mnemonics and for non-gate statements.
+  std::optional<sim::GateKind> gate;
 
   bool guarded() const { return !guards.empty(); }
   /// Indentation depth of the statement in canonical printing.
@@ -58,6 +64,9 @@ struct CircuitFacts {
   bool analyzable = false;
   /// Flattened body in program order.
   std::vector<FlatOp> ops;
+  /// True when some op sits under an if-guard. Only such circuits can
+  /// have reachability verdicts other than "always runs".
+  bool has_guarded_op = false;
   /// Event timeline per qubit / clbit, program order. Out-of-range
   /// register references are *not* recorded (bounds errors are the gate
   /// pass's job); `measure_all` with too few classical bits records no

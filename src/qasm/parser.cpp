@@ -133,17 +133,22 @@ class Parser {
     advance();
     return true;
   }
-  bool expect(TokenKind kind, const std::string& context) {
+  bool expect(TokenKind kind, std::string_view context) {
     if (match(kind)) return true;
-    error("expected " + std::string(token_kind_name(kind)) + " " + context +
-          ", found " + std::string(token_kind_name(peek().kind)));
+    std::string message = "expected ";
+    message += token_kind_name(kind);
+    message += ' ';
+    message += context;
+    message += ", found ";
+    message += token_kind_name(peek().kind);
+    error(std::move(message));
     return false;
   }
-  void error(const std::string& message) {
+  void error(std::string message) {
     Diagnostic diag;
     diag.severity = Severity::kError;
     diag.code = DiagCode::kParseError;
-    diag.message = message;
+    diag.message = std::move(message);
     diag.line = peek().line;
     diag.column = peek().column;
     diags_.push_back(std::move(diag));
@@ -193,7 +198,8 @@ class Parser {
         error("expected identifier after '.' in import path");
         return std::nullopt;
       }
-      imp.path += "." + advance().text;
+      imp.path += '.';
+      imp.path += advance().text;
     }
     if (!expect(TokenKind::kSemicolon, "after import")) return std::nullopt;
     return imp;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -17,29 +16,51 @@ Circuit::Circuit(std::size_t num_qubits, std::size_t num_clbits)
 
 void Circuit::append(Operation op) {
   const GateInfo& gi = gate_info(op.kind);
-  if (gi.num_qubits >= 0) {
-    require(op.qubits.size() == static_cast<std::size_t>(gi.num_qubits),
-            "operation " + std::string(gi.name) + " expects " +
-                std::to_string(gi.num_qubits) + " qubits, got " +
-                std::to_string(op.qubits.size()));
+  if (gi.num_qubits >= 0 &&
+      op.qubits.size() != static_cast<std::size_t>(gi.num_qubits)) {
+    throw InvalidArgumentError("operation " + std::string(gi.name) +
+                               " expects " + std::to_string(gi.num_qubits) +
+                               " qubits, got " +
+                               std::to_string(op.qubits.size()));
   }
-  require(op.params.size() == static_cast<std::size_t>(gi.num_params),
-          "operation " + std::string(gi.name) + " expects " +
-              std::to_string(gi.num_params) + " params, got " +
-              std::to_string(op.params.size()));
-  std::set<std::size_t> seen;
-  for (std::size_t q : op.qubits) {
-    require(q < num_qubits_, "qubit index " + std::to_string(q) +
+  if (op.params.size() != static_cast<std::size_t>(gi.num_params)) {
+    throw InvalidArgumentError("operation " + std::string(gi.name) +
+                               " expects " + std::to_string(gi.num_params) +
+                               " params, got " +
+                               std::to_string(op.params.size()));
+  }
+  // Gate operand lists hold at most 3 qubits, so a scan of the earlier
+  // operands finds duplicates without allocating. A barrier spans the
+  // whole register, whose size comes from the program text, so wide
+  // lists mark a bitmap instead of scanning quadratically.
+  constexpr std::size_t kScanLimit = 8;
+  std::vector<bool> seen(op.qubits.size() > kScanLimit ? num_qubits_ : 0);
+  for (auto it = op.qubits.begin(); it != op.qubits.end(); ++it) {
+    const std::size_t q = *it;
+    if (q >= num_qubits_) {
+      throw InvalidArgumentError("qubit index " + std::to_string(q) +
                                  " out of range for " +
-                                 std::to_string(num_qubits_) + "-qubit circuit");
-    require(seen.insert(q).second,
-            "duplicate qubit operand in " + std::string(gi.name));
+                                 std::to_string(num_qubits_) +
+                                 "-qubit circuit");
+    }
+    bool duplicate = false;
+    if (seen.empty()) {
+      duplicate = std::find(op.qubits.begin(), it, q) != it;
+    } else {
+      duplicate = seen[q];
+      seen[q] = true;
+    }
+    if (duplicate) {
+      throw InvalidArgumentError("duplicate qubit operand in " +
+                                 std::string(gi.name));
+    }
   }
   if (op.kind == GateKind::kMeasure) {
     require(op.clbit.has_value(), "measure requires a classical bit target");
-    require(*op.clbit < num_clbits_,
-            "classical bit index " + std::to_string(*op.clbit) +
-                " out of range");
+    if (*op.clbit >= num_clbits_) {
+      throw InvalidArgumentError("classical bit index " +
+                                 std::to_string(*op.clbit) + " out of range");
+    }
   } else {
     require(!op.clbit.has_value(),
             "only measure may carry a classical bit target");

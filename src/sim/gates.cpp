@@ -20,37 +20,57 @@ constexpr GateKind kAllKinds[] = {
     GateKind::kReset,  GateKind::kBarrier,
 };
 
+/// Indexed by GateKind, in declaration order (= kAllKinds order).
+constexpr GateInfo kInfo[] = {
+    {"id", 1, 0, true, true},  // kI
+    {"x", 1, 0, true, true},  // kX
+    {"y", 1, 0, true, true},  // kY
+    {"z", 1, 0, true, true},  // kZ
+    {"h", 1, 0, true, true},  // kH
+    {"s", 1, 0, true, true},  // kS
+    {"sdg", 1, 0, true, true},  // kSdg
+    {"t", 1, 0, true, false},  // kT
+    {"tdg", 1, 0, true, false},  // kTdg
+    {"sx", 1, 0, true, true},  // kSX
+    {"rx", 1, 1, true, false},  // kRX
+    {"ry", 1, 1, true, false},  // kRY
+    {"rz", 1, 1, true, false},  // kRZ
+    {"p", 1, 1, true, false},  // kPhase
+    {"u", 1, 3, true, false},  // kU
+    {"cx", 2, 0, true, true},  // kCX
+    {"cy", 2, 0, true, true},  // kCY
+    {"cz", 2, 0, true, true},  // kCZ
+    {"cp", 2, 1, true, false},  // kCPhase
+    {"swap", 2, 0, true, true},  // kSwap
+    {"ccx", 3, 0, true, false},  // kCCX
+    {"cswap", 3, 0, true, false},  // kCSwap
+    {"rzz", 2, 1, true, false},  // kRZZ
+    {"measure", 1, 0, false, false},  // kMeasure
+    {"reset", 1, 0, false, false},  // kReset
+    {"barrier", -1, 0, false, false},  // kBarrier
+};
+static_assert(std::size(kInfo) == std::size(kAllKinds));
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kAllKinds); ++i) {
+    if (static_cast<std::size_t>(kAllKinds[i]) != i) return false;
+  }
+  return true;
+}());
+
 const GateInfo& info_for(GateKind kind) {
-  static const std::unordered_map<GateKind, GateInfo> kTable = {
-      {GateKind::kI, {"id", 1, 0, true, true}},
-      {GateKind::kX, {"x", 1, 0, true, true}},
-      {GateKind::kY, {"y", 1, 0, true, true}},
-      {GateKind::kZ, {"z", 1, 0, true, true}},
-      {GateKind::kH, {"h", 1, 0, true, true}},
-      {GateKind::kS, {"s", 1, 0, true, true}},
-      {GateKind::kSdg, {"sdg", 1, 0, true, true}},
-      {GateKind::kT, {"t", 1, 0, true, false}},
-      {GateKind::kTdg, {"tdg", 1, 0, true, false}},
-      {GateKind::kSX, {"sx", 1, 0, true, true}},
-      {GateKind::kRX, {"rx", 1, 1, true, false}},
-      {GateKind::kRY, {"ry", 1, 1, true, false}},
-      {GateKind::kRZ, {"rz", 1, 1, true, false}},
-      {GateKind::kPhase, {"p", 1, 1, true, false}},
-      {GateKind::kU, {"u", 1, 3, true, false}},
-      {GateKind::kCX, {"cx", 2, 0, true, true}},
-      {GateKind::kCY, {"cy", 2, 0, true, true}},
-      {GateKind::kCZ, {"cz", 2, 0, true, true}},
-      {GateKind::kCPhase, {"cp", 2, 1, true, false}},
-      {GateKind::kSwap, {"swap", 2, 0, true, true}},
-      {GateKind::kCCX, {"ccx", 3, 0, true, false}},
-      {GateKind::kCSwap, {"cswap", 3, 0, true, false}},
-      {GateKind::kRZZ, {"rzz", 2, 1, true, false}},
-      {GateKind::kMeasure, {"measure", 1, 0, false, false}},
-      {GateKind::kReset, {"reset", 1, 0, false, false}},
-      {GateKind::kBarrier, {"barrier", -1, 0, false, false}},
-  };
-  return kTable.at(kind);
+  const auto index = static_cast<std::size_t>(kind);
+  require(index < std::size(kInfo), "gate_info: unknown gate kind");
+  return kInfo[index];
 }
+
+/// Hashes std::string and std::string_view alike, so name lookups need
+/// no temporary std::string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
+};
 
 }  // namespace
 
@@ -60,7 +80,8 @@ std::string_view gate_name(GateKind kind) { return info_for(kind).name; }
 
 bool parse_gate_name(std::string_view name, GateKind& out) {
   static const auto* kByName = [] {
-    auto* m = new std::unordered_map<std::string, GateKind>();
+    auto* m =
+        new std::unordered_map<std::string, GateKind, NameHash, std::equal_to<>>();
     for (GateKind k : kAllKinds) (*m)[std::string(gate_name(k))] = k;
     // Qiskit aliases encountered in scraped corpora.
     (*m)["cnot"] = GateKind::kCX;
@@ -70,7 +91,7 @@ bool parse_gate_name(std::string_view name, GateKind& out) {
     (*m)["phase"] = GateKind::kPhase;
     return m;
   }();
-  auto it = kByName->find(std::string(name));
+  auto it = kByName->find(name);
   if (it == kByName->end()) return false;
   out = it->second;
   return true;
@@ -78,11 +99,14 @@ bool parse_gate_name(std::string_view name, GateKind& out) {
 
 Matrix2 gate_matrix_1q(GateKind kind, std::span<const double> params) {
   const GateInfo& gi = gate_info(kind);
-  require(gi.unitary && gi.num_qubits == 1,
-          "gate_matrix_1q: not a single-qubit unitary: " +
-              std::string(gi.name));
-  require(static_cast<int>(params.size()) == gi.num_params,
-          "gate_matrix_1q: wrong parameter count for " + std::string(gi.name));
+  if (!gi.unitary || gi.num_qubits != 1) {
+    throw InvalidArgumentError("gate_matrix_1q: not a single-qubit unitary: " +
+                               std::string(gi.name));
+  }
+  if (static_cast<int>(params.size()) != gi.num_params) {
+    throw InvalidArgumentError("gate_matrix_1q: wrong parameter count for " +
+                               std::string(gi.name));
+  }
   const Complex i{0.0, 1.0};
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   switch (kind) {

@@ -22,9 +22,10 @@ std::string bits_to_string(const std::vector<bool>& clbits) {
 
 StateVector::StateVector(std::size_t num_qubits) : num_qubits_(num_qubits) {
   require(num_qubits >= 1, "StateVector requires at least 1 qubit");
-  require(num_qubits <= kMaxQubits,
-          "StateVector supports at most " + std::to_string(kMaxQubits) +
-              " qubits");
+  if (num_qubits > kMaxQubits) {
+    throw InvalidArgumentError("StateVector supports at most " +
+                               std::to_string(kMaxQubits) + " qubits");
+  }
   amps_.assign(1ULL << num_qubits, Complex(0.0, 0.0));
   amps_[0] = Complex(1.0, 0.0);
 }
@@ -166,9 +167,11 @@ void StateVector::apply(const Operation& op) {
       apply_rzz(op.params[0], op.qubits[0], op.qubits[1]);
       return;
     default:
-      require(gi.unitary && gi.num_qubits == 1,
-              "StateVector::apply: unsupported operation " +
-                  std::string(gi.name));
+      if (!gi.unitary || gi.num_qubits != 1) {
+        throw InvalidArgumentError(
+            "StateVector::apply: unsupported operation " +
+            std::string(gi.name));
+      }
       apply_1q(gate_matrix_1q(op.kind, op.params), op.qubits[0]);
       return;
   }

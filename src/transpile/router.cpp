@@ -80,10 +80,11 @@ RoutedCircuit route(const Circuit& circuit, const DeviceTopology& device,
       result.circuit.append(std::move(mapped));
       continue;
     }
-    require(op.kind == GateKind::kCX,
-            "route: non-native multi-qubit gate '" +
-                std::string(sim::gate_name(op.kind)) +
-                "'; decompose first");
+    if (op.kind != GateKind::kCX) {
+      throw InvalidArgumentError("route: non-native multi-qubit gate '" +
+                                 std::string(sim::gate_name(op.kind)) +
+                                 "'; decompose first");
+    }
     std::size_t pc = current.physical(op.qubits[0]);
     std::size_t pt = current.physical(op.qubits[1]);
     if (!device.are_coupled(pc, pt)) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "sim/circuit.hpp"
 
@@ -74,6 +77,97 @@ TEST(Circuit, ConditionValidation) {
   op.condition = Condition{0, true};
   c.append(op);
   EXPECT_TRUE(c.has_conditions());
+}
+
+/// Message of the InvalidArgumentError that appending `op` to `c` throws
+/// ("" if it does not throw).
+std::string append_error(Circuit& c, Operation op) {
+  try {
+    c.append(std::move(op));
+  } catch (const InvalidArgumentError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+Operation make_op(GateKind kind, std::vector<std::size_t> qubits,
+                  std::vector<double> params = {}) {
+  Operation op;
+  op.kind = kind;
+  op.qubits = std::move(qubits);
+  op.params = std::move(params);
+  return op;
+}
+
+TEST(CircuitPreconditions, EveryAppendFailureBranchKeepsItsMessage) {
+  Circuit c(4, 2);
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCX, {0})),
+            "operation cx expects 2 qubits, got 1");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kRZ, {0})),
+            "operation rz expects 1 params, got 0");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kH, {4})),
+            "qubit index 4 out of range for 4-qubit circuit");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCCX, {0, 2, 2})),
+            "duplicate qubit operand in ccx");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kMeasure, {0})),
+            "measure requires a classical bit target");
+  Operation far_clbit = make_op(GateKind::kMeasure, {0});
+  far_clbit.clbit = 2;
+  EXPECT_EQ(append_error(c, far_clbit), "classical bit index 2 out of range");
+  Operation gate_with_clbit = make_op(GateKind::kX, {0});
+  gate_with_clbit.clbit = 0;
+  EXPECT_EQ(append_error(c, gate_with_clbit),
+            "only measure may carry a classical bit target");
+  Operation far_condition = make_op(GateKind::kX, {0});
+  far_condition.condition = Condition{5, true};
+  EXPECT_EQ(append_error(c, far_condition),
+            "condition classical bit out of range");
+  EXPECT_TRUE(c.empty());
+}
+
+TEST(CircuitPreconditions, RangeIsCheckedBeforeDuplicates) {
+  Circuit c(4, 0);
+  // Operand 5 is both out of range and repeated; each operand is
+  // range-checked before it is compared with the earlier ones.
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCX, {5, 5})),
+            "qubit index 5 out of range for 4-qubit circuit");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCX, {1, 1})),
+            "duplicate qubit operand in cx");
+  // Arity is checked before params, params before operands.
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCPhase, {9})),
+            "operation cp expects 2 qubits, got 1");
+  EXPECT_EQ(append_error(c, make_op(GateKind::kCPhase, {9, 9})),
+            "operation cp expects 1 params, got 0");
+}
+
+TEST(CircuitPreconditions, WideBarrierOperandsAreChecked) {
+  Circuit c(12, 0);
+  Operation barrier = make_op(GateKind::kBarrier, {});
+  for (std::size_t q = 0; q < 12; ++q) barrier.qubits.push_back(q);
+  EXPECT_EQ(append_error(c, barrier), "");
+  barrier.qubits.back() = 3;
+  EXPECT_EQ(append_error(c, barrier), "duplicate qubit operand in barrier");
+  barrier.qubits.back() = 12;
+  EXPECT_EQ(append_error(c, barrier),
+            "qubit index 12 out of range for 12-qubit circuit");
+  EXPECT_EQ(c.size(), 1u);
+}
+
+TEST(CircuitPreconditions, LiteralRequireAndEnsureThrowTheirText) {
+  try {
+    require(false, "literal precondition text");
+    FAIL() << "require(false, ...) did not throw";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_STREQ(e.what(), "literal precondition text");
+  }
+  try {
+    ensure(false, "literal invariant text");
+    FAIL() << "ensure(false, ...) did not throw";
+  } catch (const InternalError& e) {
+    EXPECT_STREQ(e.what(), "literal invariant text");
+  }
+  EXPECT_NO_THROW(require(true, "never built"));
+  EXPECT_NO_THROW(ensure(true, std::string("computed")));
 }
 
 TEST(Circuit, DepthComputation) {

@@ -14,47 +14,18 @@
 #include "qasm/printer.hpp"
 #include "sim/statevector.hpp"
 
+#include "fuzz_sources.hpp"
+
 namespace qcgen {
 namespace {
 
-/// Applies `count` random single-character edits (delete/insert/replace).
-std::string mutate(std::string text, int count, Rng& rng) {
-  const std::string alphabet = "abcxyz0189[](){};,->==.#/ \n\"'@";
-  for (int i = 0; i < count && !text.empty(); ++i) {
-    const std::size_t pos = rng.uniform_int(
-        static_cast<std::uint64_t>(text.size()));
-    switch (rng.uniform_int(static_cast<std::uint64_t>(3))) {
-      case 0:
-        text.erase(pos, 1);
-        break;
-      case 1:
-        text.insert(pos, 1,
-                    alphabet[rng.uniform_int(
-                        static_cast<std::uint64_t>(alphabet.size()))]);
-        break;
-      default:
-        text[pos] = alphabet[rng.uniform_int(
-            static_cast<std::uint64_t>(alphabet.size()))];
-    }
-  }
-  return text;
-}
+using testing_support::mutate;
 
 class ParserFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserFuzz, NeverCrashesAndBoundsDiagnostics) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
-  const auto algorithms = llm::all_algorithms();
-  for (int trial = 0; trial < 60; ++trial) {
-    llm::TaskSpec task;
-    task.algorithm = algorithms[rng.uniform_int(
-        static_cast<std::uint64_t>(algorithms.size()))];
-    const std::string source =
-        qasm::print_program(llm::gold_program(task));
-    const int edits = 1 + static_cast<int>(rng.uniform_int(
-                              static_cast<std::uint64_t>(20)));
-    const std::string mutated = mutate(source, edits, rng);
-
+  for (const std::string& mutated :
+       testing_support::mutated_gold_sources(GetParam())) {
     const qasm::ParseResult parsed = qasm::parse(mutated);
     // Diagnostics must stay proportional to the input, never explode
     // (regression guard for the stray-top-level-token loop).

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdlib>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "eval/suite.hpp"
+#include "llm/templates.hpp"
 #include "qasm/lexer.hpp"
+#include "qasm/printer.hpp"
+
+#include "fuzz_sources.hpp"
 
 namespace qcgen::qasm {
 namespace {
@@ -109,6 +120,239 @@ TEST(Lexer, UnderscoredIdentifiers) {
   const LexResult r = lex("my_gate_2 q[0];");
   EXPECT_EQ(r.tokens[0].kind, TokenKind::kIdentifier);
   EXPECT_EQ(r.tokens[0].text, "my_gate_2");
+}
+
+// --- Oracle: the character-at-a-time lexer ---------------------------------
+//
+// The tokenizer as it was before tokens became views into the source:
+// every token owns its text, words and numbers grow one character at a
+// time, and keywords come from a string-keyed table. lex() must agree
+// with it on kind, text, number, line and column of every token and on
+// message, line and column of every diagnostic.
+
+namespace oracle {
+
+struct OwnedToken {
+  TokenKind kind = TokenKind::kEof;
+  std::string text;
+  double number = 0.0;
+  int line = 1;
+  int column = 1;
+};
+
+struct OwnedLex {
+  std::vector<OwnedToken> tokens;
+  std::vector<Diagnostic> diagnostics;
+};
+
+OwnedLex lex(std::string_view source) {
+  static const std::unordered_map<std::string, TokenKind> kKeywords = {
+      {"import", TokenKind::kKeywordImport},
+      {"circuit", TokenKind::kKeywordCircuit},
+      {"measure", TokenKind::kKeywordMeasure},
+      {"measure_all", TokenKind::kKeywordMeasureAll},
+      {"barrier", TokenKind::kKeywordBarrier},
+      {"reset", TokenKind::kKeywordReset},
+      {"if", TokenKind::kKeywordIf},
+      {"pi", TokenKind::kKeywordPi},
+  };
+  OwnedLex result;
+  int line = 1;
+  int column = 1;
+  std::size_t i = 0;
+  const auto advance = [&](std::size_t n = 1) {
+    for (std::size_t k = 0; k < n && i < source.size(); ++k) {
+      if (source[i] == '\n') {
+        ++line;
+        column = 1;
+      } else {
+        ++column;
+      }
+      ++i;
+    }
+  };
+  const auto peek = [&](std::size_t off = 0) -> char {
+    return i + off < source.size() ? source[i + off] : '\0';
+  };
+  const auto push = [&](TokenKind kind, std::string text, int l, int c,
+                        double num = 0.0) {
+    result.tokens.push_back(OwnedToken{kind, std::move(text), num, l, c});
+  };
+  while (i < source.size()) {
+    const char c = peek();
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      advance();
+      continue;
+    }
+    if ((c == '/' && peek(1) == '/') || c == '#') {
+      while (i < source.size() && peek() != '\n') advance();
+      continue;
+    }
+    const int tok_line = line;
+    const int tok_col = column;
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      std::string ident;
+      while (i < source.size() &&
+             (std::isalnum(static_cast<unsigned char>(peek())) ||
+              peek() == '_')) {
+        ident += peek();
+        advance();
+      }
+      const auto it = kKeywords.find(ident);
+      push(it != kKeywords.end() ? it->second : TokenKind::kIdentifier, ident,
+           tok_line, tok_col);
+      continue;
+    }
+    if (std::isdigit(static_cast<unsigned char>(c)) ||
+        (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
+      std::string num;
+      bool seen_dot = false;
+      bool seen_exp = false;
+      while (i < source.size()) {
+        const char d = peek();
+        if (std::isdigit(static_cast<unsigned char>(d))) {
+          num += d;
+          advance();
+        } else if (d == '.' && !seen_dot && !seen_exp) {
+          seen_dot = true;
+          num += d;
+          advance();
+        } else if ((d == 'e' || d == 'E') && !seen_exp) {
+          seen_exp = true;
+          num += d;
+          advance();
+          if (peek() == '+' || peek() == '-') {
+            num += peek();
+            advance();
+          }
+        } else {
+          break;
+        }
+      }
+      push(TokenKind::kNumber, num, tok_line, tok_col, std::atof(num.c_str()));
+      continue;
+    }
+    switch (c) {
+      case '(': push(TokenKind::kLParen, "(", tok_line, tok_col); advance(); continue;
+      case ')': push(TokenKind::kRParen, ")", tok_line, tok_col); advance(); continue;
+      case '[': push(TokenKind::kLBracket, "[", tok_line, tok_col); advance(); continue;
+      case ']': push(TokenKind::kRBracket, "]", tok_line, tok_col); advance(); continue;
+      case '{': push(TokenKind::kLBrace, "{", tok_line, tok_col); advance(); continue;
+      case '}': push(TokenKind::kRBrace, "}", tok_line, tok_col); advance(); continue;
+      case ',': push(TokenKind::kComma, ",", tok_line, tok_col); advance(); continue;
+      case ';': push(TokenKind::kSemicolon, ";", tok_line, tok_col); advance(); continue;
+      case ':': push(TokenKind::kColon, ":", tok_line, tok_col); advance(); continue;
+      case '.': push(TokenKind::kDot, ".", tok_line, tok_col); advance(); continue;
+      case '+': push(TokenKind::kPlus, "+", tok_line, tok_col); advance(); continue;
+      case '*': push(TokenKind::kStar, "*", tok_line, tok_col); advance(); continue;
+      case '/': push(TokenKind::kSlash, "/", tok_line, tok_col); advance(); continue;
+      case '-':
+        if (peek(1) == '>') {
+          push(TokenKind::kArrow, "->", tok_line, tok_col);
+          advance(2);
+        } else {
+          push(TokenKind::kMinus, "-", tok_line, tok_col);
+          advance();
+        }
+        continue;
+      case '=':
+        if (peek(1) == '=') {
+          push(TokenKind::kEqualEqual, "==", tok_line, tok_col);
+          advance(2);
+          continue;
+        }
+        [[fallthrough]];
+      default:
+        Diagnostic diag;
+        diag.severity = Severity::kError;
+        diag.code = DiagCode::kLexError;
+        diag.message = std::string("unexpected character '") + c + "'";
+        diag.line = tok_line;
+        diag.column = tok_col;
+        result.diagnostics.push_back(std::move(diag));
+        advance();
+    }
+  }
+  result.tokens.push_back(OwnedToken{TokenKind::kEof, "", 0.0, line, column});
+  return result;
+}
+
+}  // namespace oracle
+
+/// Asserts lex(source) matches the oracle token for token and diagnostic
+/// for diagnostic. Numbers compare bit for bit (NaN never arises: every
+/// number token starts with a digit or '.').
+void expect_matches_oracle(const std::string& source) {
+  const LexResult got = lex(source);
+  const oracle::OwnedLex want = oracle::lex(source);
+  ASSERT_EQ(got.tokens.size(), want.tokens.size()) << source;
+  for (std::size_t i = 0; i < want.tokens.size(); ++i) {
+    const Token& g = got.tokens[i];
+    const oracle::OwnedToken& w = want.tokens[i];
+    EXPECT_EQ(g.kind, w.kind) << "token " << i << " of:\n" << source;
+    EXPECT_EQ(g.text, w.text) << "token " << i << " of:\n" << source;
+    EXPECT_EQ(g.number, w.number) << "token " << i << " of:\n" << source;
+    EXPECT_EQ(g.line, w.line) << "token " << i << " of:\n" << source;
+    EXPECT_EQ(g.column, w.column) << "token " << i << " of:\n" << source;
+  }
+  ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size()) << source;
+  for (std::size_t i = 0; i < want.diagnostics.size(); ++i) {
+    const Diagnostic& g = got.diagnostics[i];
+    const Diagnostic& w = want.diagnostics[i];
+    EXPECT_EQ(g.message, w.message) << "diagnostic " << i << " of:\n" << source;
+    EXPECT_EQ(g.line, w.line) << "diagnostic " << i << " of:\n" << source;
+    EXPECT_EQ(g.column, w.column) << "diagnostic " << i << " of:\n" << source;
+    EXPECT_EQ(g.code, w.code);
+    EXPECT_EQ(g.severity, w.severity);
+  }
+}
+
+TEST(LexerOracle, GoldProgramsOfBothSuitesAndEveryTemplate) {
+  std::size_t programs = 0;
+  for (const auto& suite : {eval::semantic_suite(), eval::qhe_suite()}) {
+    for (const eval::TestCase& test_case : suite) {
+      expect_matches_oracle(print_program(llm::gold_program(test_case.task)));
+      ++programs;
+    }
+  }
+  for (const llm::AlgorithmId algorithm : llm::all_algorithms()) {
+    llm::TaskSpec task;
+    task.algorithm = algorithm;
+    expect_matches_oracle(print_program(llm::gold_program(task)));
+    ++programs;
+  }
+  EXPECT_EQ(programs, 160u + llm::all_algorithms().size());
+}
+
+TEST(LexerOracle, MutatedSourcesOfTheFuzzSweep) {
+  for (int seed = 1; seed < 7; ++seed) {
+    for (const std::string& source :
+         testing_support::mutated_gold_sources(seed)) {
+      expect_matches_oracle(source);
+    }
+  }
+}
+
+TEST(LexerOracle, EdgeCases) {
+  const char* const inputs[] = {
+      "a = b",
+      "=",
+      "x ==",
+      "1e-3 1E+4 2e 3e- 4.5.6 7.e2 1e999 1e-400",
+      ".5 . .x 5. 0.25",
+      "-> - -- --> ->- -5",
+      "h q[0]; # hash comment\nx q[1];",
+      "h q[0]; // slash comment\n/ /x //",
+      "# only a comment",
+      "h q[0];\r\ncx q[0], q[1];\r\n",
+      "h q[0]; \xc3\xa9 x q[1];",
+      "\x80\xff",
+      "\t\v\f  measure_all; measure_al measure_alls import_ pi2 if_",
+      "circuit main(q: 2, c: 2) {\n  if (c[0] == 1) x q[1];\n}\n",
+      "",
+      "\n\n\n",
+  };
+  for (const char* input : inputs) expect_matches_oracle(input);
 }
 
 TEST(DiagnosticHelpers, FormatErrorTrace) {

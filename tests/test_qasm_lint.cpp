@@ -517,9 +517,7 @@ TEST(AbstractLint, DeterministicMeasurementPositive) {
   const ParseResult parsed = parse(source);
   ASSERT_TRUE(parsed.ok());
   const auto facts = lint::ProgramFacts::compute(*parsed.program);
-  const auto abs =
-      lint::abstract::AbstractFacts::compute(facts,
-                                             LanguageRegistry::current());
+  const auto abs = lint::abstract::AbstractFacts::compute(facts);
   ASSERT_EQ(abs.circuits.size(), 1u);
   ASSERT_TRUE(abs.circuits[0].computed);
   const auto& measure_fact = abs.circuits[0].ops.back();
@@ -805,8 +803,7 @@ TEST(AbstractSoundness, ClaimedConstantsMatchExactDistribution) {
     const ParseResult parsed = parse(source);
     ASSERT_TRUE(parsed.ok()) << source;
     const auto facts = lint::ProgramFacts::compute(*parsed.program);
-    const auto abs = lint::abstract::AbstractFacts::compute(
-        facts, LanguageRegistry::current());
+    const auto abs = lint::abstract::AbstractFacts::compute(facts);
     ASSERT_EQ(abs.circuits.size(), facts.circuits.size());
 
     // Gather (clbit, expected bit) claims from the entry circuit.

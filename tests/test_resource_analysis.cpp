@@ -52,8 +52,7 @@ Program parse_ok(const std::string& source) {
 CircuitResources entry_resources(const std::string& source) {
   const Program program = parse_ok(source);
   const lint::ProgramFacts facts = lint::ProgramFacts::compute(program);
-  const ResourceFacts resources =
-      ResourceFacts::compute(facts, LanguageRegistry::current());
+  const ResourceFacts resources = ResourceFacts::compute(facts);
   for (std::size_t ci = 0; ci < facts.circuits.size(); ++ci) {
     if (facts.circuits[ci].circuit == program.entry()) {
       return resources.circuits[ci];
@@ -323,12 +322,9 @@ circuit main(q: 1, c: 1) {
 )");
   const lint::ProgramFacts facts = lint::ProgramFacts::compute(program);
   const lint::abstract::AbstractFacts abstract =
-      lint::abstract::AbstractFacts::compute(facts,
-                                             LanguageRegistry::current());
-  const ResourceFacts with = ResourceFacts::compute(
-      facts, LanguageRegistry::current(), &abstract);
-  const ResourceFacts without =
-      ResourceFacts::compute(facts, LanguageRegistry::current());
+      lint::abstract::AbstractFacts::compute(facts);
+  const ResourceFacts with = ResourceFacts::compute(facts, &abstract);
+  const ResourceFacts without = ResourceFacts::compute(facts);
   ASSERT_FALSE(with.circuits.empty());
   EXPECT_EQ(with.circuits[0].t_count, (analysis::CostRange{0, 0}));
   EXPECT_EQ(without.circuits[0].t_count, (analysis::CostRange{0, 1}));
