@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "qasm/analysis/resources.hpp"
 #include "qasm/diagnostics.hpp"
 #include "qasm/language.hpp"
 #include "qasm/lint/facts.hpp"

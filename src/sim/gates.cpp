@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -59,7 +60,9 @@ static_assert([] {
 
 const GateInfo& info_for(GateKind kind) {
   const auto index = static_cast<std::size_t>(kind);
-  require(index < std::size(kInfo), "gate_info: unknown gate kind");
+  if (index >= std::size(kInfo)) {
+    throw std::out_of_range("gate_info: unknown gate kind");
+  }
   return kInfo[index];
 }
 
