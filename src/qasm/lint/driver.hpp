@@ -2,9 +2,9 @@
 // Lint driver: runs a registry of passes over one program.
 //
 // The driver reads ProgramFacts computed once per program, feeds every
-// enabled pass a shared PassContext, stamps diagnostics with pass ids via the sink,
-// and returns them sorted by source line (unknown-line diagnostics
-// first) so the error trace reads top-to-bottom.
+// enabled pass a shared PassContext, stamps diagnostics with pass ids
+// via the sink, and returns them sorted by source line (unknown-line
+// diagnostics first) so the error trace reads top-to-bottom.
 
 #include <vector>
 
