@@ -36,16 +36,10 @@ class InternalError : public QcgenError {
 inline void require(bool cond, const char* message) {
   if (!cond) throw InvalidArgumentError(message);
 }
-inline void require(bool cond, const std::string& message) {
-  if (!cond) throw InvalidArgumentError(message);
-}
 
 /// Invariant helper: throws InternalError when cond is false. Same
 /// literal-message idiom as require().
 inline void ensure(bool cond, const char* message) {
-  if (!cond) throw InternalError(message);
-}
-inline void ensure(bool cond, const std::string& message) {
   if (!cond) throw InternalError(message);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 #include <variant>
 
 #include "qasm/lint/abstract/domain.hpp"
@@ -45,8 +46,15 @@ class Interpreter {
       fact.reach = evaluate_guards(op, fact);
       if (fact.reach == OpFact::Reach::kUnreachable) continue;
       certain_ = fact.reach == OpFact::Reach::kRun;
-      op_ = &op;
-      std::visit([&](const auto& s) { transfer(s, fact); }, *op.stmt);
+      std::visit(
+          [&](const auto& s) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(s)>, GateStmt>) {
+              transfer(s, op.gate, fact);
+            } else {
+              transfer(s, fact);
+            }
+          },
+          *op.stmt);
     }
     out.computed = true;
   }
@@ -132,8 +140,8 @@ class Interpreter {
     state_.reset(s.qubit.index);
   }
 
-  void transfer(const GateStmt& s, OpFact& fact) {
-    const std::optional<GateKind> kind = op_->gate;
+  void transfer(const GateStmt& s, std::optional<GateKind> kind,
+                OpFact& fact) {
     std::vector<std::size_t> qs;
     qs.reserve(s.operands.size());
     for (const RegRef& ref : s.operands) qs.push_back(ref.index);
@@ -195,7 +203,6 @@ class Interpreter {
   const CircuitFacts& facts_;
   const CircuitDecl& circ_;
   AbstractState state_;
-  const FlatOp* op_ = nullptr;  ///< op being transferred
   bool certain_ = true;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "qasm/language.hpp"
+
 namespace qcgen::qasm::lint {
 
 namespace {
@@ -19,8 +21,7 @@ void flatten_stmt(const Stmt& stmt, std::vector<const IfStmt*>& guards,
   op.guards = guards;
   op.line = stmt_line(stmt);
   if (const auto* gate = std::get_if<GateStmt>(&stmt)) {
-    sim::GateKind kind;
-    if (sim::parse_gate_name(gate->name, kind)) op.gate = kind;
+    op.gate = LanguageRegistry::current().resolve_gate(gate->name);
   }
   out.push_back(std::move(op));
 }

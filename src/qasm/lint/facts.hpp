@@ -32,8 +32,8 @@ struct FlatOp {
   std::vector<const IfStmt*> guards;
   int line = 0;
   /// Resolved kind of a gate statement's mnemonic (current or legacy
-  /// alias, as LanguageRegistry::resolve_gate); empty for unknown
-  /// mnemonics and for non-gate statements.
+  /// alias), from LanguageRegistry::current().resolve_gate; empty for
+  /// unknown mnemonics and for non-gate statements.
   std::optional<sim::GateKind> gate;
 
   bool guarded() const { return !guards.empty(); }

@@ -2,15 +2,22 @@
 // resource summary and the lint passes, compiles its lint configuration
 // once, and reuses the reachability-free resource lattice for circuits
 // without guarded ops. This suite checks it against the full recompute
-// path — parse, summarize_entry, run_passes with to_lint_config(),
-// build_circuit — on every gold program and on SimLM output, under the
-// default options, the degraded analyzer's options and the other
-// configurations benches use.
+// path — parse, summarize_entry, every pass LintConfig::pass_enabled
+// admits run over freshly computed facts, build_circuit — on every gold
+// program and on SimLM output, under the default options, the degraded
+// analyzer's options and the other configurations benches use. It also
+// checks the two precomputed layers the analyzer reads against the
+// lookups they replace: CompiledLintConfig against pass_enabled, and
+// FlatOp::gate against LanguageRegistry::resolve_gate.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "agents/semantic_agent.hpp"
@@ -20,7 +27,9 @@
 #include "llm/templates.hpp"
 #include "qasm/analysis/resources.hpp"
 #include "qasm/builder.hpp"
+#include "qasm/lint/abstract/interpreter.hpp"
 #include "qasm/lint/driver.hpp"
+#include "qasm/lint/pass.hpp"
 #include "qasm/printer.hpp"
 
 namespace qcgen {
@@ -28,6 +37,63 @@ namespace {
 
 using agents::SemanticAnalyzerAgent;
 using agents::StaticReport;
+
+/// True when some pass whose id starts with `prefix` is enabled, asked
+/// the way the driver asked before it compiled its configuration.
+bool group_enabled(const qasm::lint::LintConfig& config,
+                   std::string_view prefix) {
+  const auto& passes = qasm::lint::PassRegistry::builtin().passes();
+  return std::any_of(passes.begin(), passes.end(), [&](const auto& pass) {
+    return pass->id().substr(0, prefix.size()) == prefix &&
+           config.pass_enabled(pass->id());
+  });
+}
+
+/// The lint driver's contract, without CompiledLintConfig or the reused
+/// resource lattice: each pass's id is looked up in `config`, and the
+/// abstract and resource facts are computed from scratch whenever some
+/// enabled pass reads them. Same ordering and de-duplication rules as
+/// the driver, kept here with a std::set.
+std::vector<qasm::Diagnostic> lint_from_scratch(
+    const qasm::Program& program, const qasm::lint::LintConfig& config) {
+  const qasm::lint::ProgramFacts facts =
+      qasm::lint::ProgramFacts::compute(program);
+  std::optional<qasm::lint::abstract::AbstractFacts> abstract_facts;
+  if (group_enabled(config, "abstract.")) {
+    abstract_facts = qasm::lint::abstract::AbstractFacts::compute(facts);
+  }
+  std::optional<qasm::analysis::ResourceFacts> resource_facts;
+  if (group_enabled(config, "resource.")) {
+    resource_facts = qasm::analysis::ResourceFacts::compute(
+        facts, abstract_facts ? &*abstract_facts : nullptr);
+  }
+  const qasm::lint::PassContext ctx{
+      program,
+      facts,
+      qasm::LanguageRegistry::current(),
+      config,
+      abstract_facts ? &*abstract_facts : nullptr,
+      resource_facts ? &*resource_facts : nullptr};
+  std::vector<qasm::Diagnostic> diagnostics;
+  for (const auto& pass : qasm::lint::PassRegistry::builtin().passes()) {
+    if (!config.pass_enabled(pass->id())) continue;
+    qasm::lint::DiagnosticSink sink(diagnostics, pass->id(), config);
+    pass->run(ctx, sink);
+  }
+  std::stable_sort(diagnostics.begin(), diagnostics.end(),
+                   [](const qasm::Diagnostic& a, const qasm::Diagnostic& b) {
+                     return std::tie(a.line, a.pass_id) <
+                            std::tie(b.line, b.pass_id);
+                   });
+  std::set<std::tuple<std::string, int, qasm::DiagCode, std::string>> seen;
+  std::vector<qasm::Diagnostic> unique;
+  for (qasm::Diagnostic& d : diagnostics) {
+    if (seen.insert({d.pass_id, d.line, d.code, d.message}).second) {
+      unique.push_back(std::move(d));
+    }
+  }
+  return unique;
+}
 
 /// The analyze contract computed the long way: every stage from scratch.
 StaticReport recompute(const std::string& source,
@@ -40,14 +106,12 @@ StaticReport recompute(const std::string& source,
     return report;
   }
   report.resources = qasm::analysis::summarize_entry(*parsed.program);
-  const qasm::AnalysisReport analysis = qasm::lint::run_passes(
-      *parsed.program, qasm::LanguageRegistry::current(),
-      qasm::lint::PassRegistry::builtin(), options.to_lint_config());
-  report.diagnostics.insert(report.diagnostics.end(),
-                            analysis.diagnostics.begin(),
-                            analysis.diagnostics.end());
+  const std::vector<qasm::Diagnostic> lints =
+      lint_from_scratch(*parsed.program, options.to_lint_config());
+  report.diagnostics.insert(report.diagnostics.end(), lints.begin(),
+                            lints.end());
   report.error_trace = qasm::format_error_trace(report.diagnostics);
-  if (!analysis.ok()) return report;
+  if (qasm::has_errors(lints)) return report;
   report.syntactic_ok = true;
   report.circuit = qasm::build_circuit(*parsed.program);
   return report;
@@ -200,6 +264,80 @@ TEST(AnalyzerOracle, SimLmOutputUnderEveryConfiguration) {
     EXPECT_GT(coverage.parse_failures, 0u);
     EXPECT_GT(coverage.guarded, 0u);
   }
+}
+
+TEST(AnalyzerOracle, CompiledConfigMatchesPassEnabled) {
+  std::vector<qasm::lint::LintConfig> configs;
+  for (const qasm::AnalyzerOptions& analysis : analyzer_configurations()) {
+    configs.push_back(analysis.to_lint_config());
+  }
+  // An explicit per-pass entry wins over a disabled group, both ways.
+  qasm::lint::LintConfig overrides;
+  overrides.disabled_groups.insert("abstract.");
+  overrides.passes["abstract.trivial-gate"].enabled = true;
+  overrides.passes["resource.uncomputed-ancilla"].enabled = false;
+  configs.push_back(overrides);
+  qasm::lint::LintConfig everything_off;
+  for (const auto& pass : qasm::lint::PassRegistry::builtin().passes()) {
+    everything_off.passes[std::string(pass->id())].enabled = false;
+  }
+  configs.push_back(everything_off);
+
+  const auto& passes = qasm::lint::PassRegistry::builtin().passes();
+  for (const qasm::lint::LintConfig& config : configs) {
+    const qasm::lint::CompiledLintConfig compiled(config);
+    ASSERT_EQ(compiled.enabled.size(), passes.size());
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+      EXPECT_EQ(compiled.enabled[i], config.pass_enabled(passes[i]->id()))
+          << passes[i]->id();
+    }
+    EXPECT_EQ(compiled.want_abstract, group_enabled(config, "abstract."));
+    EXPECT_EQ(compiled.want_resources, group_enabled(config, "resource."));
+  }
+  EXPECT_TRUE(qasm::lint::CompiledLintConfig(overrides).want_abstract);
+  EXPECT_FALSE(qasm::lint::CompiledLintConfig(everything_off).want_resources);
+}
+
+TEST(AnalyzerOracle, FlatOpGateMatchesRegistry) {
+  std::vector<std::string> sources = gold_sources();
+  const std::vector<std::string> generated = simlm_sources();
+  sources.insert(sources.end(), generated.begin(), generated.end());
+  // Legacy aliases, an unknown mnemonic and a guarded gate.
+  sources.push_back(R"(import qiskit;
+circuit main(q: 3, c: 1) {
+  cnot q[0], q[1];
+  toffoli q[0], q[1], q[2];
+  u3(0.1, 0.2, 0.3) q[0];
+  frobnicate q[1];
+  measure q[0] -> c[0];
+  if (c[0] == 1) cx q[1], q[2];
+}
+)");
+  const qasm::LanguageRegistry& language = qasm::LanguageRegistry::current();
+  std::size_t gates = 0;
+  std::size_t unresolved = 0;
+  for (const std::string& source : sources) {
+    const qasm::ParseResult parsed = qasm::parse(source);
+    if (!parsed.ok()) continue;
+    const qasm::lint::ProgramFacts facts =
+        qasm::lint::ProgramFacts::compute(*parsed.program);
+    for (const qasm::lint::CircuitFacts& circuit : facts.circuits) {
+      for (const qasm::lint::FlatOp& op : circuit.ops) {
+        const auto* gate = std::get_if<qasm::GateStmt>(op.stmt);
+        if (gate == nullptr) {
+          EXPECT_FALSE(op.gate.has_value()) << source;
+          continue;
+        }
+        ++gates;
+        const std::optional<sim::GateKind> want =
+            language.resolve_gate(gate->name);
+        EXPECT_EQ(op.gate, want) << gate->name;
+        if (!want.has_value()) ++unresolved;
+      }
+    }
+  }
+  EXPECT_GT(gates, 0u);
+  EXPECT_GT(unresolved, 0u);
 }
 
 TEST(AnalyzerOracle, GuardedProgramWhoseReachabilityChangesLints) {
