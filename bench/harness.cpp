@@ -12,6 +12,10 @@ namespace qcgen::bench {
 
 namespace {
 
+/// Largest --threads value accepted. The trial pool starts one OS thread
+/// per worker, so a larger value is rejected before any pool exists.
+constexpr unsigned long long kMaxThreads = 1024;
+
 [[noreturn]] void usage(const std::string& name, int code) {
   std::fprintf(
       code == 0 ? stdout : stderr,
@@ -20,7 +24,8 @@ namespace {
       "  --samples N    work multiplier (samples per case / MC trials)\n"
       "  --quick        reduced-sample smoke run\n"
       "  --seed S       experiment seed\n"
-      "  --threads N    trial-scheduler workers (0 = all hardware threads)\n"
+      "  --threads N    trial-scheduler workers, at most %llu\n"
+      "                 (0 = all hardware threads)\n"
       "  --json [PATH]  write machine-readable report (default "
       "BENCH_%s.json)\n"
       "  --trace [PATH] enable stage tracing; writes Chrome trace events\n"
@@ -28,7 +33,7 @@ namespace {
       "                 \"trace\" summary to the --json report\n"
       "  --scenario STR fault-injection scenario, e.g.\n"
       "                 'llm.generate=error(0.1);qec.decode=error(1.0)'\n",
-      name.c_str(), name.c_str(), name.c_str());
+      name.c_str(), kMaxThreads, name.c_str(), name.c_str());
   std::exit(code);
 }
 
@@ -90,7 +95,13 @@ Harness::Harness(std::string name, int argc, char** argv, Defaults defaults)
       seed_ = parse_u64(name_, "--seed", next);
       ++i;
     } else if (arg == "--threads") {
-      threads_ = static_cast<std::size_t>(parse_u64(name_, "--threads", next));
+      const std::uint64_t threads = parse_u64(name_, "--threads", next);
+      if (threads > kMaxThreads) {
+        std::fprintf(stderr, "bench_%s: --threads must be <= %llu, got %s\n",
+                     name_.c_str(), kMaxThreads, next);
+        std::exit(2);
+      }
+      threads_ = static_cast<std::size_t>(threads);
       ++i;
     } else if (arg == "--json") {
       json_requested_ = true;

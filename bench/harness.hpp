@@ -7,7 +7,8 @@
 //                   Monte-Carlo trials for decoder benches)
 //   --quick         reduced-sample smoke run (bench-specific default)
 //   --seed S        experiment seed (bench-specific default, usually 2025)
-//   --threads N     trial-scheduler workers; 0 = all hardware threads
+//   --threads N     trial-scheduler workers; 0 = all hardware threads;
+//                   values above 1024 exit 2
 //   --json [PATH]   write the machine-readable report; PATH defaults to
 //                   BENCH_<name>.json in the working directory
 //   --trace [PATH]  enable stage tracing; the report gains a "trace"

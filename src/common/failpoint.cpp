@@ -1,11 +1,11 @@
 #include "common/failpoint.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strings.hpp"
 #include "common/trace.hpp"
 
 namespace qcgen::failpoint {
@@ -13,16 +13,6 @@ namespace qcgen::failpoint {
 namespace {
 
 thread_local Injector* t_injector = nullptr;
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
 
 bool valid_site_name(std::string_view site) {
   if (site.empty()) return false;

@@ -6,26 +6,6 @@
 
 namespace qcgen {
 
-double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
-double stderr_mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return stddev(xs) / std::sqrt(static_cast<double>(xs.size()));
-}
-
 Interval wilson_interval(std::size_t successes, std::size_t trials, double z) {
   if (trials == 0) return {0.0, 1.0};
   const double n = static_cast<double>(trials);
@@ -91,26 +71,10 @@ double total_variation_distance(const std::map<std::string, double>& a,
   return 0.5 * d;
 }
 
-double classical_fidelity(const Counts& a, const Counts& b) {
-  const auto pa = normalize(a);
-  const auto pb = normalize(b);
-  double f = 0.0;
-  for (const auto& [k, x] : pa) {
-    auto it = pb.find(k);
-    if (it != pb.end()) f += std::sqrt(x * it->second);
-  }
-  return f * f;
-}
-
 double outcome_probability(const Counts& counts, const std::string& outcome) {
   const auto p = normalize(counts);
   auto it = p.find(outcome);
   return it == p.end() ? 0.0 : it->second;
-}
-
-double hellinger_distance(const Counts& a, const Counts& b) {
-  const double f = std::sqrt(std::max(0.0, std::min(1.0, classical_fidelity(a, b))));
-  return std::sqrt(std::max(0.0, 1.0 - f));
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> sorted_by_count(

@@ -1,21 +1,14 @@
 #pragma once
-// Statistics helpers: summary statistics, confidence intervals for
-// pass-rate estimates, and distances between measurement distributions.
+// Statistics helpers: a running mean/variance accumulator, confidence
+// intervals for pass-rate estimates, and distances between measurement
+// distributions.
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace qcgen {
-
-/// Mean of a sample; 0 for empty input.
-double mean(std::span<const double> xs);
-/// Unbiased sample standard deviation; 0 for fewer than two samples.
-double stddev(std::span<const double> xs);
-/// Standard error of the mean.
-double stderr_mean(std::span<const double> xs);
 
 /// Wilson score interval for a binomial proportion.
 struct Interval {
@@ -54,14 +47,8 @@ double total_variation_distance(const Counts& a, const Counts& b);
 double total_variation_distance(const std::map<std::string, double>& a,
                                 const std::map<std::string, double>& b);
 
-/// Classical (Bhattacharyya) fidelity between two counts distributions.
-double classical_fidelity(const Counts& a, const Counts& b);
-
 /// Probability mass on a specific outcome (0 if absent).
 double outcome_probability(const Counts& counts, const std::string& outcome);
-
-/// Hellinger distance, sqrt(1 - fidelity) clamped into [0,1].
-double hellinger_distance(const Counts& a, const Counts& b);
 
 /// Sorts outcomes by descending count, ties broken lexicographically.
 std::vector<std::pair<std::string, std::uint64_t>> sorted_by_count(

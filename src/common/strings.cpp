@@ -5,18 +5,6 @@
 
 namespace qcgen {
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> split_whitespace(std::string_view s) {
   std::vector<std::string> out;
   std::size_t i = 0;
@@ -46,50 +34,10 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool contains(std::string_view s, std::string_view needle) {
-  return s.find(needle) != std::string_view::npos;
-}
-
-std::string replace_all(std::string_view s, std::string_view from,
-                        std::string_view to) {
-  if (from.empty()) return std::string(s);
-  std::string out;
-  std::size_t pos = 0;
-  for (;;) {
-    std::size_t hit = s.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out.append(s.substr(pos));
-      return out;
-    }
-    out.append(s.substr(pos, hit - pos));
-    out.append(to);
-    pos = hit + from.size();
-  }
-}
-
 std::string format_double(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
-}
-
-std::string indexed(std::string_view base, std::size_t i) {
-  return std::string(base) + "_" + std::to_string(i);
 }
 
 }  // namespace qcgen

@@ -1,5 +1,7 @@
 #pragma once
-// Small string utilities used by the lexer, corpus chunker and reports.
+// Small string utilities: whitespace splitting and trimming, joining, and
+// fixed-decimal formatting, used by the corpus chunker, the fail-point
+// scenario parser, task prompts, circuit drawings and report tables.
 
 #include <string>
 #include <string_view>
@@ -7,26 +9,13 @@
 
 namespace qcgen {
 
-/// Splits on a single character; keeps empty fields.
-std::vector<std::string> split(std::string_view s, char delim);
 /// Splits on any whitespace run; drops empty fields.
 std::vector<std::string> split_whitespace(std::string_view s);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
-/// ASCII lowercase copy.
-std::string to_lower(std::string_view s);
-bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-/// True if s contains needle.
-bool contains(std::string_view s, std::string_view needle);
-/// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string_view s, std::string_view from,
-                        std::string_view to);
 /// printf-style double formatting with fixed decimals.
 std::string format_double(double v, int decimals);
-/// "name_3"-style indexed identifier.
-std::string indexed(std::string_view base, std::size_t i);
 
 }  // namespace qcgen

@@ -1,45 +1,12 @@
 #include "qec/syndrome_circuit.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
+#include "sim/tableau.hpp"
 
 namespace qcgen::qec {
-
-SyndromeCircuit build_syndrome_circuit(const SurfaceCode& code,
-                                       std::size_t rounds,
-                                       bool prepare_logical_one) {
-  require(rounds >= 1, "build_syndrome_circuit: rounds >= 1");
-  SyndromeCircuit out;
-  out.num_data = code.num_data_qubits();
-  out.num_ancilla = code.stabilizers().size();
-  out.rounds = rounds;
-  out.circuit =
-      sim::Circuit(out.num_data + out.num_ancilla, rounds * out.num_ancilla);
-  sim::Circuit& c = out.circuit;
-
-  // Project into the code space once: round-0 measurements define the
-  // reference frame. For the logical-|1> workload we first apply the
-  // logical X string on the physical qubits of the left column.
-  if (prepare_logical_one) {
-    for (std::size_t q : code.logical_x_support()) c.x(q);
-  }
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t s = 0; s < code.stabilizers().size(); ++s) {
-      const Stabilizer& stab = code.stabilizers()[s];
-      const std::size_t anc = out.num_data + s;
-      c.reset(anc);
-      if (stab.type == PauliType::kX) {
-        c.h(anc);
-        for (std::size_t q : stab.data_qubits) c.cx(anc, q);
-        c.h(anc);
-      } else {
-        for (std::size_t q : stab.data_qubits) c.cx(q, anc);
-      }
-      c.measure(anc, out.clbit_of(s, r));
-    }
-    c.barrier();
-  }
-  return out;
-}
 
 SyndromeHistory run_syndrome_circuit(const SurfaceCode& code,
                                      std::size_t rounds, double data_error,

@@ -1,45 +1,23 @@
 #pragma once
-// Circuit-level syndrome extraction: builds the ancilla-based stabilizer
-// measurement circuit for a surface code as a sim::Circuit, runnable on
-// the tableau simulator. Used to validate the phenomenological model
-// against a real stabilizer-circuit execution and to render Fig 2-style
-// demonstrations.
+// Circuit-level syndrome extraction: runs the ancilla-based stabilizer
+// measurement schedule of a surface code directly on the tableau
+// simulator, with Pauli faults injected between rounds. Used to validate
+// the phenomenological model against a real stabilizer-circuit execution
+// and to render Fig 2-style demonstrations.
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "common/rng.hpp"
 #include "qec/pauli_frame.hpp"
 #include "qec/surface_code.hpp"
-#include "sim/circuit.hpp"
-#include "sim/tableau.hpp"
 
 namespace qcgen::qec {
-
-/// Layout of the syndrome-extraction circuit.
-struct SyndromeCircuit {
-  sim::Circuit circuit;           ///< data qubits first, then ancillas
-  std::size_t num_data = 0;
-  std::size_t num_ancilla = 0;
-  std::size_t rounds = 0;
-  /// clbit index for stabilizer `s` (index into code.stabilizers()) in
-  /// round `r`: r * num_ancilla + s.
-  std::size_t clbit_of(std::size_t stabilizer, std::size_t round) const {
-    return round * num_ancilla + stabilizer;
-  }
-};
-
-/// Builds `rounds` rounds of full syndrome extraction.
-/// `prepare_logical_one` conjugates the initial state by logical X so the
-/// protected qubit starts in |1>_L (the Fig 2 workload).
-SyndromeCircuit build_syndrome_circuit(const SurfaceCode& code,
-                                       std::size_t rounds,
-                                       bool prepare_logical_one);
 
 /// Runs the syndrome circuit on a tableau with Pauli faults injected on
 /// data qubits between rounds (depolarising p) and ancilla measurement
 /// flips (q), returning the syndrome history in the same layout as the
-/// phenomenological sampler.
+/// phenomenological sampler. `prepare_logical_one` applies logical X
+/// first so the protected qubit starts in |1>_L (the Fig 2 workload).
 SyndromeHistory run_syndrome_circuit(const SurfaceCode& code,
                                      std::size_t rounds, double data_error,
                                      double meas_error,

@@ -1,10 +1,7 @@
 #include "transpile/transpiler.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "qasm/verify/certify.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/decompose.hpp"
 
@@ -38,42 +35,6 @@ bool equivalent(const sim::Circuit& logical, const sim::Circuit& physical,
   const sim::Distribution a = sim::exact_distribution(logical);
   const sim::Distribution b = sim::exact_distribution(physical);
   return total_variation_distance(a, b) <= tolerance;
-}
-
-CertifiedTranspile transpile_certified(const sim::Circuit& circuit,
-                                       const agents::DeviceTopology& device,
-                                       LayoutStrategy strategy,
-                                       const qasm::verify::Options& options) {
-  CertifiedTranspile certified{transpile(circuit, device, strategy), {}};
-  const TranspileResult& result = certified.result;
-  const bool measured =
-      std::any_of(circuit.operations().begin(), circuit.operations().end(),
-                  [](const sim::Operation& op) {
-                    return op.kind == sim::GateKind::kMeasure;
-                  });
-  if (measured) {
-    // The router re-targets measurements so classical bits keep their
-    // logical meaning: the raw circuits are directly comparable.
-    certified.certificate =
-        qasm::verify::certify_rewrite(circuit, result.circuit,
-                                      "transpile", options);
-    return certified;
-  }
-  // Measurement-free: certify the computational-basis output
-  // distribution by measuring every logical qubit on both sides; on the
-  // physical side logical qubit l ends up on final_layout.physical(l).
-  const std::size_t n = circuit.num_qubits();
-  sim::Circuit logical(n, std::max(circuit.num_clbits(), n));
-  logical.compose(circuit);
-  logical.measure_all();
-  sim::Circuit physical(result.circuit.num_qubits(), logical.num_clbits());
-  physical.compose(result.circuit);
-  for (std::size_t l = 0; l < n; ++l) {
-    physical.measure(result.final_layout.physical(l), l);
-  }
-  certified.certificate =
-      qasm::verify::certify_rewrite(logical, physical, "transpile", options);
-  return certified;
 }
 
 }  // namespace qcgen::transpile

@@ -3,7 +3,6 @@
 // the topology benchmarks report.
 
 #include "agents/topology.hpp"
-#include "qasm/verify/equivalence.hpp"
 #include "sim/circuit.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/layout.hpp"
@@ -36,27 +35,5 @@ TranspileResult transpile(const sim::Circuit& circuit,
 /// reach; intended for tests and verification reports.)
 bool equivalent(const sim::Circuit& logical, const sim::Circuit& physical,
                 double tolerance = 1e-9);
-
-/// transpile() plus a translation-validation certificate from the
-/// qasm::verify equivalence checker.
-///
-/// Circuits with measurements certify directly under the distribution
-/// contract (the router re-targets measurements, so classical bits keep
-/// their logical meaning). Measurement-free circuits certify on the
-/// computational-basis output distribution instead: a measurement of
-/// every logical qubit is appended on both sides (through final_layout
-/// on the physical side) before checking — sound for what the
-/// certificate's kDistribution contract claims, though blind to
-/// phase-only divergence. The static engines decide Clifford inputs
-/// without simulating; everything else uses the budgeted exact fallback
-/// and may come back kUnknown.
-struct CertifiedTranspile {
-  TranspileResult result;
-  qasm::verify::Certificate certificate;
-};
-CertifiedTranspile transpile_certified(
-    const sim::Circuit& circuit, const agents::DeviceTopology& device,
-    LayoutStrategy strategy = LayoutStrategy::kGreedy,
-    const qasm::verify::Options& options = {});
 
 }  // namespace qcgen::transpile

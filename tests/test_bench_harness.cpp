@@ -60,6 +60,10 @@ TEST(BenchHarness, QuickKeepsAnExplicitSamplesOverride) {
   EXPECT_EQ(harness.samples(), 9u);
 }
 
+TEST(BenchHarness, ThreadsAtLimitAccepted) {
+  EXPECT_EQ(make({"--threads", "1024"}).threads(), 1024u);
+}
+
 using BenchHarnessDeath = ::testing::Test;
 
 TEST(BenchHarnessDeath, UnknownFlagExits2) {
@@ -92,6 +96,12 @@ TEST(BenchHarnessDeath, OverflowingNumberExits2) {
 TEST(BenchHarnessDeath, MissingValueAtEndExits2) {
   EXPECT_EXIT((void)make({"--threads"}), ::testing::ExitedWithCode(2),
               "missing value for --threads");
+}
+
+TEST(BenchHarnessDeath, ThreadsAboveLimitExits2) {
+  // Rejected while parsing, so no pool (and no thread) is ever started.
+  EXPECT_EXIT((void)make({"--threads", "100000"}),
+              ::testing::ExitedWithCode(2), "--threads must be <= 1024");
 }
 
 TEST(BenchHarnessDeath, FlagEatingFlagExits2) {

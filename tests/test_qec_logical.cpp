@@ -139,16 +139,6 @@ TEST(Lifetime, InvalidInputsRejected) {
 
 // --- Circuit-level syndrome extraction (tableau-backed) ---------------
 
-TEST(SyndromeCircuit, BuildShape) {
-  const SurfaceCode code = SurfaceCode::rotated(3);
-  const SyndromeCircuit sc = build_syndrome_circuit(code, 2, false);
-  EXPECT_EQ(sc.num_data, 9u);
-  EXPECT_EQ(sc.num_ancilla, 8u);
-  EXPECT_EQ(sc.circuit.num_qubits(), 17u);
-  EXPECT_EQ(sc.circuit.num_clbits(), 16u);
-  EXPECT_EQ(sc.clbit_of(3, 1), 11u);
-}
-
 TEST(SyndromeCircuit, NoiselessRunsAreEventFree) {
   const SurfaceCode code = SurfaceCode::rotated(3);
   Rng rng(5);

@@ -95,71 +95,3 @@ TEST(Steane, ErrorVectorSizeValidated) {
 
 }  // namespace
 }  // namespace qcgen::qec
-
-// --- Repetition code (same translation unit keeps the suite compact) ---
-
-#include "qec/repetition.hpp"
-
-namespace qcgen::qec {
-namespace {
-
-TEST(Repetition, ConstructionValidation) {
-  EXPECT_THROW(RepetitionCode(2), InvalidArgumentError);
-  EXPECT_THROW(RepetitionCode(1), InvalidArgumentError);
-  const RepetitionCode code(5);
-  EXPECT_EQ(code.num_data_qubits(), 5u);
-  EXPECT_EQ(code.num_stabilizers(), 4u);
-}
-
-TEST(Repetition, SyndromeLocalisesErrors) {
-  const RepetitionCode code(5);
-  std::vector<std::uint8_t> errors(5, 0);
-  errors[2] = 1;
-  const auto syn = code.syndrome(errors);
-  EXPECT_EQ(syn, (std::vector<std::uint8_t>{0, 1, 1, 0}));
-}
-
-TEST(Repetition, DecodesUpToHalfDistance) {
-  // Any error of weight <= (d-1)/2 must be corrected exactly.
-  const int d = 7;
-  const RepetitionCode code(d);
-  for (std::uint64_t mask = 0; mask < (1ULL << d); ++mask) {
-    if (__builtin_popcountll(mask) > (d - 1) / 2) continue;
-    std::vector<std::uint8_t> errors(static_cast<std::size_t>(d), 0);
-    for (int q = 0; q < d; ++q) errors[static_cast<std::size_t>(q)] =
-        static_cast<std::uint8_t>((mask >> q) & 1ULL);
-    auto residual = errors;
-    for (std::size_t q : code.decode(code.syndrome(errors))) residual[q] ^= 1;
-    for (auto b : residual) EXPECT_EQ(b, 0) << "mask " << mask;
-  }
-}
-
-TEST(Repetition, MajorityErrorsCauseLogicalFlip) {
-  const RepetitionCode code(3);
-  std::vector<std::uint8_t> errors = {1, 1, 0};
-  auto residual = errors;
-  for (std::size_t q : code.decode(code.syndrome(errors))) residual[q] ^= 1;
-  // Weight-2 error on d=3 exceeds the correction radius: full flip.
-  EXPECT_EQ(residual, (std::vector<std::uint8_t>{1, 1, 1}));
-}
-
-TEST(Repetition, LogicalRateSuppressedBelowHalf) {
-  const RepetitionCode d3(3);
-  const RepetitionCode d7(7);
-  const double p = 0.05;
-  const double r3 = d3.logical_error_rate(p, 40000, 3);
-  const double r7 = d7.logical_error_rate(p, 40000, 3);
-  EXPECT_LT(r3, p);        // pseudo-threshold
-  EXPECT_LT(r7, r3);       // distance helps
-  // d=3 corrects single errors: failure ~ 3 p^2 = 0.0075.
-  EXPECT_NEAR(r3, 3 * p * p, 0.003);
-}
-
-TEST(Repetition, AboveHalfNoiseCodeHurts) {
-  const RepetitionCode code(5);
-  const double r = code.logical_error_rate(0.7, 20000, 5);
-  EXPECT_GT(r, 0.7);  // majority vote amplifies errors past p = 1/2
-}
-
-}  // namespace
-}  // namespace qcgen::qec

@@ -1,7 +1,7 @@
 // Tests for the translation-validation engine: the equivalence checker's
 // three engines (structural, Clifford canonical form, phase-polynomial
-// path sums) plus the budgeted exact-simulation fallback, the certified
-// fix-it application layer, and the certified transpile entry point.
+// path sums) plus the budgeted exact-simulation fallback and the certified
+// fix-it application layer.
 //
 // The soundness sweep cross-checks every template circuit (and a
 // semantics-breaking mutation of each) against exact reference
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "agents/topology.hpp"
 #include "common/stats.hpp"
 #include "qasm/analyzer.hpp"
 #include "qasm/parser.hpp"
@@ -21,7 +20,6 @@
 #include "qasm/verify/equivalence.hpp"
 #include "sim/circuit.hpp"
 #include "sim/statevector.hpp"
-#include "transpile/transpiler.hpp"
 
 namespace qcgen::qasm::verify {
 namespace {
@@ -410,27 +408,6 @@ TEST(CertifyRewrite, StageLabelsNonEqualVerdicts) {
   const std::string summary = certificate_summary(cert);
   EXPECT_NE(summary.find("proved-different"), std::string::npos);
   EXPECT_NE(summary.find(cert.counterexample), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Certified transpilation
-// ---------------------------------------------------------------------
-
-TEST(TranspileCertified, MeasuredCircuitCertifiesDirectly) {
-  const auto device = agents::DeviceTopology::linear(4);
-  const transpile::CertifiedTranspile certified =
-      transpile::transpile_certified(sim::circuits::ghz(3), device);
-  EXPECT_TRUE(certified.certificate.proved_equal())
-      << certificate_summary(certified.certificate);
-  EXPECT_EQ(certified.certificate.contract, Contract::kDistribution);
-}
-
-TEST(TranspileCertified, MeasurementFreeCircuitCertifiesThroughFinalLayout) {
-  const auto device = agents::DeviceTopology::linear(4);
-  const transpile::CertifiedTranspile certified =
-      transpile::transpile_certified(sim::circuits::qft(3), device);
-  EXPECT_TRUE(certified.certificate.proved_equal())
-      << certificate_summary(certified.certificate);
 }
 
 }  // namespace
