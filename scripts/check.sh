@@ -164,7 +164,7 @@ scripts/validate_bench_json.py --compare \
   build-check/BENCH_qec_resources_t1.json \
   build-check/BENCH_qec_resources_t8.json
 
-echo "==> [6/11] serving + cache determinism (serve/cache suites, stress repeats, bench_serving)"
+echo "==> [6/11] serving + cache determinism (serve/cache suites, stress repeats, bench_serving, traced fig3)"
 # The async request engine and the content-addressed caching layer:
 # admission decisions, shed/degradation events and virtual-time latency
 # quantiles (the schema-5 "serving" section) must be bit-identical at
@@ -179,6 +179,12 @@ ctest --test-dir build-check --output-on-failure -L cache
   --gtest_filter='Server.ResultsAre*:ServerCache.*' --gtest_repeat=300
 ./build-check/tests/test_lifecycle --gtest_brief=1 \
   --gtest_filter='Breaker.*ThreadCount*' --gtest_repeat=300
+# An eval trial matrix memoizes analysis and retrieval across its trials,
+# so workers race to fill shared entries; its thread-invariance and
+# cached-vs-uncached suites repeat too.
+./build-check/tests/test_parallel_eval --gtest_brief=1 \
+  --gtest_filter='EvaluateTechnique.*ThreadCount*:RunTrialMatrix.*' \
+  --gtest_repeat=300
 ./build-check/bench/bench_serving --quick --seed 7 --threads 1 \
   --json build-check/BENCH_serving_t1.json >/dev/null
 ./build-check/bench/bench_serving --quick --seed 7 --threads 8 \
@@ -199,6 +205,17 @@ scripts/validate_bench_json.py \
   build-check/BENCH_serving_trace_t1.json build-check/BENCH_serving_trace_t8.json
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_serving_trace_t1.json build-check/BENCH_serving_trace_t8.json
+# A memo hit in an eval matrix replays the trace its compute recorded, so
+# a traced eval's summary must also match between 1 and 8 workers.
+for threads in 1 8; do
+  ./build-check/bench/bench_fig3_techniques --quick --seed 7 \
+    --threads "$threads" --trace "build-check/TRACE_fig3_t$threads.json" \
+    --json "build-check/BENCH_fig3_trace_t$threads.json" >/dev/null
+done
+scripts/validate_bench_json.py \
+  build-check/BENCH_fig3_trace_t1.json build-check/BENCH_fig3_trace_t8.json
+scripts/validate_bench_json.py --compare \
+  build-check/BENCH_fig3_trace_t1.json build-check/BENCH_fig3_trace_t8.json
 
 echo "==> [7/11] request lifecycle (lifecycle suites + chaos-armed bench_serving)"
 # Deadline propagation, cooperative cancellation and per-site circuit

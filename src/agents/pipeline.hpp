@@ -157,12 +157,12 @@ struct PipelineResult {
 };
 
 /// Shared memoization layers handed to a pipeline. The content-addressed
-/// generation and analysis caches come from the serving path only (eval
-/// trial matrices stay bit-identical to the uncached pipeline); see
-/// CodeGenAgent::set_content_addressed and
-/// SemanticAnalyzerAgent::set_analysis_cache for their exact semantics.
-/// The QEC lifetime memo is handed out by both the server and
-/// eval::run_trial_matrix: it returns exactly what a recompute would.
+/// generation cache comes from the serving path only (it reseeds the
+/// model from the cache key); see CodeGenAgent::set_content_addressed.
+/// The analysis cache and the QEC lifetime memo are handed out by both
+/// the server and eval::run_trial_matrix: each returns exactly what a
+/// recompute would, and an analysis hit replays the trace summary its
+/// compute recorded (SemanticAnalyzerAgent::set_analysis_cache).
 struct PipelineCaches {
   /// Engage content-addressed generation even when `generation` is null
   /// — the pure-recompute bypass certification tests run against.
@@ -207,7 +207,7 @@ class MultiAgentPipeline {
   /// failure would degrade to at runtime.
   void set_rag_enabled(bool enabled) noexcept { rag_enabled_ = enabled; }
 
-  /// Wires the serving caches through to the agents (the retrieval cache
+  /// Wires the shared caches through to the agents (the retrieval cache
   /// rides inside the shared TechniqueResources and needs no per-
   /// pipeline hookup). The degraded analyzer rung shares the analysis
   /// cache too; its different lint configuration keys it apart.

@@ -39,6 +39,44 @@ std::uint64_t analyzer_options_digest(const qasm::AnalyzerOptions& options) {
   return hasher.digest();
 }
 
+/// cache->get_or_compute(key, compute), with the caller's trace left as
+/// an uncached compute would leave it. Under a trace sink a miss records
+/// into a child sink, which is merged into the caller's (wall time and
+/// events included, also when the compute throws) and whose summary is
+/// stored on the entry; a hit adds the stored summary alone. A hit on an
+/// entry filled without a sink recomputes to record its trace.
+template <typename Compute>
+std::shared_ptr<const AnalysisValue> traced_lookup(AnalysisCache& cache,
+                                                   std::uint64_t key,
+                                                   const Compute& compute) {
+  trace::TraceSink* const sink = trace::current_sink();
+  bool computed = false;
+  auto entry = cache.get_or_compute(key, [&] {
+    computed = true;
+    if (sink == nullptr) return compute();
+    trace::TraceSink child(sink->keep_events());
+    AnalysisValue value;
+    try {
+      const trace::SinkScope scope(&child);
+      value = compute();
+    } catch (...) {
+      sink->merge(child);
+      throw;
+    }
+    sink->merge(child);
+    value.trace = child.summary();
+    return value;
+  });
+  if (!computed && sink != nullptr) {
+    if (entry->trace.has_value()) {
+      sink->add_summary(*entry->trace);
+    } else {
+      compute();
+    }
+  }
+  return entry;
+}
+
 }  // namespace
 
 std::uint64_t circuit_digest(const sim::Circuit& circuit) noexcept {
@@ -86,33 +124,41 @@ std::uint64_t SemanticAnalyzerAgent::analysis_key(
 }
 
 StaticReport SemanticAnalyzerAgent::analyze(const std::string& source) const {
-  // The fail point fires per call (outside any memoized computation), so
+  // The fail points fire per call (outside any memoized computation), so
   // fault-injection behaviour never depends on cache state.
   failpoint::trip("analyzer.parse");
+  AnalysisValue computed;
+  std::shared_ptr<const AnalysisValue> entry;
   if (cache_ != nullptr) {
-    return cache_
-        ->get_or_compute(analysis_key(source),
-                         [&] {
-                           return AnalysisValue{analyze_impl(source), {}};
-                         })
-        ->report;
+    entry = traced_lookup(*cache_, analysis_key(source),
+                          [&] { return analyze_impl(source); });
+  } else {
+    computed = analyze_impl(source);
   }
-  return analyze_impl(source);
+  const AnalysisValue& value = entry != nullptr ? *entry : computed;
+  // Lint runs the abstract interpreter exactly when the source parsed and
+  // some abstract.* pass is on; its fail point trips under that condition.
+  if (value.parsed && lint_config_.want_abstract) {
+    failpoint::trip("analyzer.abstract");
+  }
+  if (entry != nullptr) return entry->report;
+  return std::move(computed.report);
 }
 
-StaticReport SemanticAnalyzerAgent::analyze_impl(
+AnalysisValue SemanticAnalyzerAgent::analyze_impl(
     const std::string& source) const {
-  StaticReport report;
+  AnalysisValue value;
+  StaticReport& report = value.report;
   qasm::ParseResult parsed = [&] {
     trace::TraceSpan span("analyze.parse");
     return qasm::parse(source);
   }();
-  const bool parsed_ok = parsed.ok();
+  value.parsed = parsed.ok();
   report.diagnostics = std::move(parsed.diagnostics);
-  if (!parsed_ok) {
+  if (!value.parsed) {
     trace::Metrics::counter("analyze.parse_failures");
     report.error_trace = qasm::format_error_trace(report.diagnostics);
-    return report;
+    return value;
   }
   // One ProgramFacts feeds both the entry summary and every lint pass.
   const qasm::lint::ProgramFacts facts = [&] {
@@ -140,11 +186,11 @@ StaticReport SemanticAnalyzerAgent::analyze_impl(
   report.error_trace = qasm::format_error_trace(report.diagnostics);
   trace::Metrics::counter("analyze.diagnostics",
                           static_cast<std::int64_t>(report.diagnostics.size()));
-  if (!analysis.ok()) return report;
+  if (!analysis.ok()) return value;
   report.syntactic_ok = true;
   trace::TraceSpan span("analyze.lower");
   report.circuit = qasm::build_circuit(*parsed.program);
-  return report;
+  return value;
 }
 
 BehaviorReport SemanticAnalyzerAgent::check_behavior(
@@ -169,8 +215,11 @@ BehaviorReport SemanticAnalyzerAgent::check_behavior(
                                   .mix(kSimulateSalt)
                                   .mix(circuit_digest(circuit))
                                   .digest();
-    entry = cache_->get_or_compute(
-        key, [&] { return AnalysisValue{{}, simulate()}; });
+    entry = traced_lookup(*cache_, key, [&] {
+      AnalysisValue value;
+      value.observed = simulate();
+      return value;
+    });
     observed = &entry->observed;
   } else {
     local = simulate();

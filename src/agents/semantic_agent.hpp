@@ -19,6 +19,7 @@
 
 #include "common/cache/cache.hpp"
 #include "common/stats.hpp"
+#include "common/trace.hpp"
 #include "qasm/analysis/resources.hpp"
 #include "qasm/analyzer.hpp"
 #include "qasm/parser.hpp"
@@ -53,9 +54,19 @@ struct BehaviorReport {
 /// exact measurement distribution (the judged distribution) for a
 /// lowered circuit's content digest. The unused half of each entry stays
 /// empty.
+///
+/// An entry computed under a trace sink also keeps the deterministic
+/// summary (span counts, counter deltas) its compute recorded, and a hit
+/// under a sink replays it, so a cached call leaves the trace summary an
+/// uncached call would. The memoized computes observe no histograms, so
+/// the replay adds exactly what recording them would have added.
 struct AnalysisValue {
   StaticReport report;
   sim::Distribution observed;
+  /// analyze() entries: the source parsed, so lint ran.
+  bool parsed = false;
+  /// Set when the entry was computed under a trace sink.
+  std::optional<trace::Summary> trace;
 };
 using AnalysisCache = cache::Cache<AnalysisValue>;
 
@@ -83,7 +94,8 @@ class SemanticAnalyzerAgent {
   /// Attaches a shared analysis cache (null detaches). analyze() and the
   /// simulation half of check_behavior() are pure functions of their
   /// inputs plus this agent's static-analysis configuration, so
-  /// memoization is invisible to callers; keys fold in a digest of the
+  /// memoization is invisible to callers — results, fail-point trips and
+  /// the deterministic trace summary alike; keys fold in a digest of the
   /// analyzer options, so differently-configured agents sharing one
   /// cache never alias entries.
   void set_analysis_cache(std::shared_ptr<AnalysisCache> cache) {
@@ -102,7 +114,7 @@ class SemanticAnalyzerAgent {
                                 const sim::Distribution& reference) const;
 
  private:
-  StaticReport analyze_impl(const std::string& source) const;
+  AnalysisValue analyze_impl(const std::string& source) const;
 
   Options options_;
   std::uint64_t options_digest_ = 0;

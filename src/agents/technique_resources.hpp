@@ -8,8 +8,9 @@
 // per-trial agents across worker threads (VectorStore::retrieve is
 // const and the KnowledgeState is copied into each SimLM). The one
 // post-construction hook is enable_retrieval_cache — the serving layer
-// calls it before sharing the bundle as const, attaching a thread-safe
-// memoization layer that does not change retrieval results.
+// and eval::run_trial_matrix call it before sharing the bundle as const,
+// attaching a thread-safe memoization layer that does not change
+// retrieval results.
 
 #include <cstdint>
 #include <memory>

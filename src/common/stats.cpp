@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace qcgen {
 
@@ -41,32 +40,28 @@ std::map<std::string, double> normalize(const Counts& counts) {
 }
 
 double total_variation_distance(const Counts& a, const Counts& b) {
-  const auto pa = normalize(a);
-  const auto pb = normalize(b);
-  std::set<std::string> keys;
-  for (const auto& [k, _] : pa) keys.insert(k);
-  for (const auto& [k, _] : pb) keys.insert(k);
-  double d = 0.0;
-  for (const auto& k : keys) {
-    const double x = pa.count(k) ? pa.at(k) : 0.0;
-    const double y = pb.count(k) ? pb.at(k) : 0.0;
-    d += std::abs(x - y);
-  }
-  return 0.5 * d;
+  return total_variation_distance(normalize(a), normalize(b));
 }
 
 double total_variation_distance(const std::map<std::string, double>& a,
                                 const std::map<std::string, double>& b) {
-  std::set<std::string> keys;
-  for (const auto& [k, _] : a) keys.insert(k);
-  for (const auto& [k, _] : b) keys.insert(k);
+  // One merge pass over the two sorted maps: keys come in ascending
+  // order, and a key missing from one side contributes |x - 0| = |x|.
   double d = 0.0;
-  for (const auto& k : keys) {
-    const auto ia = a.find(k);
-    const auto ib = b.find(k);
-    const double x = ia == a.end() ? 0.0 : ia->second;
-    const double y = ib == b.end() ? 0.0 : ib->second;
-    d += std::abs(x - y);
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() || ib != b.end()) {
+    if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
+      d += std::abs(ia->second);
+      ++ia;
+    } else if (ia == a.end() || ib->first < ia->first) {
+      d += std::abs(ib->second);
+      ++ib;
+    } else {
+      d += std::abs(ia->second - ib->second);
+      ++ia;
+      ++ib;
+    }
   }
   return 0.5 * d;
 }

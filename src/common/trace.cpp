@@ -124,6 +124,11 @@ void TraceSink::merge(const TraceSink& other) {
   }
 }
 
+void TraceSink::add_summary(const Summary& summary) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  summary_.merge(summary);
+}
+
 Summary TraceSink::summary() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return summary_;

@@ -112,6 +112,10 @@ class TraceSink {
   /// Folds a finished child sink in. Call in a deterministic order
   /// (e.g. trial index order) to keep the merged summary bit-stable.
   void merge(const TraceSink& other);
+  /// Folds in only the deterministic summary of work done elsewhere —
+  /// no wall time, no events. A memo hit uses it to replay what its
+  /// compute recorded.
+  void add_summary(const Summary& summary);
 
   // -- snapshots --------------------------------------------------------
   Summary summary() const;

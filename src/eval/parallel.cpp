@@ -55,8 +55,13 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   // The oracle runs serially on this thread under its own matrix-level
   // injector; a case whose oracle stays down degrades to static-only
   // verification (empty reference) instead of poisoning its trials.
-  const auto resources =
-      std::make_shared<const agents::TechniqueResources>(technique);
+  const std::shared_ptr<const agents::TechniqueResources> resources = [&] {
+    auto built = std::make_shared<agents::TechniqueResources>(technique);
+    // Retrieval is memoized for the matrix's life, like analysis below.
+    built->enable_retrieval_cache(
+        std::make_shared<llm::RetrievalCache>(cache::CacheOptions{}));
+    return built;
+  }();
   ReferenceOracle oracle(options.oracle);
   static const sim::Distribution kEmptyReference;
   std::vector<const sim::Distribution*> references;
@@ -80,8 +85,14 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     }
   }
 
-  // Every trial's QEC stage reads one lifetime estimate per decoder rung.
+  // Memos of pure functions, owned by the matrix and shared by every
+  // trial: trials keep meeting the same programs, circuits and queries,
+  // and every trial's QEC stage reads one lifetime estimate per decoder
+  // rung. The caches are unbounded (default CacheOptions), so their
+  // hit/miss totals never depend on the worker schedule.
   agents::PipelineCaches caches;
+  caches.analysis =
+      std::make_shared<agents::AnalysisCache>(cache::CacheOptions{});
   caches.qec_lifetime = std::make_shared<agents::QecLifetimeMemo>();
 
   const std::size_t n_trials = suite.size() * samples_per_case;
@@ -147,6 +158,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   for (const TrialResult& trial : results) {
     if (trial.failure.has_value()) matrix.failures.push_back(*trial.failure);
   }
+  matrix.analysis_cache = caches.analysis->stats();
 
   if (tracing) {
     for (std::size_t trial = 0; trial < n_trials; ++trial) {

@@ -27,6 +27,7 @@
 
 #include "agents/codegen_agent.hpp"
 #include "agents/pipeline.hpp"
+#include "common/cache/cache.hpp"
 #include "common/trace.hpp"
 #include "eval/suite.hpp"
 
@@ -87,6 +88,8 @@ struct TrialMatrix {
   /// reference-oracle fallback to static-only verification. Per-trial
   /// ladder steps live on each TrialResult's pipeline.degradations.
   std::vector<DegradationRecord> degradations;
+  /// Lookup counts of the matrix's analysis memo (see run_trial_matrix).
+  cache::Stats analysis_cache;
 
   std::size_t completed() const noexcept {
     return trials.size() - failures.size();
@@ -103,6 +106,13 @@ struct TrialMatrix {
 /// after the pool drains — so the aggregate summary is bit-identical at
 /// any thread count. Scheduler stats (tasks executed/stolen) are folded
 /// in as timing-class data.
+///
+/// The matrix owns an unbounded analysis cache (PipelineCaches::analysis)
+/// and retrieval cache (TechniqueResources::enable_retrieval_cache) for
+/// its whole run, next to the QEC lifetime memo. Each memoizes a pure
+/// function, a hit replays the trace its compute recorded, and every
+/// fail point fires per call, so results, failures and per-trial trace
+/// summaries equal those of uncached pipelines.
 ///
 /// `options.chaos_scenario` (a failpoint::Scenario spec) arms fault
 /// injection: one Injector per trial, seeded from the trial stream, plus

@@ -5,7 +5,6 @@
 #include <string>
 #include <tuple>
 
-#include "common/failpoint.hpp"
 #include "common/trace.hpp"
 #include "qasm/analysis/resources.hpp"
 #include "qasm/lint/abstract/interpreter.hpp"
@@ -55,7 +54,6 @@ AnalysisReport run_passes(const ProgramFacts& facts,
   // will actually read its results.
   std::optional<abstract::AbstractFacts> abstract_facts;
   if (compiled.want_abstract) {
-    failpoint::trip("analyzer.abstract");
     trace::TraceSpan span("lint.abstract-interpret");
     abstract_facts = abstract::AbstractFacts::compute(facts);
   }

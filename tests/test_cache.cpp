@@ -19,6 +19,7 @@
 #include "common/cache/hash.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "eval/suite.hpp"
 #include "llm/corpus.hpp"
 #include "llm/vectorstore.hpp"
@@ -372,6 +373,50 @@ TEST(AnalysisLayer, BehaviorCheckCachesTheJudgedDistribution) {
   EXPECT_EQ(stats.lookups, 3u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(AnalysisLayer, HitsReplayTheTraceOfAnUncachedCall) {
+  const std::string good =
+      "import qiskit; circuit main(q: 2, c: 2) { h q[0]; cx q[0], q[1]; "
+      "measure_all; }";
+  const std::string bad = "circuit main(q: 1) { frobnicate q[0]; }";
+  const auto summary_of = [](const auto& call) {
+    trace::TraceSink sink;
+    const trace::SinkScope scope(&sink);
+    call();
+    return sink.summary();
+  };
+  const agents::SemanticAnalyzerAgent uncached;
+  for (const std::string& source : {good, bad}) {
+    const trace::Summary want =
+        summary_of([&] { (void)uncached.analyze(source); });
+    agents::SemanticAnalyzerAgent cached;
+    cached.set_analysis_cache(
+        std::make_shared<agents::AnalysisCache>(cache::CacheOptions{}));
+    EXPECT_EQ(summary_of([&] { (void)cached.analyze(source); }), want);
+    // A hit adds the stored summary and no wall time.
+    trace::TraceSink hit_sink;
+    {
+      const trace::SinkScope scope(&hit_sink);
+      (void)cached.analyze(source);
+    }
+    EXPECT_EQ(hit_sink.summary(), want);
+    EXPECT_TRUE(hit_sink.stage_seconds().empty());
+
+    // An entry filled with no sink installed has no summary to replay, so
+    // a traced hit on it records by recomputing.
+    agents::SemanticAnalyzerAgent filled_untraced;
+    filled_untraced.set_analysis_cache(
+        std::make_shared<agents::AnalysisCache>(cache::CacheOptions{}));
+    (void)filled_untraced.analyze(source);
+    EXPECT_EQ(summary_of([&] { (void)filled_untraced.analyze(source); }),
+              want);
+  }
+#if QCGEN_TRACE_ENABLED
+  const trace::Summary parsed =
+      summary_of([&] { (void)uncached.analyze(good); });
+  EXPECT_EQ(parsed.span_counts.at("analyze.lower"), 1u);
+#endif
 }
 
 TEST(AnalysisLayer, LintConfigurationKeysEntriesApart) {

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -208,6 +210,66 @@ TEST(Stats, TvdProbabilityMaps) {
   std::map<std::string, double> a{{"0", 0.5}, {"1", 0.5}};
   std::map<std::string, double> b{{"0", 0.75}, {"1", 0.25}};
   EXPECT_NEAR(total_variation_distance(a, b), 0.25, 1e-12);
+}
+
+// The set-based union walk total_variation_distance used before it became
+// one merge pass; the merge must add the same terms in the same order.
+double set_union_tvd(const std::map<std::string, double>& a,
+                     const std::map<std::string, double>& b) {
+  std::set<std::string> keys;
+  for (const auto& [k, _] : a) keys.insert(k);
+  for (const auto& [k, _] : b) keys.insert(k);
+  double d = 0.0;
+  for (const auto& k : keys) {
+    const auto ia = a.find(k);
+    const auto ib = b.find(k);
+    const double x = ia == a.end() ? 0.0 : ia->second;
+    const double y = ib == b.end() ? 0.0 : ib->second;
+    d += std::abs(x - y);
+  }
+  return 0.5 * d;
+}
+
+TEST(Stats, TvdMergeMatchesSetUnionWalkBitForBit) {
+  using Dist = std::map<std::string, double>;
+  const auto random_dist = [](Rng& rng, std::size_t bits) {
+    Dist out;
+    double total = 0.0;
+    for (std::uint64_t outcome = 0; outcome < (1ULL << bits); ++outcome) {
+      if (rng.uniform() < 0.4) continue;  // sparse, like sampled outcomes
+      std::string key(bits, '0');
+      for (std::size_t b = 0; b < bits; ++b) {
+        if ((outcome >> b) & 1) key[bits - 1 - b] = '1';
+      }
+      out[key] = rng.uniform();
+      total += out[key];
+    }
+    for (auto& [_, p] : out) p /= total;
+    return out;
+  };
+  Rng rng(20251017);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t bits = 1 + static_cast<std::size_t>(round % 6);
+    const Dist a = random_dist(rng, bits);
+    const Dist b = random_dist(rng, bits);
+    EXPECT_EQ(total_variation_distance(a, b), set_union_tvd(a, b))
+        << "round " << round;
+    EXPECT_EQ(total_variation_distance(b, a), set_union_tvd(b, a))
+        << "round " << round;
+  }
+  const Dist empty;
+  const Dist left{{"00", 0.25}, {"01", 0.75}};
+  const Dist right{{"10", 0.5}, {"11", 0.5}};
+  const Dist overlap{{"00", 0.125}, {"011", 0.375}, {"11", 0.5}};
+  const Dist cases[] = {empty, left, right, overlap};
+  for (const Dist& a : cases) {
+    for (const Dist& b : cases) {
+      EXPECT_EQ(total_variation_distance(a, b), set_union_tvd(a, b));
+    }
+  }
+  EXPECT_EQ(total_variation_distance(empty, empty), 0.0);
+  EXPECT_EQ(total_variation_distance(left, empty), 0.5);
+  EXPECT_EQ(total_variation_distance(left, right), 1.0);
 }
 
 TEST(Stats, SortedByCountOrdering) {
