@@ -179,6 +179,8 @@ ctest --test-dir build-check --output-on-failure -L cache
   --gtest_filter='Server.ResultsAre*:ServerCache.*' --gtest_repeat=300
 ./build-check/tests/test_lifecycle --gtest_brief=1 \
   --gtest_filter='Breaker.*ThreadCount*' --gtest_repeat=300
+./build-check/tests/test_breaker --gtest_brief=1 \
+  --gtest_filter='Breaker.*ThreadCount*' --gtest_repeat=300
 # An eval trial matrix memoizes analysis and retrieval across its trials,
 # so workers race to fill shared entries; its thread-invariance and
 # cached-vs-uncached suites repeat too.
@@ -264,7 +266,7 @@ cmake -B build-nofp -S . -DQCGEN_FAILPOINTS=OFF \
   "${LAUNCHER_ARGS[@]}" >/dev/null
 cmake --build build-nofp -j "$JOBS"
 ctest --test-dir build-nofp --output-on-failure -j "$JOBS" \
-  -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle'
+  -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle|test_breaker'
 
 echo "==> [10/11] ASan+UBSan build, qasm/lint/circuit/fuzz/chaos/serve/lifecycle/retrieval tests"
 # Tokens view the parsed source, so the lexer, parser and analyzer-oracle
@@ -277,7 +279,7 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_llm_retrieval'
+    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_breaker|test_llm_retrieval'
 
 echo "==> [11/11] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle tests"
 cmake -B build-tsan -S . \
@@ -288,7 +290,7 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle'
+    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_breaker'
 
 print_summary
 echo "==> all checks passed"

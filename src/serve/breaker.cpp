@@ -1,8 +1,6 @@
 #include "serve/breaker.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -41,34 +39,40 @@ BreakerBoard::BreakerBoard(BreakerOptions options,
           "BreakerBoard: probe_probability out of [0,1]");
   std::sort(sites_.begin(), sites_.end());
   sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
+  require(sites_.size() <= 64, "BreakerBoard: at most 64 sites");
+  for (const std::string& site : sites_) {
+    site_hashes_.push_back(fnv1a64(site));
+  }
+  running_.resize(sites_.size());
+  committed_.resize(sites_.size());
 }
 
 void BreakerBoard::register_request(std::uint64_t id, double arrival_vt,
                                     double finish_vt) {
   std::lock_guard<std::mutex> lock(mutex_);
-  require(entries_.find(id) == entries_.end(),
-          "BreakerBoard: request registered twice");
   // The completeness argument in the header needs nondecreasing arrival
   // order and strictly positive virtual service; fail loudly if the
   // admission contract ever changes under us.
-  if (!order_.empty()) {
-    require(arrival_vt >= entries_.at(order_.back()).arrival_vt,
-            "BreakerBoard: arrivals must be registered in virtual order");
-  }
+  require(registered_ == 0 || arrival_vt >= last_arrival_vt_,
+          "BreakerBoard: arrivals must be registered in virtual order");
   require(finish_vt > arrival_vt,
           "BreakerBoard: virtual finish must exceed arrival");
-  Entry entry;
+  const auto [it, inserted] = entries_.try_emplace(id);
+  require(inserted, "BreakerBoard: request registered twice");
+  Entry& entry = it->second;
   entry.id = id;
-  entry.index = order_.size();
+  entry.index = registered_++;
   entry.arrival_vt = arrival_vt;
   entry.finish_vt = finish_vt;
-  entries_.emplace(id, std::move(entry));
-  order_.push_back(id);
+  last_arrival_vt_ = arrival_vt;
+  pending_.emplace(std::make_pair(finish_vt, entry.index), &entry);
+  unreported_finish_.insert(finish_vt);
+  pinned_arrivals_.insert(arrival_vt);
+  advance_locked();
 }
 
-bool BreakerBoard::probes(std::string_view site,
-                          std::uint64_t id) const noexcept {
-  std::uint64_t state = (options_.seed ^ kProbeSalt ^ fnv1a64(site)) +
+bool BreakerBoard::probes(std::size_t site, std::uint64_t id) const noexcept {
+  std::uint64_t state = (options_.seed ^ kProbeSalt ^ site_hashes_[site]) +
                         0x9e3779b97f4a7c15ULL * (id + 1);
   const std::uint64_t mixed = splitmix64(state);
   // 53-bit mantissa draw in [0, 1), the Rng::uniform discipline.
@@ -77,7 +81,19 @@ bool BreakerBoard::probes(std::string_view site,
   return u < options_.probe_probability;
 }
 
-void BreakerBoard::thaw(Fold& fold, const std::string& site, double now,
+BreakerBoard::SiteBits BreakerBoard::site_bits(
+    const std::vector<std::string>& sites) const {
+  SiteBits bits = 0;
+  for (const std::string& site : sites) {
+    const auto it = std::lower_bound(sites_.begin(), sites_.end(), site);
+    if (it != sites_.end() && *it == site) {
+      bits |= SiteBits{1} << (it - sites_.begin());
+    }
+  }
+  return bits;
+}
+
+void BreakerBoard::thaw(Fold& fold, std::size_t site, double now,
                         std::vector<BreakerTransition>* sink) const {
   if (fold.state != BreakerState::kOpen) return;
   const double ready = fold.opened_at + options_.cooldown_vt;
@@ -85,35 +101,31 @@ void BreakerBoard::thaw(Fold& fold, const std::string& site, double now,
   fold.state = BreakerState::kHalfOpen;
   fold.probe_successes = 0;
   if (sink != nullptr) {
-    sink->push_back({site, BreakerState::kOpen, BreakerState::kHalfOpen,
-                     ready, 0});
+    sink->push_back({sites_[site], BreakerState::kOpen,
+                     BreakerState::kHalfOpen, ready, 0});
   }
 }
 
-void BreakerBoard::apply(Fold& fold, const std::string& site,
-                         const Entry& entry,
+void BreakerBoard::apply(Fold& fold, std::size_t site, const Entry& entry,
                          std::vector<BreakerTransition>* sink) const {
   thaw(fold, site, entry.finish_vt, sink);
   if (!entry.decided) return;  // never ran (e.g. cancelled pre-execution)
-  const auto it = entry.decisions.find(site);
-  if (it == entry.decisions.end()) return;
-  const BreakerDecision& decision = it->second;
-  if (decision.short_circuit) return;  // the site was never exercised
-  const auto contains = [&site](const std::vector<std::string>& sites) {
-    return std::find(sites.begin(), sites.end(), site) != sites.end();
+  const SiteBits bit = SiteBits{1} << site;
+  if ((entry.short_circuit & bit) != 0) return;  // never exercised
+  const bool failed = (entry.failed & bit) != 0;
+  const bool succeeded = (entry.succeeded & bit) != 0;
+  const auto edge = [&](BreakerState from, BreakerState to) {
+    if (sink != nullptr) {
+      sink->push_back({sites_[site], from, to, entry.finish_vt, entry.id});
+    }
   };
-  const bool failed = contains(entry.failed_sites);
-  const bool succeeded = contains(entry.succeeded_sites);
   switch (fold.state) {
     case BreakerState::kClosed:
       if (failed) {
         if (++fold.consecutive_failures >= options_.failure_threshold) {
           fold.state = BreakerState::kOpen;
           fold.opened_at = entry.finish_vt;
-          if (sink != nullptr) {
-            sink->push_back({site, BreakerState::kClosed, BreakerState::kOpen,
-                             entry.finish_vt, entry.id});
-          }
+          edge(BreakerState::kClosed, BreakerState::kOpen);
         }
       } else if (succeeded) {
         // Only a request that demonstrably exercised the site vouches
@@ -127,104 +139,128 @@ void BreakerBoard::apply(Fold& fold, const std::string& site,
       // here; their signal is stale — the breaker is already open.
       break;
     case BreakerState::kHalfOpen:
-      if (!decision.probing) break;
+      if ((entry.probing & bit) == 0) break;
       if (failed) {
         fold.state = BreakerState::kOpen;
         fold.opened_at = entry.finish_vt;
         fold.consecutive_failures = 0;
-        if (sink != nullptr) {
-          sink->push_back({site, BreakerState::kHalfOpen, BreakerState::kOpen,
-                           entry.finish_vt, entry.id});
-        }
+        edge(BreakerState::kHalfOpen, BreakerState::kOpen);
       } else if (!succeeded) {
         break;  // probe never reached the site: no-signal either way
       } else if (++fold.probe_successes >= options_.half_open_successes) {
         fold.state = BreakerState::kClosed;
         fold.consecutive_failures = 0;
         fold.probe_successes = 0;
-        if (sink != nullptr) {
-          sink->push_back({site, BreakerState::kHalfOpen,
-                           BreakerState::kClosed, entry.finish_vt, entry.id});
-        }
+        edge(BreakerState::kHalfOpen, BreakerState::kClosed);
       }
       break;
   }
 }
 
-BreakerBoard::Fold BreakerBoard::fold_site_locked(
-    const std::string& site, double up_to_vt,
-    std::vector<BreakerTransition>* sink) const {
-  Fold fold;
-  // order_ is registration order; report events replay ordered by
-  // (finish_vt, registration index).
-  std::vector<const Entry*> events;
-  events.reserve(order_.size());
-  for (const std::uint64_t id : order_) {
-    const Entry& entry = entries_.at(id);
-    if (!entry.reported) continue;
-    if (entry.finish_vt > up_to_vt) continue;
-    events.push_back(&entry);
+void BreakerBoard::unpin_locked(Entry& entry) {
+  if (!entry.pinned) return;
+  entry.pinned = false;
+  pinned_arrivals_.erase(pinned_arrivals_.find(entry.arrival_vt));
+}
+
+void BreakerBoard::advance_locked() {
+  // Every verdict still to come is taken at an arrival >= the watermark
+  // (pinned requests, and later registrations by arrival order), so the
+  // event prefix up to it is common to all of them and can be folded
+  // for good — as long as it is complete, hence the stop at the first
+  // unreported event.
+  const double watermark =
+      pinned_arrivals_.empty()
+          ? last_arrival_vt_
+          : std::min(last_arrival_vt_, *pinned_arrivals_.begin());
+  while (!pending_.empty()) {
+    const auto front = pending_.begin();
+    const Entry& entry = *front->second;
+    if (!entry.reported || entry.finish_vt > watermark) break;
+    for (std::size_t site = 0; site < sites_.size(); ++site) {
+      apply(running_[site], site, entry, &committed_[site]);
+    }
+    const std::uint64_t id = entry.id;
+    pending_.erase(front);
+    entries_.erase(id);
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Entry* a, const Entry* b) {
-                     return a->finish_vt < b->finish_vt;
-                   });
-  for (const Entry* entry : events) apply(fold, site, *entry, sink);
-  // A finite horizon is a decision point: the cooldown may have elapsed
-  // with no report landing since, so materialise the half-open edge the
-  // arriving request observes. The full-log fold (transitions()) keeps
-  // only edges some event actually witnessed.
-  if (std::isfinite(up_to_vt)) thaw(fold, site, up_to_vt, sink);
-  return fold;
+}
+
+void BreakerBoard::fold_remainder_locked(
+    Fold& fold, std::size_t site,
+    std::vector<BreakerTransition>* sink) const {
+  for (const auto& [key, entry] : pending_) {
+    if (entry->reported) apply(fold, site, *entry, sink);
+  }
 }
 
 std::map<std::string, BreakerDecision> BreakerBoard::decide(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
-  auto it = entries_.find(id);
+  const auto it = entries_.find(id);
   require(it != entries_.end(), "BreakerBoard: decide for unregistered id");
   Entry& entry = it->second;
-  if (entry.decided) return entry.decisions;
-  // Gate: the event log below our arrival must be complete. Only
-  // earlier-registered requests can finish at or before our arrival
-  // (admission hands out nondecreasing starts), and under FIFO pop each
-  // of them is already executing on some worker, so this wait is
-  // deadlock-free and bounded by their service times.
-  reported_cv_.wait(lock, [&] {
-    for (const std::uint64_t other_id : order_) {
-      const Entry& other = entries_.at(other_id);
-      if (other.index >= entry.index) break;
-      if (other.finish_vt <= entry.arrival_vt && !other.reported) {
-        return false;
+  if (!entry.decided) {
+    require(entry.pinned, "BreakerBoard: decide after the request reported");
+    // Gate: the event log below our arrival must be complete. Only
+    // earlier-registered requests can finish at or before our arrival
+    // (admission hands out nondecreasing starts), and under FIFO pop each
+    // of them is already executing on some worker, so this wait is
+    // deadlock-free and bounded by their service times.
+    reported_cv_.wait(lock, [&] {
+      return unreported_finish_.empty() ||
+             *unreported_finish_.begin() > entry.arrival_vt;
+    });
+    // The running state is the log folded up to the watermark, which is
+    // <= our arrival while we are pinned; the events in between are all
+    // reported (the gate) and come first in pending_.
+    std::vector<Fold> folds = running_;
+    std::size_t events = 0;
+    for (const auto& [key, event] : pending_) {
+      if (key.first > entry.arrival_vt) break;
+      for (std::size_t site = 0; site < sites_.size(); ++site) {
+        apply(folds[site], site, *event, nullptr);
+      }
+      ++events;
+    }
+    max_decide_events_ = std::max(max_decide_events_, events);
+    for (std::size_t site = 0; site < sites_.size(); ++site) {
+      // The cooldown may have elapsed with no report landing since:
+      // materialise the half-open edge the arriving request observes.
+      thaw(folds[site], site, entry.arrival_vt, nullptr);
+      const SiteBits bit = SiteBits{1} << site;
+      switch (folds[site].state) {
+        case BreakerState::kClosed:
+          break;
+        case BreakerState::kOpen:
+          entry.short_circuit |= bit;
+          break;
+        case BreakerState::kHalfOpen:
+          if (probes(site, id)) {
+            entry.probing |= bit;
+            trace::Metrics::counter("breaker.probe");
+          } else {
+            entry.short_circuit |= bit;
+          }
+          break;
+      }
+      if ((entry.short_circuit & bit) != 0) {
+        trace::Metrics::counter("breaker.short_circuit");
       }
     }
-    return true;
-  });
-  std::map<std::string, BreakerDecision> decisions;
-  for (const std::string& site : sites_) {
-    const Fold fold = fold_site_locked(site, entry.arrival_vt, nullptr);
-    BreakerDecision decision;
-    switch (fold.state) {
-      case BreakerState::kClosed:
-        break;
-      case BreakerState::kOpen:
-        decision.short_circuit = true;
-        break;
-      case BreakerState::kHalfOpen:
-        if (probes(site, id)) {
-          decision.probing = true;
-        } else {
-          decision.short_circuit = true;
-        }
-        break;
-    }
-    if (decision.short_circuit) {
-      trace::Metrics::counter("breaker.short_circuit");
-    }
-    if (decision.probing) trace::Metrics::counter("breaker.probe");
-    decisions.emplace(site, decision);
+    entry.decided = true;
+    unpin_locked(entry);
   }
-  entry.decided = true;
-  entry.decisions = decisions;
+  const SiteBits short_circuit = entry.short_circuit;
+  const SiteBits probing = entry.probing;
+  advance_locked();  // may fold and free `entry` (after finalize())
+  lock.unlock();
+  std::map<std::string, BreakerDecision> decisions;
+  for (std::size_t site = 0; site < sites_.size(); ++site) {
+    const SiteBits bit = SiteBits{1} << site;
+    decisions.emplace_hint(decisions.end(), sites_[site],
+                           BreakerDecision{(short_circuit & bit) != 0,
+                                           (probing & bit) != 0});
+  }
   return decisions;
 }
 
@@ -233,17 +269,21 @@ void BreakerBoard::report(std::uint64_t id,
                           const std::vector<std::string>& succeeded_sites) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(id);
-    require(it != entries_.end(), "BreakerBoard: report for unregistered id");
+    const auto it = entries_.find(id);
     // After finalize() (abandoned-drain shutdown) late reports are
     // ignored instead of treated as double-report bugs: finalize already
-    // marked everything reported to release waiters.
-    require(!it->second.reported || finalized_,
-            "BreakerBoard: request reported twice");
-    if (it->second.reported) return;
-    it->second.reported = true;
-    it->second.failed_sites = failed_sites;
-    it->second.succeeded_sites = succeeded_sites;
+    // marked everything reported to release waiters, and may have folded
+    // and freed the request since.
+    if (finalized_ && (it == entries_.end() || it->second.reported)) return;
+    require(it != entries_.end() && !it->second.reported,
+            "BreakerBoard: report for an unregistered or reported id");
+    Entry& entry = it->second;
+    entry.reported = true;
+    entry.failed = site_bits(failed_sites);
+    entry.succeeded = site_bits(succeeded_sites);
+    unreported_finish_.erase(unreported_finish_.find(entry.finish_vt));
+    unpin_locked(entry);  // born cancelled: it will never decide
+    advance_locked();
   }
   reported_cv_.notify_all();
 }
@@ -252,9 +292,11 @@ void BreakerBoard::finalize() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     finalized_ = true;
-    for (const std::uint64_t id : order_) {
-      entries_.at(id).reported = true;
-    }
+    // Reported-empty, but still pinned if undecided: a late decide()
+    // from a worker outliving the drain folds to the same verdict.
+    for (auto& [id, entry] : entries_) entry.reported = true;
+    unreported_finish_.clear();
+    advance_locked();
   }
   reported_cv_.notify_all();
 }
@@ -262,18 +304,27 @@ void BreakerBoard::finalize() {
 std::vector<BreakerTransition> BreakerBoard::transitions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<BreakerTransition> all;
-  for (const std::string& site : sites_) {
-    (void)fold_site_locked(site, std::numeric_limits<double>::infinity(),
-                           &all);
+  for (std::size_t site = 0; site < sites_.size(); ++site) {
+    all.insert(all.end(), committed_[site].begin(), committed_[site].end());
+    Fold fold = running_[site];
+    fold_remainder_locked(fold, site, &all);
   }
   return all;
 }
 
 BreakerState BreakerBoard::state(std::string_view site) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return fold_site_locked(std::string(site),
-                          std::numeric_limits<double>::infinity(), nullptr)
-      .state;
+  const auto it = std::lower_bound(sites_.begin(), sites_.end(), site);
+  if (it == sites_.end() || *it != site) return BreakerState::kClosed;
+  const auto index = static_cast<std::size_t>(it - sites_.begin());
+  Fold fold = running_[index];
+  fold_remainder_locked(fold, index, nullptr);
+  return fold.state;
+}
+
+BreakerBoard::Footprint BreakerBoard::footprint() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return {entries_.size(), max_decide_events_};
 }
 
 }  // namespace qcgen::serve
