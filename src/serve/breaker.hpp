@@ -49,12 +49,13 @@
 // to come is taken at an arrival >= W, so the log prefix up to W is
 // shared by all of them. Reported events with finish_vt <= W are folded
 // into per-site running state — in log order, stopping at the first
-// unreported one — appended to per-site committed transition logs, and
-// freed. decide(i) copies the running state, replays the few reported
-// events in (W, arrival_vt_i], and thaws at arrival_vt_i: the same fold
-// the full log gives, so verdicts are unchanged and bit-identical at any
-// thread count, while a verdict costs O(sites x in-flight events) and
-// the board holds only the requests still in flight.
+// unreported one (a decided request still running may finish below W)
+// — appended to per-site committed transition logs, and freed.
+// decide(i) copies the running state, replays the few reported events
+// in (W, arrival_vt_i], and thaws at arrival_vt_i: the same fold the
+// full log gives, so verdicts stay bit-identical at any thread count,
+// while a verdict costs O(sites x in-flight events) and the board holds
+// only the requests still in flight.
 //
 // transitions() / state() continue the committed state over the
 // reported, not yet committed remainder: the same authoritative history

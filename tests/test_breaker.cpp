@@ -551,33 +551,46 @@ run_pool(serve::BreakerBoard& board, const std::vector<Request>& requests,
         queue.pop_front();
       }
       const Request& request = requests[i];
-      if (request.born_cancelled) {
-        board.report(request.id, {}, {});
-        continue;
+      try {
+        if (request.born_cancelled) {
+          board.report(request.id, {}, {});
+          continue;
+        }
+        verdicts[i] = board.decide(request.id);
+        const Evidence evidence = evidence_for(seed, request, verdicts[i]);
+        const int spins = static_cast<int>(draw(seed, i, 7) * 64.0);
+        for (int n = 0; n < spins; ++n) std::this_thread::yield();
+        board.report(request.id, evidence.failed, evidence.succeeded);
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "request " << request.id << ": " << error.what();
+        board.finalize();  // release every waiter so the pool drains
       }
-      verdicts[i] = board.decide(request.id);
-      const Evidence evidence = evidence_for(seed, request, verdicts[i]);
-      const int spins = static_cast<int>(draw(seed, i, 7) * 64.0);
-      for (int n = 0; n < spins; ++n) std::this_thread::yield();
-      board.report(request.id, evidence.failed, evidence.succeeded);
     }
+  };
+  const auto close = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      closed = true;
+    }
+    ready.notify_all();
   };
   std::vector<std::thread> pool;
   for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    board.register_request(requests[i].id, requests[i].arrival_vt,
-                           requests[i].finish_vt);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      queue.push_back(i);
+  try {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      board.register_request(requests[i].id, requests[i].arrival_vt,
+                             requests[i].finish_vt);
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        queue.push_back(i);
+      }
+      ready.notify_one();
     }
-    ready.notify_one();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "register: " << error.what();
+    board.finalize();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    closed = true;
-  }
-  ready.notify_all();
+  close();
   for (std::thread& thread : pool) thread.join();
   std::map<std::uint64_t, std::map<std::string, BreakerDecision>> by_id;
   for (std::size_t i = 0; i < requests.size(); ++i) {
