@@ -21,6 +21,7 @@
 // pre-degradations) and per-site circuit breakers whose transition
 // history is part of the deterministic report.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -52,18 +53,20 @@ struct WorkloadRow {
   double deadline_units = 0.0;
 };
 
-/// Runs one open-loop workload against a fresh server and returns its
-/// wall-clock seconds; `reports` (optional) receives the post-drain
-/// cache layer reports.
+/// Runs one open-loop workload against a fresh server and returns the
+/// wall-clock seconds from the first submit to the drained last result
+/// (Server construction — resource build and oracle prewarm — is not
+/// timed); `reports` (optional) receives the post-drain cache layer
+/// reports.
 double run_cache_workload(const serve::Server::Options& options,
                           const std::vector<eval::TestCase>& catalog,
                           const std::vector<serve::Arrival>& arrivals,
                           std::vector<serve::CacheLayerReport>* reports) {
-  const auto start = std::chrono::steady_clock::now();
   serve::Server server(options, catalog);
   serve::Session session(server, /*session_id=*/1);
   std::vector<std::future<serve::RequestResult>> futures;
   futures.reserve(arrivals.size());
+  const auto start = std::chrono::steady_clock::now();
   for (const serve::Arrival& arrival : arrivals) {
     futures.push_back(session.submit(arrival.request_id,
                                      catalog[arrival.case_idx], arrival.vt));
@@ -75,6 +78,26 @@ double run_cache_workload(const serve::Server::Options& options,
           .count();
   if (reports != nullptr) *reports = server.cache_reports();
   return wall;
+}
+
+/// Median wall seconds of kCacheRepeats fresh-server runs of one
+/// workload. Only the first run records into the bench's trace (and
+/// fills `reports`), so the deterministic trace summary counts the
+/// workload once; the repeats run with tracing detached.
+constexpr int kCacheRepeats = 3;
+double median_cache_workload(serve::Server::Options options,
+                             const std::vector<eval::TestCase>& catalog,
+                             const std::vector<serve::Arrival>& arrivals,
+                             std::vector<serve::CacheLayerReport>* reports) {
+  std::vector<double> walls;
+  walls.push_back(run_cache_workload(options, catalog, arrivals, reports));
+  options.trace = nullptr;
+  const trace::SinkScope untraced(nullptr);
+  while (walls.size() < kCacheRepeats) {
+    walls.push_back(run_cache_workload(options, catalog, arrivals, nullptr));
+  }
+  std::sort(walls.begin(), walls.end());
+  return walls[walls.size() / 2];
 }
 
 Json cache_stats_json(const cache::Stats& stats) {
@@ -249,9 +272,10 @@ int main(int argc, char** argv) {
   harness.record_timing("serving", std::move(timing));
 
   // ---- Cache study: the three memoization layers under a uniform vs a
-  // Zipf case mix, each run once uncached and once with unbounded
-  // caches. The wall-clock speedup and the live per-layer counters go
-  // under "timing" (hits never change results, only latency). QEC
+  // Zipf case mix, each run uncached and with unbounded caches, on
+  // kCacheRepeats fresh servers per side. The speedup of the median
+  // post-construction walls and the live per-layer counters go under
+  // "timing" (hits never change results, only latency). QEC
   // planning is per-request (uncached) work, so the study rows skip it
   // to measure the memoized layers themselves; chaos scenarios are
   // mutually exclusive with caching, so --scenario skips the study.
@@ -290,11 +314,11 @@ int main(int argc, char** argv) {
       options.admission = serve::AdmissionOptions::unlimited();
 
       const double wall_uncached =
-          run_cache_workload(options, catalog, arrivals, nullptr);
+          median_cache_workload(options, catalog, arrivals, nullptr);
       options.cache.enabled = true;
       std::vector<serve::CacheLayerReport> reports;
       const double wall_cached =
-          run_cache_workload(options, catalog, arrivals, &reports);
+          median_cache_workload(options, catalog, arrivals, &reports);
 
       JsonArray layer_rows;
       for (const serve::CacheLayerReport& report : reports) {
@@ -312,8 +336,11 @@ int main(int argc, char** argv) {
       timing_row["wall_cached_seconds"] = wall_cached;
       timing_row["speedup"] =
           wall_cached > 0.0 ? wall_uncached / wall_cached : 0.0;
+      timing_row["repeats"] = kCacheRepeats;
       timing_row["layers"] = Json(std::move(layer_rows));
       cache_timing_rows.push_back(Json(std::move(timing_row)));
+      // The deterministic trials count covers each workload once per
+      // side; the timing repeats are extra wall time, not extra trials.
       total_requests += 2 * arrivals.size();
       std::fflush(stdout);
     }

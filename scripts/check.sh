@@ -187,6 +187,11 @@ ctest --test-dir build-check --output-on-failure -L cache
 ./build-check/tests/test_parallel_eval --gtest_brief=1 \
   --gtest_filter='EvaluateTechnique.*ThreadCount*:RunTrialMatrix.*' \
   --gtest_repeat=300
+# Every worker reads the matrix's shared gold programs and analyzer kit
+# and aliases shared analysis reports; none may be mutated through the
+# share at any thread count.
+./build-check/tests/test_shared_artifacts --gtest_brief=1 \
+  --gtest_filter='SharedArtifacts.*ThreadCount*' --gtest_repeat=300
 ./build-check/bench/bench_serving --quick --seed 7 --threads 1 \
   --json build-check/BENCH_serving_t1.json >/dev/null
 ./build-check/bench/bench_serving --quick --seed 7 --threads 8 \
@@ -279,7 +284,7 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_breaker|test_llm_retrieval'
+    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_breaker|test_llm_retrieval|test_shared_artifacts'
 
 echo "==> [11/11] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle tests"
 cmake -B build-tsan -S . \
@@ -290,7 +295,7 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_breaker'
+    -R 'test_thread_pool|test_trace|test_parallel_eval|test_failpoint|test_resilience|test_cache|test_serve|test_lifecycle|test_breaker|test_shared_artifacts'
 
 print_summary
 echo "==> all checks passed"

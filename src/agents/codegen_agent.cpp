@@ -80,10 +80,10 @@ std::uint64_t technique_digest(const TechniqueConfig& config) noexcept {
 }
 
 namespace {
-const llm::KnowledgeState& checked_knowledge(
+const std::shared_ptr<const llm::KnowledgeState>& checked_knowledge(
     const std::shared_ptr<const TechniqueResources>& resources) {
   require(resources != nullptr, "CodeGenAgent: null resources");
-  return resources->knowledge();
+  return resources->shared_knowledge();
 }
 }  // namespace
 
@@ -119,8 +119,9 @@ void corrupt_source(std::string& source, std::uint64_t seed) {
 }
 }  // namespace
 
-llm::GenerationContext CodeGenAgent::make_context(std::size_t prompt_index,
-                                                  bool use_rag) const {
+llm::GenerationContext CodeGenAgent::make_context(
+    std::size_t prompt_index, bool use_rag,
+    const std::shared_ptr<const qasm::Program>& gold) const {
   llm::GenerationContext ctx;
   ctx.api_store = use_rag ? resources_->api_store() : nullptr;
   ctx.guide_store = use_rag ? resources_->guide_store() : nullptr;
@@ -128,6 +129,7 @@ llm::GenerationContext CodeGenAgent::make_context(std::size_t prompt_index,
   ctx.cot = config_.cot;
   ctx.cot_hand_written = prompt_index < config_.cot_hand_written;
   ctx.syntax_difficulty = config_.syntax_difficulty;
+  ctx.gold = gold;
   return ctx;
 }
 
@@ -152,21 +154,20 @@ std::uint64_t CodeGenAgent::generation_key(const llm::TaskSpec& task,
   return hasher.digest();
 }
 
-llm::GenerationResult CodeGenAgent::generate_content(const llm::TaskSpec& task,
-                                                     std::size_t prompt_index,
-                                                     bool use_rag,
-                                                     std::uint64_t key) const {
+llm::GenerationResult CodeGenAgent::generate_content(
+    const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
+    const std::shared_ptr<const qasm::Program>& gold, std::uint64_t key) const {
   // The drawing model is seeded from the content key, never from the
   // agent's per-request stream: whichever request computes this entry,
   // the sample comes out byte-identical.
   std::uint64_t state = key ^ 0x5bf0f5d44c3e91a7ULL;
-  llm::SimLM model(resources_->knowledge(), splitmix64(state));
-  return model.generate(task, make_context(prompt_index, use_rag));
+  llm::SimLM model(resources_->shared_knowledge(), splitmix64(state));
+  return model.generate(task, make_context(prompt_index, use_rag, gold));
 }
 
-llm::GenerationResult CodeGenAgent::generate(const llm::TaskSpec& task,
-                                             std::size_t prompt_index,
-                                             bool use_rag) {
+llm::GenerationResult CodeGenAgent::generate(
+    const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
+    const std::shared_ptr<const qasm::Program>& gold) {
   // Trip before the model draws, so an injected error leaves the model's
   // RNG stream untouched and a retry regenerates identically. In
   // content-addressed mode the corrupt action mutates this request's
@@ -177,13 +178,13 @@ llm::GenerationResult CodeGenAgent::generate(const llm::TaskSpec& task,
     const std::uint64_t key = generation_key(task, prompt_index, use_rag);
     if (generation_cache_ != nullptr) {
       result = *generation_cache_->get_or_compute(key, [&] {
-        return generate_content(task, prompt_index, use_rag, key);
+        return generate_content(task, prompt_index, use_rag, gold, key);
       });
     } else {
-      result = generate_content(task, prompt_index, use_rag, key);
+      result = generate_content(task, prompt_index, use_rag, gold, key);
     }
   } else {
-    result = model_.generate(task, make_context(prompt_index, use_rag));
+    result = model_.generate(task, make_context(prompt_index, use_rag, gold));
   }
   if (hit.has_value() && hit->action == failpoint::Action::kCorrupt) {
     corrupt_source(result.source, hit->corrupt_seed);
@@ -194,11 +195,12 @@ llm::GenerationResult CodeGenAgent::generate(const llm::TaskSpec& task,
 llm::GenerationResult CodeGenAgent::repair(
     const llm::TaskSpec& task, const llm::GenerationResult& previous,
     const std::vector<qasm::Diagnostic>& diagnostics, bool semantic_failure,
-    std::size_t prompt_index, int pass_number, bool use_rag) {
+    std::size_t prompt_index, int pass_number, bool use_rag,
+    const std::shared_ptr<const qasm::Program>& gold) {
   const auto hit = failpoint::trip("llm.generate", pass_number);
   llm::GenerationResult result =
       model_.repair(task, previous, diagnostics, semantic_failure,
-                    make_context(prompt_index, use_rag), pass_number);
+                    make_context(prompt_index, use_rag, gold), pass_number);
   if (hit.has_value() && hit->action == failpoint::Action::kCorrupt) {
     corrupt_source(result.source, hit->corrupt_seed);
   }

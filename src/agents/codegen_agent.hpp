@@ -68,7 +68,7 @@ class CodeGenAgent {
   CodeGenAgent(const TechniqueConfig& config, std::uint64_t seed);
 
   /// Shares an immutable resource bundle built once for the technique;
-  /// only the SimLM (knowledge copy + RNG stream) is per-agent, which is
+  /// only the SimLM (its RNG stream) is per-agent, which is
   /// what makes per-trial agents cheap enough to construct inside a
   /// parallel trial scheduler. Generates identically to a standalone
   /// agent with the same config and seed.
@@ -98,25 +98,28 @@ class CodeGenAgent {
   /// Generates one program sample. `prompt_index` selects hand-written
   /// vs. generated CoT scaffolds. `use_rag = false` bypasses the vector
   /// stores — the pipeline's degraded rung when retrieval is down.
-  llm::GenerationResult generate(const llm::TaskSpec& task,
-                                 std::size_t prompt_index,
-                                 bool use_rag = true);
+  /// `gold`, when given, is the task's prebuilt gold program
+  /// (GenerationContext::gold); output is identical either way.
+  llm::GenerationResult generate(
+      const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag = true,
+      const std::shared_ptr<const qasm::Program>& gold = nullptr);
 
   /// Repair pass (multi-pass inference).
-  llm::GenerationResult repair(const llm::TaskSpec& task,
-                               const llm::GenerationResult& previous,
-                               const std::vector<qasm::Diagnostic>& diagnostics,
-                               bool semantic_failure, std::size_t prompt_index,
-                               int pass_number, bool use_rag = true);
+  llm::GenerationResult repair(
+      const llm::TaskSpec& task, const llm::GenerationResult& previous,
+      const std::vector<qasm::Diagnostic>& diagnostics, bool semantic_failure,
+      std::size_t prompt_index, int pass_number, bool use_rag = true,
+      const std::shared_ptr<const qasm::Program>& gold = nullptr);
 
  private:
-  llm::GenerationContext make_context(std::size_t prompt_index,
-                                      bool use_rag) const;
+  llm::GenerationContext make_context(
+      std::size_t prompt_index, bool use_rag,
+      const std::shared_ptr<const qasm::Program>& gold) const;
   /// The pure content-addressed computation behind a cache miss.
-  llm::GenerationResult generate_content(const llm::TaskSpec& task,
-                                         std::size_t prompt_index,
-                                         bool use_rag,
-                                         std::uint64_t key) const;
+  llm::GenerationResult generate_content(
+      const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
+      const std::shared_ptr<const qasm::Program>& gold,
+      std::uint64_t key) const;
 
   TechniqueConfig config_;
   std::shared_ptr<const TechniqueResources> resources_;

@@ -141,6 +141,11 @@ void certify_repair(PipelineResult& result, PassTrace& trace,
   }
 }
 
+const AnalyzerKit& checked_kit(const std::shared_ptr<const AnalyzerKit>& kit) {
+  require(kit != nullptr, "MultiAgentPipeline: null analyzer kit");
+  return *kit;
+}
+
 }  // namespace
 
 /// One stage invocation's degradation ladder, current rung first.
@@ -207,17 +212,18 @@ MultiAgentPipeline::MultiAgentPipeline(
     std::optional<DeviceTopology> device, std::uint64_t seed)
     : MultiAgentPipeline(
           technique, std::make_shared<const TechniqueResources>(technique),
-          std::move(analyzer_options), std::move(qec_options),
-          std::move(device), seed) {}
+          std::make_shared<const AnalyzerKit>(analyzer_options),
+          std::move(qec_options), std::move(device), seed) {}
 
 MultiAgentPipeline::MultiAgentPipeline(
     const TechniqueConfig& technique,
     std::shared_ptr<const TechniqueResources> resources,
-    SemanticAnalyzerAgent::Options analyzer_options,
+    std::shared_ptr<const AnalyzerKit> analyzers,
     std::optional<QecDecoderAgent::Options> qec_options,
     std::optional<DeviceTopology> device, std::uint64_t seed)
     : codegen_(technique, std::move(resources), seed),
-      analyzer_(analyzer_options),
+      analyzer_(checked_kit(analyzers).configured()),
+      core_analyzer_(analyzers->core_lints()),
       device_(std::move(device)),
       resilience_rng_(seed ^ 0xc3a5c85c97cb3127ULL) {
   if (qec_options.has_value()) qec_agent_.emplace(*qec_options);
@@ -229,47 +235,36 @@ void MultiAgentPipeline::set_caches(PipelineCaches caches) {
     codegen_.set_content_addressed(caches_.generation);
   }
   analyzer_.set_analysis_cache(caches_.analysis);
-  if (degraded_analyzer_.has_value()) {
-    degraded_analyzer_->set_analysis_cache(caches_.analysis);
-  }
+  core_analyzer_.set_analysis_cache(caches_.analysis);
 }
 
-const SemanticAnalyzerAgent& MultiAgentPipeline::degraded_analyzer() {
-  if (!degraded_analyzer_.has_value()) {
-    SemanticAnalyzerAgent::Options options = analyzer_.options();
-    options.analysis.abstract_lints = false;
-    degraded_analyzer_.emplace(options);
-    degraded_analyzer_->set_analysis_cache(caches_.analysis);
-  }
-  return *degraded_analyzer_;
-}
-
-PipelineResult MultiAgentPipeline::run(const llm::TaskSpec& task,
-                                       const sim::Distribution& reference,
-                                       std::size_t prompt_index) {
+PipelineResult MultiAgentPipeline::run(
+    const llm::TaskSpec& task, const sim::Distribution& reference,
+    std::size_t prompt_index, const std::shared_ptr<const qasm::Program>& gold) {
+  last_degradations_.clear();
   PipelineResult result;
   try {
-    run_into(result, task, reference, prompt_index);
+    run_into(result, task, reference, prompt_index, gold);
   } catch (...) {
     // A throwing run leaves its ladder steps behind: the serving layer
     // attributes per-site fault evidence through them (circuit breakers)
     // even though the partial result itself is discarded.
-    last_degradations_ = result.degradations;
+    last_degradations_ = std::move(result.degradations);
     throw;
   }
-  last_degradations_ = result.degradations;
   return result;
 }
 
-void MultiAgentPipeline::run_into(PipelineResult& result,
-                                  const llm::TaskSpec& task,
-                                  const sim::Distribution& reference,
-                                  std::size_t prompt_index) {
+void MultiAgentPipeline::run_into(
+    PipelineResult& result, const llm::TaskSpec& task,
+    const sim::Distribution& reference, std::size_t prompt_index,
+    const std::shared_ptr<const qasm::Program>& gold) {
   qtrace::TraceSpan run_span("pipeline.run");
   const bool rag_technique =
       codegen_.config().rag_api || codegen_.config().rag_guides;
   Rungs rungs{.rag = rag_enabled_,
-              .abstract_lints = analyzer_.options().analysis.abstract_lints,
+              .abstract_lints = abstract_lints_enabled_ &&
+                                analyzer_.options().analysis.abstract_lints,
               .behavioral = !reference.empty()};
   if (qec_agent_.has_value() && device_.has_value()) {
     // Configured decoder -> union-find -> lookup (distance 3 only; the
@@ -309,8 +304,8 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
     walk(
         result, ladder,
         [&](std::size_t rung) {
-          generation =
-              codegen_.generate(task, prompt_index, rungs.rag && rung == 0);
+          generation = codegen_.generate(task, prompt_index,
+                                         rungs.rag && rung == 0, gold);
         },
         pressure);
     if (pressure) rungs.rag = false;
@@ -318,42 +313,44 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
   cancel::charge("pipeline.generate", resilience_.stage_costs.generate);
   const int max_passes = codegen_.config().max_passes;
 
-  // Lowered circuit of the previous pass and whether its repair carried
-  // a preservation obligation — the inputs to repair certification.
-  std::optional<sim::Circuit> prev_circuit;
+  // The previous pass's report (its lowered circuit) and whether its
+  // repair carried a preservation obligation — the inputs to repair
+  // certification. Reports are shared handles: a cache hit copies nothing.
+  std::shared_ptr<const StaticReport> prev_report;
   bool prev_obligated = false;
-  // Resource digest of the final artifact, feeding the QEC stage's
-  // fault-tolerance cost estimate.
-  qasm::analysis::ResourceSummary final_resources;
+  // The final artifact's report; its resource digest feeds the QEC
+  // stage's fault-tolerance cost estimate.
+  std::shared_ptr<const StaticReport> final_report;
 
   for (int pass = 1; pass <= max_passes; ++pass) {
     cancel::checkpoint("pipeline.analyze");
     PassTrace& trace = result.trace.emplace_back();
     trace.pass = pass;
-    StaticReport static_report;
+    std::shared_ptr<const StaticReport> static_report;
     {
       qtrace::TraceSpan span("pipeline.analyze");
       Ladder ladder{.stage = "analyze", .pass = pass, .trace = &trace,
                     .rungs = {"abstract-lints", "core-lints"}};
       if (!rungs.abstract_lints) ladder.rungs.erase(ladder.rungs.begin());
       walk(result, ladder, [&](std::size_t rung) {
-        static_report = (rung == 0 ? analyzer_ : degraded_analyzer())
+        const bool abstract = rungs.abstract_lints && rung == 0;
+        static_report = (abstract ? analyzer_ : core_analyzer_)
                             .analyze(generation.source);
       });
     }
     cancel::charge("pipeline.analyze", resilience_.stage_costs.analyze);
-    trace.syntactic_ok = static_report.syntactic_ok;
-    trace.error_trace = static_report.error_trace;
-    trace.error_count = static_report.diagnostics.size();
-    trace.diagnostics = static_report.diagnostics;
+    trace.syntactic_ok = static_report->syntactic_ok;
+    trace.error_trace = static_report->error_trace;
+    trace.error_count = static_report->diagnostics.size();
+    trace.diagnostics = static_report->diagnostics;
     if (pass > 1) {
       // Translation validation of the repair that produced this pass.
-      certify_repair(result, trace, prev_circuit, static_report.circuit,
-                     prev_obligated);
+      certify_repair(result, trace, prev_report->circuit,
+                     static_report->circuit, prev_obligated);
     }
 
     bool semantic_ok = false;
-    if (static_report.syntactic_ok) {
+    if (static_report->syntactic_ok) {
       // Static-only verdict (no reference, or the behavioural rung is
       // gone): semantic mirrors syntactic.
       semantic_ok = true;
@@ -375,7 +372,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
           cancel::checkpoint("pipeline.verify");
           BehaviorReport behavior;
           if (walk(result, ladder, [&](std::size_t) {
-                behavior = analyzer_.check_behavior(*static_report.circuit,
+                behavior = analyzer_.check_behavior(*static_report->circuit,
                                                     reference);
               }) == 0) {
             semantic_ok = behavior.matches;
@@ -390,9 +387,9 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
     bool done = semantic_ok || pass == max_passes;
     if (!done) {
       // Feed the error trace back for the next inference pass.
-      prev_circuit = static_report.circuit;
+      prev_report = static_report;
       prev_obligated =
-          repair_is_preservation_obligated(static_report.diagnostics);
+          repair_is_preservation_obligated(static_report->diagnostics);
       qtrace::TraceSpan span("pipeline.repair");
       qtrace::Metrics::counter("pipeline.repair_passes");
       cancel::checkpoint("pipeline.repair");
@@ -409,19 +406,17 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
                           .charge_units = resilience_.stage_costs.repair};
       done = walk(result, ladder, [&](std::size_t rung) {
                generation = codegen_.repair(
-                   task, generation, static_report.diagnostics,
-                   /*semantic_failure=*/static_report.syntactic_ok,
-                   prompt_index, pass, rungs.rag && rung == 0);
+                   task, generation, static_report->diagnostics,
+                   /*semantic_failure=*/static_report->syntactic_ok,
+                   prompt_index, pass, rungs.rag && rung == 0, gold);
              }) == ladder.rungs.size();
     }
     if (done) {
       result.syntactic_ok = trace.syntactic_ok;
       result.semantic_ok = semantic_ok;
-      result.generation = generation;
-      if (static_report.circuit.has_value()) {
-        result.circuit = static_report.circuit;
-      }
-      final_resources = static_report.resources;
+      result.generation = std::move(generation);
+      result.circuit = static_report->circuit;
+      final_report = std::move(static_report);
       break;
     }
   }
@@ -447,7 +442,7 @@ void MultiAgentPipeline::run_into(PipelineResult& result,
           QecDecoderAgent::Options options = qec_agent_->options();
           options.decoder = rungs.decoders[rung];
           plan = QecDecoderAgent(options).plan_for(
-              *device_, &final_resources, caches_.qec_lifetime.get());
+              *device_, &final_report->resources, caches_.qec_lifetime.get());
         }) < ladder.rungs.size()) {
       result.qec = std::move(plan);
     }

@@ -183,12 +183,14 @@ class MultiAgentPipeline {
                      std::uint64_t seed);
 
   /// Shares an immutable corpora/knowledge bundle built once for the
-  /// technique (see TechniqueResources): the cheap per-pipeline state is
-  /// just the SimLM and the analyzer, so a trial scheduler can construct
-  /// one pipeline per (case, sample) trial without re-indexing corpora.
+  /// technique (see TechniqueResources) and the analyzer kit built once
+  /// for the analyzer options: the cheap per-pipeline state is just the
+  /// SimLM's RNG stream and handles, so a trial scheduler can construct
+  /// one pipeline per (case, sample) trial without re-indexing corpora or
+  /// recompiling the lint configuration.
   MultiAgentPipeline(const TechniqueConfig& technique,
                      std::shared_ptr<const TechniqueResources> resources,
-                     SemanticAnalyzerAgent::Options analyzer_options,
+                     std::shared_ptr<const AnalyzerKit> analyzers,
                      std::optional<QecDecoderAgent::Options> qec_options,
                      std::optional<DeviceTopology> device,
                      std::uint64_t seed);
@@ -207,6 +209,13 @@ class MultiAgentPipeline {
   /// failure would degrade to at runtime.
   void set_rag_enabled(bool enabled) noexcept { rag_enabled_ = enabled; }
 
+  /// Admission-control hook (serve layer), the analyze ladder's
+  /// counterpart of set_rag_enabled: `false` starts every analyze on the
+  /// core-lints rung, as an abstract-interpreter failure would degrade to.
+  void set_abstract_lints_enabled(bool enabled) noexcept {
+    abstract_lints_enabled_ = enabled;
+  }
+
   /// Wires the shared caches through to the agents (the retrieval cache
   /// rides inside the shared TechniqueResources and needs no per-
   /// pipeline hookup). The degraded analyzer rung shares the analysis
@@ -216,17 +225,22 @@ class MultiAgentPipeline {
   /// Runs generation + analysis (+ repair passes up to the technique's
   /// max_passes) on one task. `reference` enables the behavioural check;
   /// pass an empty distribution to restrict to static verification.
-  /// `prompt_index` feeds the CoT hand-written-scaffold rule.
+  /// `prompt_index` feeds the CoT hand-written-scaffold rule. `gold`, when
+  /// given, is the task's prebuilt gold program (the one its reference
+  /// was simulated from); generation reads it instead of rebuilding it,
+  /// with identical results.
   /// Throws PipelineStageError when a mandatory stage stays down after
   /// the resilience policy (retries + ladders) is exhausted.
   PipelineResult run(const llm::TaskSpec& task,
                      const sim::Distribution& reference,
-                     std::size_t prompt_index);
+                     std::size_t prompt_index,
+                     const std::shared_ptr<const qasm::Program>& gold = nullptr);
 
-  /// Degradation events accumulated by the most recent run(), preserved
-  /// even when the run threw (PipelineStageError / CancelledError): an
-  /// aborted request's ladder steps are its per-site fault evidence, and
-  /// the serving layer's circuit breakers copy them off the wreck.
+  /// Degradation events of the most recent run() if it threw
+  /// (PipelineStageError / CancelledError): an aborted request's ladder
+  /// steps are its per-site fault evidence, and the serving layer's
+  /// circuit breakers copy them off the wreck. Empty after a run that
+  /// returned — its events are on the PipelineResult.
   const std::vector<DegradationEvent>& last_degradations() const noexcept {
     return last_degradations_;
   }
@@ -235,7 +249,8 @@ class MultiAgentPipeline {
   /// run()'s body, writing into a caller-owned result so partial state
   /// (degradations in particular) survives a mid-run throw.
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
-                const sim::Distribution& reference, std::size_t prompt_index);
+                const sim::Distribution& reference, std::size_t prompt_index,
+                const std::shared_ptr<const qasm::Program>& gold);
 
   struct Ladder;  ///< one stage invocation's ladder (pipeline.cpp)
   /// The rung helper every ladder walks through (see pipeline.cpp).
@@ -243,18 +258,16 @@ class MultiAgentPipeline {
                    const std::function<void(std::size_t)>& run,
                    bool pressed = false);
 
-  /// Analyzer with the abstract interpreter disabled — the "core lints
-  /// only" ladder rung; constructed lazily on first degradation.
-  const SemanticAnalyzerAgent& degraded_analyzer();
-
   CodeGenAgent codegen_;
-  SemanticAnalyzerAgent analyzer_;
+  SemanticAnalyzerAgent analyzer_;  ///< the configured analyze rung
+  /// The "core lints only" rung: the abstract interpreter disabled.
+  SemanticAnalyzerAgent core_analyzer_;
   PipelineCaches caches_;
-  std::optional<SemanticAnalyzerAgent> degraded_analyzer_;
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
   ResilienceOptions resilience_;
   bool rag_enabled_ = true;  ///< admission rag rung (see setter)
+  bool abstract_lints_enabled_ = true;  ///< admission analyze rung
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor
 };

@@ -1,5 +1,7 @@
 #include "agents/semantic_agent.hpp"
 
+#include <atomic>
+
 #include "common/cache/hash.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -105,13 +107,44 @@ std::uint64_t circuit_digest(const sim::Circuit& circuit) noexcept {
   return hasher.digest();
 }
 
-SemanticAnalyzerAgent::SemanticAnalyzerAgent(Options options)
-    : options_(options),
-      options_digest_(analyzer_options_digest(options_.analysis)),
-      lint_config_(options_.analysis.to_lint_config()) {
-  require(options_.shots >= 1, "SemanticAnalyzerAgent: shots >= 1");
-  require(options_.tvd_threshold > 0.0 && options_.tvd_threshold < 1.0,
+SemanticAnalyzerAgent::Config::Config(Options options_in)
+    : options(std::move(options_in)),
+      digest(analyzer_options_digest(options.analysis)),
+      lint(options.analysis.to_lint_config()) {
+  require(options.shots >= 1, "SemanticAnalyzerAgent: shots >= 1");
+  require(options.tvd_threshold > 0.0 && options.tvd_threshold < 1.0,
           "SemanticAnalyzerAgent: tvd_threshold in (0,1)");
+}
+
+SemanticAnalyzerAgent::SemanticAnalyzerAgent(Options options)
+    : SemanticAnalyzerAgent(std::make_shared<const Config>(std::move(options))) {
+}
+
+SemanticAnalyzerAgent::SemanticAnalyzerAgent(
+    std::shared_ptr<const Config> config)
+    : config_(std::move(config)) {
+  require(config_ != nullptr, "SemanticAnalyzerAgent: null config");
+}
+
+namespace {
+std::atomic<std::size_t> kits_built{0};
+}  // namespace
+
+AnalyzerKit::AnalyzerKit(const SemanticAnalyzerAgent::Options& options)
+    : configured_(std::make_shared<const SemanticAnalyzerAgent::Config>(options)) {
+  if (options.analysis.abstract_lints) {
+    SemanticAnalyzerAgent::Options core = options;
+    core.analysis.abstract_lints = false;
+    core_lints_ =
+        std::make_shared<const SemanticAnalyzerAgent::Config>(std::move(core));
+  } else {
+    core_lints_ = configured_;
+  }
+  kits_built.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::size_t AnalyzerKit::built() noexcept {
+  return kits_built.load(std::memory_order_relaxed);
 }
 
 std::uint64_t SemanticAnalyzerAgent::analysis_key(
@@ -119,30 +152,33 @@ std::uint64_t SemanticAnalyzerAgent::analysis_key(
   return cache::KeyHasher()
       .mix(kAnalyzeSalt)
       .mix(source)
-      .mix(options_digest_)
+      .mix(config_->digest)
       .digest();
 }
 
-StaticReport SemanticAnalyzerAgent::analyze(const std::string& source) const {
+std::shared_ptr<const StaticReport> SemanticAnalyzerAgent::analyze(
+    const std::string& source) const {
   // The fail points fire per call (outside any memoized computation), so
   // fault-injection behaviour never depends on cache state.
   failpoint::trip("analyzer.parse");
-  AnalysisValue computed;
-  std::shared_ptr<const AnalysisValue> entry;
-  if (cache_ != nullptr) {
-    entry = traced_lookup(*cache_, analysis_key(source),
-                          [&] { return analyze_impl(source); });
-  } else {
-    computed = analyze_impl(source);
+  if (cache_ == nullptr) {
+    AnalysisValue computed = analyze_impl(source);
+    // Lint runs the abstract interpreter exactly when the source parsed
+    // and some abstract.* pass is on; its fail point trips under that
+    // condition.
+    if (computed.parsed && config_->lint.want_abstract) {
+      failpoint::trip("analyzer.abstract");
+    }
+    return std::make_shared<const StaticReport>(std::move(computed.report));
   }
-  const AnalysisValue& value = entry != nullptr ? *entry : computed;
-  // Lint runs the abstract interpreter exactly when the source parsed and
-  // some abstract.* pass is on; its fail point trips under that condition.
-  if (value.parsed && lint_config_.want_abstract) {
+  std::shared_ptr<const AnalysisValue> entry = traced_lookup(
+      *cache_, analysis_key(source), [&] { return analyze_impl(source); });
+  if (entry->parsed && config_->lint.want_abstract) {
     failpoint::trip("analyzer.abstract");
   }
-  if (entry != nullptr) return entry->report;
-  return std::move(computed.report);
+  // Aliasing handle: keeps the entry alive, points at its report.
+  const StaticReport* report = &entry->report;
+  return std::shared_ptr<const StaticReport>(std::move(entry), report);
 }
 
 AnalysisValue SemanticAnalyzerAgent::analyze_impl(
@@ -178,7 +214,7 @@ AnalysisValue SemanticAnalyzerAgent::analyze_impl(
   qasm::AnalysisReport analysis = [&] {
     trace::TraceSpan span("analyze.lint");
     return qasm::lint::run_passes(facts, qasm::LanguageRegistry::current(),
-                                  lint_config_, &resources);
+                                  config_->lint, &resources);
   }();
   report.diagnostics.insert(report.diagnostics.end(),
                             analysis.diagnostics.begin(),
@@ -229,7 +265,7 @@ BehaviorReport SemanticAnalyzerAgent::check_behavior(
     trace::TraceSpan span("analyze.judge");
     report.tvd = total_variation_distance(*observed, reference);
     report.matches =
-        !observed->empty() && report.tvd <= options_.tvd_threshold;
+        !observed->empty() && report.tvd <= config_->options.tvd_threshold;
   }
   trace::Metrics::observe("judge.tvd", report.tvd);
   return report;

@@ -28,7 +28,9 @@
 
 namespace qcgen::agents {
 
-/// Static analysis outcome of one generated source.
+/// Static analysis outcome of one generated source. analyze() hands it
+/// out as a shared immutable object: a cache hit aliases the entry, so
+/// readers hold the handle instead of copying the report.
 struct StaticReport {
   bool syntactic_ok = false;  ///< parsed and no error diagnostics
   std::vector<qasm::Diagnostic> diagnostics;
@@ -86,10 +88,27 @@ class SemanticAnalyzerAgent {
     qasm::AnalyzerOptions analysis;
   };
 
-  SemanticAnalyzerAgent() : SemanticAnalyzerAgent(Options()) {}
-  explicit SemanticAnalyzerAgent(Options options);
+  /// Options resolved once: the digest of every field that feeds
+  /// analyze() output (folded into cache keys) and the lint config
+  /// compiled against the built-in passes. Immutable, so any number of
+  /// agents share one through a shared_ptr (see AnalyzerKit).
+  struct Config {
+    explicit Config(Options options);
+    Options options;
+    std::uint64_t digest = 0;
+    qasm::lint::CompiledLintConfig lint;
+  };
 
-  const Options& options() const noexcept { return options_; }
+  SemanticAnalyzerAgent() : SemanticAnalyzerAgent(Options()) {}
+  /// Compiles a private Config.
+  explicit SemanticAnalyzerAgent(Options options);
+  /// Shares an already-compiled Config.
+  explicit SemanticAnalyzerAgent(std::shared_ptr<const Config> config);
+
+  const Options& options() const noexcept { return config_->options; }
+  const std::shared_ptr<const Config>& config() const noexcept {
+    return config_;
+  }
 
   /// Attaches a shared analysis cache (null detaches). analyze() and the
   /// simulation half of check_behavior() are pure functions of their
@@ -105,8 +124,11 @@ class SemanticAnalyzerAgent {
   /// Cache key of analyze(source) under this agent's configuration.
   std::uint64_t analysis_key(const std::string& source) const;
 
-  /// Parse + semantic analysis + lowering.
-  StaticReport analyze(const std::string& source) const;
+  /// Parse + semantic analysis + lowering. With a cache attached the
+  /// returned report aliases the cache entry (a hit copies nothing);
+  /// without one it is a freshly computed report. Either way it is
+  /// immutable and equal to what an uncached call computes.
+  std::shared_ptr<const StaticReport> analyze(const std::string& source) const;
 
   /// Computes the circuit's exact measurement distribution and compares
   /// it to the reference under total variation distance.
@@ -116,11 +138,36 @@ class SemanticAnalyzerAgent {
  private:
   AnalysisValue analyze_impl(const std::string& source) const;
 
-  Options options_;
-  std::uint64_t options_digest_ = 0;
-  /// options_.analysis resolved against the built-in passes, once.
-  qasm::lint::CompiledLintConfig lint_config_;
+  std::shared_ptr<const Config> config_;
   std::shared_ptr<AnalysisCache> cache_;
+};
+
+/// The analyzer configurations of both analyze rungs, compiled once per
+/// eval matrix or server and shared by every pipeline it builds:
+/// `configured` is the options as given (the abstract-lints rung when
+/// the abstract interpreter is on) and `core_lints` the same options
+/// with it off. When it already is off, both are the same Config.
+class AnalyzerKit {
+ public:
+  explicit AnalyzerKit(const SemanticAnalyzerAgent::Options& options);
+
+  const std::shared_ptr<const SemanticAnalyzerAgent::Config>& configured()
+      const noexcept {
+    return configured_;
+  }
+  const std::shared_ptr<const SemanticAnalyzerAgent::Config>& core_lints()
+      const noexcept {
+    return core_lints_;
+  }
+
+  /// Kits constructed so far in this process — a read-only counter for
+  /// tests asserting that a matrix or server builds one kit, not one per
+  /// pipeline.
+  static std::size_t built() noexcept;
+
+ private:
+  std::shared_ptr<const SemanticAnalyzerAgent::Config> configured_;
+  std::shared_ptr<const SemanticAnalyzerAgent::Config> core_lints_;
 };
 
 }  // namespace qcgen::agents

@@ -7,12 +7,12 @@
 namespace qcgen::agents {
 
 TechniqueResources::TechniqueResources(const TechniqueConfig& config)
-    : knowledge_(config.fine_tuned
-                     ? llm::apply_finetuning(
-                           llm::base_knowledge(config.profile),
-                           config.finetune)
-                     : llm::base_knowledge(config.profile)),
-      knowledge_version_(llm::knowledge_digest(knowledge_)) {
+    : knowledge_(std::make_shared<const llm::KnowledgeState>(
+          config.fine_tuned
+              ? llm::apply_finetuning(llm::base_knowledge(config.profile),
+                                      config.finetune)
+              : llm::base_knowledge(config.profile))),
+      knowledge_version_(llm::knowledge_digest(*knowledge_)) {
   if (config.rag_api) {
     api_store_ = std::make_unique<llm::VectorStore>(
         llm::chunk_documents(llm::qiskit_api_corpus(config.api_stale_fraction),

@@ -6,7 +6,8 @@
 // (corpus synthesis, chunking, BM25 indexing); everything in here is
 // read-only after construction, so one build can back any number of
 // per-trial agents across worker threads (VectorStore::retrieve is
-// const and the KnowledgeState is copied into each SimLM). The one
+// const, and every SimLM reads the one KnowledgeState through a shared
+// pointer instead of copying it). The one
 // post-construction hook is enable_retrieval_cache — the serving layer
 // and eval::run_trial_matrix call it before sharing the bundle as const,
 // attaching a thread-safe memoization layer that does not change
@@ -28,7 +29,12 @@ class TechniqueResources {
   /// CodeGenAgent would; stores are only built for enabled RAG corpora.
   explicit TechniqueResources(const TechniqueConfig& config);
 
-  const llm::KnowledgeState& knowledge() const noexcept { return knowledge_; }
+  const llm::KnowledgeState& knowledge() const noexcept { return *knowledge_; }
+  /// The same state as a shared handle, for SimLMs that read it in place.
+  const std::shared_ptr<const llm::KnowledgeState>& shared_knowledge()
+      const noexcept {
+    return knowledge_;
+  }
   /// Content digest of the knowledge state (cache invalidation input:
   /// generation keys fold it in, so retuning the model bumps every key).
   std::uint64_t knowledge_version() const noexcept {
@@ -49,7 +55,7 @@ class TechniqueResources {
   void enable_retrieval_cache(std::shared_ptr<llm::RetrievalCache> cache);
 
  private:
-  llm::KnowledgeState knowledge_;
+  std::shared_ptr<const llm::KnowledgeState> knowledge_;
   std::uint64_t knowledge_version_ = 0;
   std::unique_ptr<llm::VectorStore> api_store_;
   std::unique_ptr<llm::VectorStore> guide_store_;

@@ -7,6 +7,7 @@
 // gold solution's (paper: "syntactically and semantically correct").
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "agents/semantic_agent.hpp"
@@ -16,7 +17,9 @@
 namespace qcgen::eval {
 
 /// Caches reference counts per test case id (gold programs compiled and
-/// simulated once).
+/// simulated once). The gold program each reference was simulated from
+/// is kept too, shared and immutable, so generation can plan from it
+/// instead of rebuilding it per trial.
 class ReferenceOracle {
  public:
   struct Options {
@@ -41,9 +44,17 @@ class ReferenceOracle {
   /// as no thread is mutating the cache — the serving layer's contract.
   const sim::Distribution* find(const std::string& case_id) const;
 
+  /// The gold program behind a cached reference (null when the case was
+  /// never prewarmed or requested). Read-only like find().
+  std::shared_ptr<const qasm::Program> gold(const std::string& case_id) const;
+
  private:
+  struct Entry {
+    sim::Distribution reference;
+    std::shared_ptr<const qasm::Program> gold;
+  };
   Options options_;
-  std::map<std::string, sim::Distribution> cache_;
+  std::map<std::string, Entry> cache_;
 };
 
 /// Final verdict on one generated source.

@@ -66,6 +66,9 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   static const sim::Distribution kEmptyReference;
   std::vector<const sim::Distribution*> references;
   references.reserve(suite.size());
+  // Each case's gold program, from the oracle's build of its reference
+  // (null when the oracle is down: generation then builds its own).
+  std::vector<std::shared_ptr<const qasm::Program>> golds(suite.size());
   {
     std::optional<failpoint::Injector> oracle_injector;
     std::optional<failpoint::InjectorScope> oracle_scope;
@@ -76,6 +79,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     for (std::size_t case_idx = 0; case_idx < suite.size(); ++case_idx) {
       try {
         references.push_back(&oracle.reference_for(suite[case_idx]));
+        golds[case_idx] = oracle.gold(suite[case_idx].id);
       } catch (const std::exception& error) {
         matrix.degradations.push_back(
             {case_idx, 0,
@@ -90,6 +94,9 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   // and every trial's QEC stage reads one lifetime estimate per decoder
   // rung. The caches are unbounded (default CacheOptions), so their
   // hit/miss totals never depend on the worker schedule.
+  // The analyzer configuration of both analyze rungs, compiled once.
+  const auto analyzers =
+      std::make_shared<const agents::AnalyzerKit>(options.analyzer);
   agents::PipelineCaches caches;
   caches.analysis =
       std::make_shared<agents::AnalysisCache>(cache::CacheOptions{});
@@ -133,12 +140,12 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     try {
       failpoint::trip("pool.task");
       agents::MultiAgentPipeline pipeline(
-          technique, resources, options.analyzer, options.qec, options.device,
+          technique, resources, analyzers, options.qec, options.device,
           trial_seed(options.seed, case_idx, sample_idx));
       pipeline.set_resilience(options.resilience);
       pipeline.set_caches(caches);
       out.pipeline = pipeline.run(suite[case_idx].task, *references[case_idx],
-                                  case_idx);
+                                  case_idx, golds[case_idx]);
     } catch (const agents::PipelineStageError& error) {
       out.failure = TrialFailure{case_idx, sample_idx, error.stage(),
                                  error.site(), error.retries(), error.what()};

@@ -99,13 +99,20 @@ double semantic_replan_probability(int pass_number) {
 }
 
 SimLM::SimLM(KnowledgeState knowledge, std::uint64_t seed)
-    : knowledge_(std::move(knowledge)), rng_(seed) {}
+    : SimLM(std::make_shared<const KnowledgeState>(std::move(knowledge)),
+            seed) {}
+
+SimLM::SimLM(std::shared_ptr<const KnowledgeState> knowledge,
+             std::uint64_t seed)
+    : knowledge_(std::move(knowledge)), rng_(seed) {
+  require(knowledge_ != nullptr, "SimLM: null knowledge");
+}
 
 KnowledgeState SimLM::effective_knowledge(const TaskSpec& task,
                                           const GenerationContext& context,
                                           RetrievalTrace& trace,
                                           std::optional<CotScaffold>& scaffold) {
-  KnowledgeState k = knowledge_;
+  KnowledgeState k = *knowledge_;
   const std::string query = prompt_text(task);
 
   if (context.api_store != nullptr) {
@@ -317,30 +324,29 @@ const char* kBogusImports[] = {"quantum_utils", "qiskit_terra.tools",
 
 }  // namespace
 
-Program SimLM::plan(const TaskSpec& task, const KnowledgeState& knowledge,
-                    std::vector<Fault>& faults) {
+std::shared_ptr<const Program> SimLM::plan(
+    const TaskSpec& task, const KnowledgeState& knowledge,
+    const std::shared_ptr<const Program>& gold, std::vector<Fault>& faults) {
   const double sem = knowledge.semantic_for(task.algorithm);
   if (rng_.bernoulli(sem)) {
-    Program program = gold_program(task);
-    return program;
+    return gold != nullptr ? gold
+                           : std::make_shared<const Program>(gold_program(task));
   }
   // Wrong plan: either the wrong algorithm entirely or a structurally
   // broken rendition of the right one.
   if (rng_.bernoulli(0.45)) {
     const AlgorithmId wrong = wrong_algorithm(task.algorithm, rng_);
-    TaskSpec substitute;
-    substitute.algorithm = wrong;  // default parameters
-    Program program = gold_program(substitute);
     faults.push_back(Fault{FaultKind::kWrongPlan,
                            "wrong-algorithm:" +
                                std::string(algorithm_name(wrong)),
                            0});
-    return program;
+    return default_gold_program(wrong);  // default parameters
   }
-  Program program = gold_program(task);
+  // The one mutating plan works on its own copy of the gold program.
+  Program program = gold != nullptr ? *gold : gold_program(task);
   const std::string detail = corrupt_structure(program, rng_);
   faults.push_back(Fault{FaultKind::kWrongPlan, detail, 0});
-  return program;
+  return std::make_shared<const Program>(std::move(program));
 }
 
 void SimLM::inject_surface_faults(Program& program, const FaultRates& rates,
@@ -452,11 +458,10 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
     k.semantic[task.algorithm] = KnowledgeState::boost(
         k.semantic_for(task.algorithm), extra_semantic_boost);
   }
-  result.scaffold = scaffold;
-  result.effective = k;
+  result.scaffold = std::move(scaffold);
 
-  result.intended_ast = plan(task, k, result.faults);
-  result.ast = result.intended_ast;
+  result.intended_ast = plan(task, k, context.gold, result.faults);
+  result.ast = *result.intended_ast;
 
   const FaultRates rates =
       fault_rates(k, task.algorithm, context.syntax_difficulty);
@@ -470,6 +475,7 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
   }
   inject_surface_faults(result.ast, rates, result.faults);
   result.source = realise(result.ast, rates, result.faults);
+  result.effective = std::move(k);
   return result;
 }
 
@@ -504,10 +510,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         });
     const double replan = semantic_replan_probability(pass_number) *
                           (has_abstract_facts ? 4.0 : 1.0);
-    if (!rng_.bernoulli(replan)) {
-      GenerationResult stubborn = prev;
-      return stubborn;
-    }
+    if (!rng_.bernoulli(replan)) return prev;
     return generate_with(task, context,
                          0.10 * static_cast<double>(pass_number));
   }
@@ -518,13 +521,21 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   const double attempt_decay =
       std::pow(0.55, static_cast<double>(pass_number - 1));
 
-  GenerationResult next = prev;
-  next.source.clear();
+  // Everything but the source and the fault list carries over; those two
+  // are rebuilt below, so they are not copied from `prev` (which stays
+  // untouched: a retried repair sees the same input).
+  GenerationResult next;
+  next.ast = prev.ast;
+  next.intended_ast = prev.intended_ast;
+  next.scaffold = prev.scaffold;
+  next.retrieval = prev.retrieval;
+  next.effective = prev.effective;
   const auto& registry = qasm::LanguageRegistry::current();
   auto& body = entry_body(next.ast);
-  const auto& intended_body = prev.intended_ast.circuits.empty()
-                                  ? body
-                                  : prev.intended_ast.circuits.front().body;
+  const auto& intended_body =
+      prev.intended_ast == nullptr || prev.intended_ast->circuits.empty()
+          ? body
+          : prev.intended_ast->circuits.front().body;
 
   // Track which fault records were resolved so the artifact stays honest.
   std::vector<Fault> remaining;

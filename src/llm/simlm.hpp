@@ -11,6 +11,7 @@
 // error classes; the repair path uses records only where gated by an
 // explicit "model remembers its intent" probability.
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +59,10 @@ struct GenerationContext {
   bool cot_hand_written = false;
   /// Syntactic stress of the benchmark (QHE > semantic suite).
   double syntax_difficulty = 1.0;
+  /// The task's gold program, prebuilt and shared (eval and serving hand
+  /// in the one their reference oracle simulated). Null: SimLM builds it
+  /// with gold_program(task). Never mutated.
+  std::shared_ptr<const qasm::Program> gold;
 };
 
 /// Summary of RAG retrieval during one generation.
@@ -75,7 +80,9 @@ struct GenerationResult {
   qasm::Program ast;
   /// AST the model planned before surface-fault injection ("intent");
   /// statement indices align with `ast` (surface faults are in-place).
-  qasm::Program intended_ast;
+  /// Shared and immutable: a correct plan aliases the task's gold
+  /// program, and repairs hand the same object on.
+  std::shared_ptr<const qasm::Program> intended_ast;
   std::vector<Fault> faults;
   std::optional<CotScaffold> scaffold;
   RetrievalTrace retrieval;
@@ -87,8 +94,10 @@ struct GenerationResult {
 class SimLM {
  public:
   SimLM(KnowledgeState knowledge, std::uint64_t seed);
+  /// Reads a shared knowledge state instead of owning a copy.
+  SimLM(std::shared_ptr<const KnowledgeState> knowledge, std::uint64_t seed);
 
-  const KnowledgeState& knowledge() const noexcept { return knowledge_; }
+  const KnowledgeState& knowledge() const noexcept { return *knowledge_; }
 
   /// Generates one sample for a task.
   GenerationResult generate(const TaskSpec& task,
@@ -111,14 +120,16 @@ class SimLM {
                                      const GenerationContext& context,
                                      RetrievalTrace& trace,
                                      std::optional<CotScaffold>& scaffold);
-  qasm::Program plan(const TaskSpec& task, const KnowledgeState& knowledge,
-                     std::vector<Fault>& faults);
+  std::shared_ptr<const qasm::Program> plan(
+      const TaskSpec& task, const KnowledgeState& knowledge,
+      const std::shared_ptr<const qasm::Program>& gold,
+      std::vector<Fault>& faults);
   void inject_surface_faults(qasm::Program& program, const FaultRates& rates,
                              std::vector<Fault>& faults);
   std::string realise(const qasm::Program& program, const FaultRates& rates,
                       std::vector<Fault>& faults);
 
-  KnowledgeState knowledge_;
+  std::shared_ptr<const KnowledgeState> knowledge_;
   Rng rng_;
 };
 

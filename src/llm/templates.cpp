@@ -435,4 +435,23 @@ Program gold_program(const TaskSpec& task) {
   throw InvalidArgumentError("gold_program: unknown algorithm");
 }
 
+std::shared_ptr<const qasm::Program> default_gold_program(AlgorithmId id) {
+  using Table = std::vector<std::shared_ptr<const Program>>;
+  static const Table table = [] {
+    const std::vector<AlgorithmId> ids = all_algorithms();
+    Table out(ids.size());
+    for (const AlgorithmId algorithm : ids) {
+      TaskSpec task;
+      task.algorithm = algorithm;
+      const auto index = static_cast<std::size_t>(algorithm);
+      require(index < out.size(), "default_gold_program: sparse AlgorithmId");
+      out[index] = std::make_shared<const Program>(gold_program(task));
+    }
+    return out;
+  }();
+  const auto index = static_cast<std::size_t>(id);
+  require(index < table.size(), "default_gold_program: unknown algorithm");
+  return table[index];
+}
+
 }  // namespace qcgen::llm

@@ -4,6 +4,8 @@
 // compiling and simulating these, and the simulated code-generation model
 // emits (possibly perturbed) copies of them.
 
+#include <memory>
+
 #include "llm/tasks.hpp"
 #include "qasm/ast.hpp"
 
@@ -12,6 +14,11 @@ namespace qcgen::llm {
 /// Builds the correct program for a task. Throws InvalidArgumentError for
 /// out-of-range parameters (e.g. grover with n > 3 in this template set).
 qasm::Program gold_program(const TaskSpec& task);
+
+/// The gold program of `id` at its default parameters, built once per
+/// process (one immutable entry per AlgorithmId) and shared by every
+/// caller — SimLM's wrong-algorithm plans read it instead of rebuilding.
+std::shared_ptr<const qasm::Program> default_gold_program(AlgorithmId id);
 
 // AST construction helpers shared with the fault injector.
 qasm::Stmt make_gate(std::string name, const std::vector<std::size_t>& qubits,

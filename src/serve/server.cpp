@@ -123,6 +123,7 @@ std::vector<std::string> succeeded_sites_of(
 
 Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     : options_(std::move(options)),
+      analyzers_(std::make_shared<const agents::AnalyzerKit>(options_.analyzer)),
       oracle_(options_.oracle),
       admission_(options_.admission),
       pool_(options_.threads) {
@@ -348,7 +349,10 @@ RequestResult Server::run_request(const Request& request,
     // only too: only the const cache lookup is worker-safe (reference_for
     // would lazily compile the gold program, a mutation we must not race
     // across workers).
+    // Catalog cases also hand generation the gold program the prewarm
+    // built; any other case builds its own.
     const sim::Distribution* reference = &kEmptyReference;
+    std::shared_ptr<const qasm::Program> gold;
     std::size_t prompt_index = prompt_index_.size();
     if (const auto found = prompt_index_.find(request.test_case.id);
         found != prompt_index_.end()) {
@@ -356,6 +360,7 @@ RequestResult Server::run_request(const Request& request,
       const sim::Distribution* cached =
           config.behavioral ? oracle_.find(request.test_case.id) : nullptr;
       if (cached != nullptr) reference = cached;
+      gold = oracle_.gold(request.test_case.id);
     }
     config.behavioral = !reference->empty();
 
@@ -369,9 +374,7 @@ RequestResult Server::run_request(const Request& request,
       trace::Metrics::counter("serve.request_failures");
     } else {
       failpoint::trip("pool.task");
-      agents::SemanticAnalyzerAgent::Options analyzer = options_.analyzer;
-      analyzer.analysis.abstract_lints = config.abstract_lints;
-      pipeline.emplace(options_.technique, resources_, analyzer,
+      pipeline.emplace(options_.technique, resources_, analyzers_,
                        config.qec ? options_.qec : std::nullopt,
                        options_.device,
                        request_seed(options_.seed, request.id));
@@ -382,8 +385,9 @@ RequestResult Server::run_request(const Request& request,
       pipeline->set_caches({options_.cache.enabled, generation_cache_,
                             analysis_cache_, qec_lifetime_});
       pipeline->set_rag_enabled(config.rag);
-      result.pipeline =
-          pipeline->run(request.test_case.task, *reference, prompt_index);
+      pipeline->set_abstract_lints_enabled(config.abstract_lints);
+      result.pipeline = pipeline->run(request.test_case.task, *reference,
+                                      prompt_index, gold);
       result.outcome = RequestOutcome::kCompleted;
       trace::Metrics::counter("serve.completed");
     }

@@ -133,14 +133,14 @@ TEST(SemanticAgent, AnalyzeSeparatesGoodAndBad) {
   const auto good = agent.analyze(
       "import qiskit; circuit main(q: 2, c: 2) { h q[0]; cx q[0], q[1]; "
       "measure_all; }");
-  EXPECT_TRUE(good.syntactic_ok);
-  ASSERT_TRUE(good.circuit.has_value());
-  EXPECT_EQ(good.circuit->num_qubits(), 2u);
+  EXPECT_TRUE(good->syntactic_ok);
+  ASSERT_TRUE(good->circuit.has_value());
+  EXPECT_EQ(good->circuit->num_qubits(), 2u);
 
   const auto bad = agent.analyze("circuit main(q: 1) { frobnicate q[0]; }");
-  EXPECT_FALSE(bad.syntactic_ok);
-  EXPECT_FALSE(bad.error_trace.empty());
-  EXPECT_FALSE(bad.circuit.has_value());
+  EXPECT_FALSE(bad->syntactic_ok);
+  EXPECT_FALSE(bad->error_trace.empty());
+  EXPECT_FALSE(bad->circuit.has_value());
 }
 
 TEST(SemanticAgent, BehaviorCheckAgainstReference) {

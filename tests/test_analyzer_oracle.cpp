@@ -147,7 +147,8 @@ struct Coverage {
 void expect_matches_recompute(const SemanticAnalyzerAgent& analyzer,
                               const std::string& source,
                               Coverage& coverage) {
-  const StaticReport got = analyzer.analyze(source);
+  const std::shared_ptr<const StaticReport> report = analyzer.analyze(source);
+  const StaticReport& got = *report;
   const StaticReport want = recompute(source, analyzer.options().analysis);
   ++coverage.programs;
   EXPECT_EQ(got.syntactic_ok, want.syntactic_ok) << source;
@@ -363,13 +364,14 @@ circuit main(q: 3, c: 2) {
   }
   EXPECT_EQ(coverage.guarded, coverage.programs);
 
-  const StaticReport with_reachability = SemanticAnalyzerAgent().analyze(source);
+  const StaticReport with_reachability =
+      *SemanticAnalyzerAgent().analyze(source);
   EXPECT_EQ(with_reachability.resources.two_qubit_count, 1u);
   EXPECT_EQ(with_reachability.error_trace.find("uncomputed-ancilla"),
             std::string::npos);
   SemanticAnalyzerAgent::Options degraded;
   degraded.analysis.abstract_lints = false;
-  EXPECT_NE(SemanticAnalyzerAgent(degraded).analyze(source).error_trace.find(
+  EXPECT_NE(SemanticAnalyzerAgent(degraded).analyze(source)->error_trace.find(
                 "uncomputed-ancilla"),
             std::string::npos);
 }

@@ -334,12 +334,12 @@ TEST(AnalysisLayer, CachedReportsAreByteIdenticalToUncached) {
     const auto reference = uncached.analyze(source);
     const auto miss = cached.analyze(source);
     const auto hit = cached.analyze(source);
-    for (const auto* report : {&miss, &hit}) {
-      EXPECT_EQ(report->syntactic_ok, reference.syntactic_ok);
-      EXPECT_EQ(report->error_trace, reference.error_trace);
-      EXPECT_EQ(report->diagnostics.size(), reference.diagnostics.size());
-      EXPECT_EQ(report->circuit.has_value(), reference.circuit.has_value());
-    }
+    // A hit hands out the miss's report object itself, not a copy.
+    EXPECT_EQ(hit.get(), miss.get());
+    EXPECT_EQ(miss->syntactic_ok, reference->syntactic_ok);
+    EXPECT_EQ(miss->error_trace, reference->error_trace);
+    EXPECT_EQ(miss->diagnostics.size(), reference->diagnostics.size());
+    EXPECT_EQ(miss->circuit.has_value(), reference->circuit.has_value());
   }
   const auto stats = cache->stats();
   EXPECT_EQ(stats.lookups, 4u);
@@ -356,13 +356,13 @@ TEST(AnalysisLayer, BehaviorCheckCachesTheJudgedDistribution) {
       cache::CacheOptions{});
   agent.set_analysis_cache(cache);
   const auto report = agent.analyze(source);
-  ASSERT_TRUE(report.circuit.has_value());
+  ASSERT_TRUE(report->circuit.has_value());
 
   const agents::SemanticAnalyzerAgent uncached;
-  const auto reference = sim::exact_distribution(*report.circuit);
-  const auto pure = uncached.check_behavior(*report.circuit, reference);
-  const auto miss = agent.check_behavior(*report.circuit, reference);
-  const auto hit = agent.check_behavior(*report.circuit, reference);
+  const auto reference = sim::exact_distribution(*report->circuit);
+  const auto pure = uncached.check_behavior(*report->circuit, reference);
+  const auto miss = agent.check_behavior(*report->circuit, reference);
+  const auto hit = agent.check_behavior(*report->circuit, reference);
   EXPECT_EQ(miss.matches, pure.matches);
   EXPECT_EQ(miss.tvd, pure.tvd);  // bitwise: same simulate, same judge
   EXPECT_EQ(hit.matches, miss.matches);

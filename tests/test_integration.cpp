@@ -112,9 +112,9 @@ TEST(Integration, ErrorTraceDrivesRepairOfKnownFault) {
   const auto report = analyzer.analyze(
       "import qiskit; import qiskit.providers.aer; "
       "circuit main(q: 1, c: 1) { h q[0]; measure_all; }");
-  EXPECT_FALSE(report.syntactic_ok);
-  EXPECT_NE(report.error_trace.find("deprecated-import"), std::string::npos);
-  EXPECT_NE(report.error_trace.find("qiskit_aer"), std::string::npos);
+  EXPECT_FALSE(report->syntactic_ok);
+  EXPECT_NE(report->error_trace.find("deprecated-import"), std::string::npos);
+  EXPECT_NE(report->error_trace.find("qiskit_aer"), std::string::npos);
 }
 
 TEST(Integration, QecDecodersProtectAcrossFullStack) {

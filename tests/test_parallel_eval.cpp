@@ -260,7 +260,9 @@ std::vector<TrialResult> run_uncached(const agents::TechniqueConfig& technique,
     try {
       failpoint::trip("pool.task");
       agents::MultiAgentPipeline pipeline(
-          technique, resources, options.analyzer, options.qec, options.device,
+          technique, resources,
+          std::make_shared<const agents::AnalyzerKit>(options.analyzer),
+          options.qec, options.device,
           trial_seed(options.seed, out.case_idx, out.sample_idx));
       pipeline.set_resilience(options.resilience);
       pipeline.set_caches(caches);
@@ -288,8 +290,8 @@ void expect_same_generation(const llm::GenerationResult& got,
                             const llm::GenerationResult& want) {
   EXPECT_EQ(got.source, want.source);
   EXPECT_EQ(qasm::print_program(got.ast), qasm::print_program(want.ast));
-  EXPECT_EQ(qasm::print_program(got.intended_ast),
-            qasm::print_program(want.intended_ast));
+  EXPECT_EQ(qasm::print_program(*got.intended_ast),
+            qasm::print_program(*want.intended_ast));
   ASSERT_EQ(got.faults.size(), want.faults.size());
   for (std::size_t i = 0; i < got.faults.size(); ++i) {
     EXPECT_EQ(got.faults[i].kind, want.faults[i].kind);

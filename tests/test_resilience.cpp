@@ -231,7 +231,7 @@ TEST(Resilience, OracleHandlesZeroShotOptionsAndEmptyReference) {
   // An empty reference distribution is the static-only sentinel: the
   // behavioural check must report a clean mismatch, not divide by zero.
   const agents::SemanticAnalyzerAgent analyzer;
-  const agents::StaticReport parsed = analyzer.analyze(
+  const agents::StaticReport parsed = *analyzer.analyze(
       "import qiskit; circuit main(q: 1, c: 1) { h q[0]; measure_all; }");
   ASSERT_TRUE(parsed.syntactic_ok);
   const agents::BehaviorReport behavior =
