@@ -141,11 +141,6 @@ void certify_repair(PipelineResult& result, PassTrace& trace,
   }
 }
 
-const AnalyzerKit& checked_kit(const std::shared_ptr<const AnalyzerKit>& kit) {
-  require(kit != nullptr, "MultiAgentPipeline: null analyzer kit");
-  return *kit;
-}
-
 }  // namespace
 
 /// One stage invocation's degradation ladder, current rung first.
@@ -212,18 +207,28 @@ MultiAgentPipeline::MultiAgentPipeline(
     std::optional<DeviceTopology> device, std::uint64_t seed)
     : MultiAgentPipeline(
           technique, std::make_shared<const TechniqueResources>(technique),
-          std::make_shared<const AnalyzerKit>(analyzer_options),
-          std::move(qec_options), std::move(device), seed) {}
+          AnalyzerKit(analyzer_options), std::move(qec_options),
+          std::move(device), seed) {}
 
 MultiAgentPipeline::MultiAgentPipeline(
     const TechniqueConfig& technique,
     std::shared_ptr<const TechniqueResources> resources,
-    std::shared_ptr<const AnalyzerKit> analyzers,
+    const SemanticAnalyzerAgent::Options& analyzer_options,
+    std::optional<QecDecoderAgent::Options> qec_options,
+    std::optional<DeviceTopology> device, std::uint64_t seed)
+    : MultiAgentPipeline(technique, std::move(resources),
+                         AnalyzerKit(analyzer_options), std::move(qec_options),
+                         std::move(device), seed) {}
+
+MultiAgentPipeline::MultiAgentPipeline(
+    const TechniqueConfig& technique,
+    std::shared_ptr<const TechniqueResources> resources,
+    const AnalyzerKit& analyzers,
     std::optional<QecDecoderAgent::Options> qec_options,
     std::optional<DeviceTopology> device, std::uint64_t seed)
     : codegen_(technique, std::move(resources), seed),
-      analyzer_(checked_kit(analyzers).configured()),
-      core_analyzer_(analyzers->core_lints()),
+      analyzer_(analyzers.configured()),
+      core_analyzer_(analyzers.core_lints()),
       device_(std::move(device)),
       resilience_rng_(seed ^ 0xc3a5c85c97cb3127ULL) {
   if (qec_options.has_value()) qec_agent_.emplace(*qec_options);

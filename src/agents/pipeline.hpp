@@ -183,14 +183,23 @@ class MultiAgentPipeline {
                      std::uint64_t seed);
 
   /// Shares an immutable corpora/knowledge bundle built once for the
-  /// technique (see TechniqueResources) and the analyzer kit built once
-  /// for the analyzer options: the cheap per-pipeline state is just the
-  /// SimLM's RNG stream and handles, so a trial scheduler can construct
-  /// one pipeline per (case, sample) trial without re-indexing corpora or
-  /// recompiling the lint configuration.
+  /// technique (see TechniqueResources): the cheap per-pipeline state is
+  /// just the SimLM and the analyzer, so a trial scheduler can construct
+  /// one pipeline per (case, sample) trial without re-indexing corpora.
+  /// Compiles a private AnalyzerKit for `analyzer_options`.
   MultiAgentPipeline(const TechniqueConfig& technique,
                      std::shared_ptr<const TechniqueResources> resources,
-                     std::shared_ptr<const AnalyzerKit> analyzers,
+                     const SemanticAnalyzerAgent::Options& analyzer_options,
+                     std::optional<QecDecoderAgent::Options> qec_options,
+                     std::optional<DeviceTopology> device,
+                     std::uint64_t seed);
+
+  /// Shares the analyzer kit too (both analyze rungs read its compiled
+  /// configurations, which the pipeline keeps alive), so constructing a
+  /// pipeline also recompiles no lint configuration.
+  MultiAgentPipeline(const TechniqueConfig& technique,
+                     std::shared_ptr<const TechniqueResources> resources,
+                     const AnalyzerKit& analyzers,
                      std::optional<QecDecoderAgent::Options> qec_options,
                      std::optional<DeviceTopology> device,
                      std::uint64_t seed);

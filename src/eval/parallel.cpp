@@ -95,8 +95,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   // rung. The caches are unbounded (default CacheOptions), so their
   // hit/miss totals never depend on the worker schedule.
   // The analyzer configuration of both analyze rungs, compiled once.
-  const auto analyzers =
-      std::make_shared<const agents::AnalyzerKit>(options.analyzer);
+  const agents::AnalyzerKit analyzers(options.analyzer);
   agents::PipelineCaches caches;
   caches.analysis =
       std::make_shared<agents::AnalysisCache>(cache::CacheOptions{});

@@ -123,7 +123,7 @@ std::vector<std::string> succeeded_sites_of(
 
 Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     : options_(std::move(options)),
-      analyzers_(std::make_shared<const agents::AnalyzerKit>(options_.analyzer)),
+      analyzers_(options_.analyzer),
       oracle_(options_.oracle),
       admission_(options_.admission),
       pool_(options_.threads) {

@@ -203,7 +203,7 @@ class Server {
   Options options_;
   std::shared_ptr<const agents::TechniqueResources> resources_;
   /// Both analyze rungs' compiled configuration, shared by every request.
-  std::shared_ptr<const agents::AnalyzerKit> analyzers_;
+  agents::AnalyzerKit analyzers_;
   std::shared_ptr<agents::GenerationCache> generation_cache_;
   std::shared_ptr<llm::RetrievalCache> retrieval_cache_;
   std::shared_ptr<agents::AnalysisCache> analysis_cache_;

@@ -260,9 +260,7 @@ std::vector<TrialResult> run_uncached(const agents::TechniqueConfig& technique,
     try {
       failpoint::trip("pool.task");
       agents::MultiAgentPipeline pipeline(
-          technique, resources,
-          std::make_shared<const agents::AnalyzerKit>(options.analyzer),
-          options.qec, options.device,
+          technique, resources, options.analyzer, options.qec, options.device,
           trial_seed(options.seed, out.case_idx, out.sample_idx));
       pipeline.set_resilience(options.resilience);
       pipeline.set_caches(caches);

@@ -277,17 +277,23 @@ TEST(SharedArtifacts, PipelineRungsReadTheKit) {
   const auto technique = rag_multipass();
   const auto resources =
       std::make_shared<const agents::TechniqueResources>(technique);
-  const auto kit = std::make_shared<const agents::AnalyzerKit>(
-      agents::SemanticAnalyzerAgent::Options{});
-  EXPECT_NE(kit->configured(), kit->core_lints());
-  EXPECT_TRUE(kit->configured()->options.analysis.abstract_lints);
-  EXPECT_FALSE(kit->core_lints()->options.analysis.abstract_lints);
+  const agents::AnalyzerKit kit(agents::SemanticAnalyzerAgent::Options{});
+  EXPECT_NE(kit.configured(), kit.core_lints());
+  EXPECT_TRUE(kit.configured()->options.analysis.abstract_lints);
+  EXPECT_FALSE(kit.core_lints()->options.analysis.abstract_lints);
   agents::MultiAgentPipeline a(technique, resources, kit, std::nullopt,
                                std::nullopt, 1);
   agents::MultiAgentPipeline b(technique, resources, kit, std::nullopt,
                                std::nullopt, 2);
   EXPECT_EQ(a.analyzer().config(), b.analyzer().config());
-  EXPECT_EQ(a.analyzer().config(), kit->configured());
+  EXPECT_EQ(a.analyzer().config(), kit.configured());
+  // The braced default-options form (as the repository benchmark writes
+  // it) still selects the options constructor and compiles its own kit.
+  const std::size_t before = agents::AnalyzerKit::built();
+  agents::MultiAgentPipeline own(technique, resources, {}, std::nullopt,
+                                 std::nullopt, 3);
+  EXPECT_EQ(agents::AnalyzerKit::built() - before, 1u);
+  EXPECT_NE(own.analyzer().config(), kit.configured());
 
   agents::SemanticAnalyzerAgent::Options core;
   core.analysis.abstract_lints = false;
