@@ -23,9 +23,8 @@
 // deadlines armed the virtual budget-consumption p999 must stay within
 // a fixed overshoot bound of the deadline.
 //
-// The chaos sections carry the trial failures and degradations of the
-// last (harshest) sweep row; the lifecycle section makes the report
-// schema_version 7.
+// The trial_failures and degradations sections carry the last (harshest)
+// sweep row's; the lifecycle sweep records the lifecycle section.
 
 #include <cstdio>
 #include <future>
@@ -158,9 +157,11 @@ int main(int argc, char** argv) {
   harness.record("rows", Json(std::move(json_rows)));
   harness.record("cases", Json(suite.size()));
   if (last != nullptr) {
-    harness.record_trial_failures(
+    harness.record_section(
+        "trial_failures",
         eval::trial_failures_to_json(last->trial_failures));
-    harness.record_degradations(
+    harness.record_section(
+        "degradations",
         eval::degradations_to_json(last->degradations));
   }
 
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
 
     Json lifecycle_section;
     lifecycle_section["rows"] = Json(std::move(lifecycle_rows));
-    harness.record_lifecycle(std::move(lifecycle_section));
+    harness.record_section("lifecycle", std::move(lifecycle_section));
   }
 
   harness.set_trials(total_trials);

@@ -9,7 +9,7 @@
 // Deterministic at any --threads: each sweep row seeds its lifetime
 // Monte-Carlo from its own eval::trial_seed stream and rows are
 // aggregated in index order, so the JSON artifact is bit-identical from
-// --threads 1 to N. The report carries a schema-4 "resources" section
+// --threads 1 to N. The report carries a "resources" section
 // with the per-workload static counts.
 
 #include <cstdio>
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   for (const Workload& w : workloads) {
     static_rows.push_back(static_counts_json(w));
   }
-  harness.record_resources(Json(std::move(static_rows)));
+  harness.record_section("resources", Json(std::move(static_rows)));
 
   Json sweep_json;
   sweep_json["device"] = device.name();

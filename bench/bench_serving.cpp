@@ -6,7 +6,7 @@
 // counts, shed rate, structured shed/degradation events, and
 // virtual-time latency quantiles (p50/p90/p99/p999) from the admission
 // model. All of that is deterministic for a fixed (seed, workload) at
-// any --threads value and lives in the schema-5 "serving" section;
+// any --threads value and lives in the "serving" section;
 // wall-clock latency quantiles and goodput go under "timing", which the
 // validator's determinism compare strips (CI compares --threads 1
 // against --threads 8 reports).
@@ -15,7 +15,7 @@
 // chaos grammar composes with serving (failures surface as structured
 // kFailed outcomes, never as lost futures).
 //
-// Every request also runs under the lifecycle policy (schema-7
+// Every request also runs under the lifecycle policy (the
 // "lifecycle" section): a virtual-time deadline budget with cooperative
 // checkpoints (kDeadlineExceeded outcomes, budget-pressure
 // pre-degradations) and per-site circuit breakers whose transition
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
        serve::CaseMix::kUniform, "", 0.0},
   };
   // Lifecycle stress row: hard-down QEC decoding plus a mostly-down
-  // retrieval store under a tight deadline, so the schema-7 lifecycle
+  // retrieval store under a tight deadline, so the lifecycle
   // section exercises breaker opens, short-circuits and deadline
   // outcomes in every CI run. Skipped when --scenario already arms a
   // bench-wide scenario (the row's own scenario would be ambiguous).
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   server_options.threads = harness.threads();
   server_options.chaos_scenario = harness.scenario();
   server_options.trace = harness.trace_sink();
-  // Request-lifecycle policy (schema 7): every request carries a
+  // Request-lifecycle policy: every request carries a
   // virtual-time deadline, and per-site circuit breakers short-circuit
   // persistently failing sites to their degraded paths.
   server_options.default_deadline_units = 12.0;
@@ -263,10 +263,10 @@ int main(int argc, char** argv) {
 
   Json serving;
   serving["rows"] = Json(std::move(serving_rows));
-  harness.record_serving(std::move(serving));
+  harness.record_section("serving", std::move(serving));
   Json lifecycle;
   lifecycle["rows"] = Json(std::move(lifecycle_rows));
-  harness.record_lifecycle(std::move(lifecycle));
+  harness.record_section("lifecycle", std::move(lifecycle));
   Json timing;
   timing["rows"] = Json(std::move(timing_rows));
   harness.record_timing("serving", std::move(timing));

@@ -3,8 +3,9 @@
 //
 // Paper rows: Starcoder2-7B 17.9 / +QK 24.5 / +QKRAG 33.8 / +QKCoT 41.4 /
 // IBM Granite-20B-CODE-QK 46.5. The QHE suite stresses library-specific
-// syntax (evaluated at elevated syntax difficulty), which is why RAG
-// helps here much more than on the semantic suite (Sec V-C).
+// syntax (evaluated at elevated syntax difficulty), which is why the paper
+// finds RAG helps here much more than on the semantic suite (Sec V-C).
+// This reproduction does not show that gain (see EXPERIMENTS.md).
 
 #include <cstdio>
 #include <string>
@@ -79,9 +80,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("%s\n", bar_chart(chart, 50.0, 50, "%").c_str());
-  std::printf("Shape checks: QK > base; RAG and CoT both add large gains on "
-              "this syntax-heavy benchmark; the 20B reference model stays on "
-              "top with a ~5%% gap to 7B+CoT.\n");
+  std::printf("Shape checks: QK > base and 7B+CoT > QK by wide margins on "
+              "this syntax-heavy benchmark. The RAG row sits within seed "
+              "noise of QK, not the paper's 9-point gain, and whether the "
+              "20B reference model leads 7B+CoT depends on the seed.\n");
   harness.record("rows", Json(std::move(json_rows)));
   harness.set_trials(rows.size() * suite.size() * harness.samples());
   return harness.finish();

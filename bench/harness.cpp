@@ -154,44 +154,8 @@ void Harness::record_timing(const std::string& key, Json value) {
   extra_timing_[key] = std::move(value);
 }
 
-void Harness::record_trial_failures(Json failures) {
-  trial_failures_ = std::move(failures);
-  chaos_sections_ = true;
-}
-
-void Harness::record_degradations(Json degradations) {
-  degradations_ = std::move(degradations);
-  chaos_sections_ = true;
-}
-
-void Harness::record_resources(Json resources) {
-  resources_ = std::move(resources);
-  resources_section_ = true;
-  // Schema versions are cumulative: 4 implies the chaos sections, which
-  // stay empty arrays unless a record_* call filled them.
-  chaos_sections_ = true;
-}
-
-void Harness::record_serving(Json serving) {
-  serving_ = std::move(serving);
-  serving_section_ = true;
-  // Cumulative schema: 5 implies the 3/4 sections (default-empty).
-  resources_section_ = true;
-  chaos_sections_ = true;
-}
-
-void Harness::record_lifecycle(Json lifecycle) {
-  lifecycle_ = std::move(lifecycle);
-  lifecycle_section_ = true;
-  // Cumulative schema: 7 implies the 3/4/5 sections.
-  if (!serving_section_) {
-    JsonObject serving;
-    serving["rows"] = Json(JsonArray{});
-    serving_ = Json(std::move(serving));
-  }
-  serving_section_ = true;
-  resources_section_ = true;
-  chaos_sections_ = true;
+void Harness::record_section(const std::string& name, Json value) {
+  sections_[name] = std::move(value);
 }
 
 int Harness::finish(int exit_code) {
@@ -209,13 +173,8 @@ int Harness::finish(int exit_code) {
   }
 
   if (json_requested_) {
-    Json report;
-    report["schema_version"] =
-        lifecycle_section_
-            ? 7
-            : (serving_section_
-                   ? 5
-                   : (resources_section_ ? 4 : (chaos_sections_ ? 3 : 2)));
+    Json report(sections_);
+    report["schema_version"] = 8;
     report["bench"] = name_;
     JsonObject config;
     config["samples"] = samples_;
@@ -225,13 +184,6 @@ int Harness::finish(int exit_code) {
     config["quick"] = quick_;
     if (!scenario_.empty()) config["scenario"] = scenario_;
     report["config"] = Json(std::move(config));
-    if (chaos_sections_) {
-      report["trial_failures"] = trial_failures_;
-      report["degradations"] = degradations_;
-    }
-    if (resources_section_) report["resources"] = resources_;
-    if (serving_section_) report["serving"] = serving_;
-    if (lifecycle_section_) report["lifecycle"] = lifecycle_;
     JsonObject timing = extra_timing_;
     timing["wall_seconds"] = wall;
     timing["trials"] = trials_;

@@ -18,26 +18,24 @@
 //                   grammar); malformed specs exit 2 before running
 //   --benchmark_*   passed through (google-benchmark based benches)
 //
-// Report schema (schema_version 2; validators also accept 1; a bench
-// that records chaos sections bumps itself to 3, one that records a
-// resources section to 4, one that records a serving section to 5, and
-// one that records a lifecycle section to 7; no bench emits 6, whose
-// "cache" section was retired):
+// Report schema (schema_version 8, the only version; every section
+// below other than the first five keys is optional and appears only when
+// the bench records it):
 //   {
-//     "schema_version": 2,
+//     "schema_version": 8,
 //     "bench": "<name>",
 //     "config":  {"samples": N, "seed": S, "threads": T, "quick": B,
 //                 "scenario": "..."},                     // --scenario only
 //     "timing":  {"wall_seconds": W, "trials": N, "trials_per_second": R,
 //                 "stages": {...}, "scheduler": {...}},   // --trace only
+//     "results": { ... bench-specific ... },
 //     "trace":   {"spans": {...}, "counters": {...},
 //                 "histograms": {...}},                   // --trace only
-//     "trial_failures": [...],   // schema 3: contained trial failures
-//     "degradations":   [...],   // schema 3: degradation-ladder steps
-//     "resources":      [...],   // schema 4: static resource rows
-//     "serving":        {...},   // schema 5: serving rows + events
-//     "lifecycle":      {...},   // schema 7: deadlines + breakers
-//     "results": { ... bench-specific ... }
+//     "trial_failures": [...],   // contained trial failures
+//     "degradations":   [...],   // degradation-ladder steps
+//     "resources":      [...],   // static resource rows
+//     "serving":        {...},   // serving rows + events
+//     "lifecycle":      {...}    // deadlines + breakers
 //   }
 // Everything outside "timing" is deterministic for a fixed (samples,
 // seed) at any --threads value — including the "trace" summary, whose
@@ -99,34 +97,14 @@ class Harness {
   /// stripped by the determinism compare along with the harness timings.
   void record_timing(const std::string& key, Json value);
 
-  /// Records the report's chaos sections (arrays shaped by
-  /// eval::trial_failures_to_json / eval::degradations_to_json) and
-  /// bumps the report to schema_version 3. Calling either is enough:
-  /// the other section defaults to an empty array.
-  void record_trial_failures(Json failures);
-  void record_degradations(Json degradations);
-
-  /// Records the report's "resources" section (array of per-workload
-  /// static resource rows; see scripts/validate_bench_json.py for the
-  /// required keys) and bumps the report to schema_version 4. Schema 4
-  /// implies the schema-3 chaos sections, which default to empty arrays.
-  void record_resources(Json resources);
-
-  /// Records the report's "serving" section (object with a "rows" array
-  /// of serve::ServingSummary::to_json rows; see
-  /// scripts/validate_bench_json.py check_serving) and bumps the report
-  /// to schema_version 5. Schema 5 implies the schema-3/4 sections,
-  /// which default to empty arrays.
-  void record_serving(Json serving);
-
-  /// Records the report's "lifecycle" section (object with a "rows"
-  /// array of serve::LifecycleSummary::to_json rows — deadline outcomes,
-  /// budget-pressure degradations, breaker transitions; see
-  /// scripts/validate_bench_json.py check_lifecycle) and bumps the
-  /// report to schema_version 7. Schema 7 implies the schema-3/4/5
-  /// sections; the serving section defaults to an empty rows object if
-  /// never recorded.
-  void record_lifecycle(Json lifecycle);
+  /// Records one optional top-level section of the report: one of
+  /// "trial_failures", "degradations" (arrays shaped by
+  /// eval::trial_failures_to_json / eval::degradations_to_json),
+  /// "resources" (per-workload static resource rows), "serving" and
+  /// "lifecycle" (objects with a "rows" array of serve::ServingSummary /
+  /// serve::LifecycleSummary rows). scripts/validate_bench_json.py checks
+  /// each section that is present; a section never recorded is absent.
+  void record_section(const std::string& name, Json value);
 
   /// Total trials executed, for the trials/sec throughput figure.
   void set_trials(std::size_t trials) noexcept { trials_ = trials; }
@@ -150,15 +128,7 @@ class Harness {
   std::vector<std::string> passthrough_;
   JsonObject results_;
   JsonObject extra_timing_;
-  bool chaos_sections_ = false;
-  bool resources_section_ = false;
-  bool serving_section_ = false;
-  bool lifecycle_section_ = false;
-  Json trial_failures_{JsonArray{}};
-  Json degradations_{JsonArray{}};
-  Json resources_{JsonArray{}};
-  Json serving_;
-  Json lifecycle_;
+  JsonObject sections_;
   std::size_t trials_ = 0;
   std::chrono::steady_clock::time_point start_;
 };

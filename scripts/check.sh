@@ -5,8 +5,8 @@
 # bench_qec_resources thread-determinism), serving determinism (serve
 # suites + bench_serving thread-determinism), request-lifecycle
 # determinism (lifecycle suites + a chaos-armed bench_serving run whose
-# schema-7 deadline/cancellation/breaker sections must be bit-identical
-# across thread counts), clang-tidy, then the heavy stages — a
+# serving and lifecycle sections must be bit-identical across thread
+# counts), clang-tidy, then the heavy stages — a
 # fail-points-off build (the fault-injection macros must compile away
 # cleanly) and two sanitizer builds: ASan+UBSan over the language
 # front-end tests (the part that chews model-corrupted input all day
@@ -102,12 +102,52 @@ cmake -B build-check -S . -DQCGEN_WARNINGS_AS_ERRORS=ON \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "${LAUNCHER_ARGS[@]}" >/dev/null
 cmake --build build-check -j "$JOBS"
 
-echo "==> [2/11] full test suite"
+echo "==> [2/11] full test suite, every bench's report, validator rejections"
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
+# Every bench once at --samples 1, each report schema-checked (as CI's
+# bench job does).
+SMOKE=build-check/bench-smoke
+rm -rf "$SMOKE" && mkdir -p "$SMOKE"
+for bench in build-check/bench/bench_*; do
+  [[ -x "$bench" && -f "$bench" ]] || continue
+  name="$(basename "$bench")"
+  "$bench" --samples 1 --json "$SMOKE/$name.json" >/dev/null
+done
+scripts/validate_bench_json.py "$SMOKE"/bench_*.json
+# The validator must reject a report for the right reason: a wrong
+# schema_version, and a serving row whose admission counts do not sum.
+# The control report differs from the second only in that count.
+report_head='"bench": "hand_made", "results": {},
+  "config": {"samples": 1, "seed": 1, "threads": 1, "quick": false},
+  "timing": {"wall_seconds": 0.1, "trials": 1, "trials_per_second": 10.0}'
+serving_row='"mix": "uniform", "rate": 4.0, "requests": 5, "completed": 5,
+  "failed": 0, "deadline_exceeded": 0, "cancelled": 0, "semantic_ok": 2,
+  "shed": 0, "admitted_no_rag": 1, "admitted_static_only": 0,
+  "shed_events": [], "degradation_events": [], "virtual_latency": {"p50": 1,
+  "p90": 2, "p99": 3, "p999": 3, "mean": 1.5, "max": 3}'
+printf '{"schema_version": 8, %s, "serving": {"rows": [{%s, "admitted_full": 4}]}}\n' \
+  "$report_head" "$serving_row" > "$SMOKE/good.json"
+printf '{"schema_version": 7, %s}\n' "$report_head" > "$SMOKE/bad_schema.json"
+printf '{"schema_version": 8, %s, "serving": {"rows": [{%s, "admitted_full": 3}]}}\n' \
+  "$report_head" "$serving_row" > "$SMOKE/bad_admission.json"
+scripts/validate_bench_json.py "$SMOKE/good.json" >/dev/null
+expect_rejected() {  # FILE REASON
+  local out
+  if out="$(scripts/validate_bench_json.py "$1" 2>&1)"; then
+    echo "check.sh: validator accepted $1" >&2
+    exit 1
+  fi
+  if ! grep -q "$2" <<<"$out"; then
+    echo "check.sh: validator rejected $1 for another reason: $out" >&2
+    exit 1
+  fi
+}
+expect_rejected "$SMOKE/bad_schema.json" "schema_version must be 8"
+expect_rejected "$SMOKE/bad_admission.json" "admission counts"
 
 echo "==> [3/11] chaos determinism (bench_chaos --quick, threads 1 vs 8)"
 # The fault-injection sweep must be bit-identical at any thread count
-# for a fixed (seed, samples, scenario) — including the schema-3
+# for a fixed (seed, samples, scenario) — including the
 # trial_failures/degradations sections, which --compare keeps.
 ./build-check/bench/bench_chaos --quick --seed 7 --threads 1 \
   --json build-check/BENCH_chaos_t1.json >/dev/null
@@ -151,7 +191,7 @@ scripts/validate_bench_json.py --compare \
 echo "==> [5/11] static resource analysis (resources suites + bench_qec_resources)"
 # The cost-lattice engine and its QEC ResourcePlan consumer: exact
 # enumeration cross-checks, the certified qubit-reuse fix-it gate, and
-# the schema-4 resource sweep, bit-identical at any thread count.
+# the "resources" section of the sweep, bit-identical at any thread count.
 ctest --test-dir build-check --output-on-failure -L resources
 ./build-check/bench/bench_qec_resources --samples 1 --threads 1 \
   --json build-check/BENCH_qec_resources_t1.json >/dev/null
@@ -167,7 +207,7 @@ scripts/validate_bench_json.py --compare \
 echo "==> [6/11] serving + cache determinism (serve/cache suites, stress repeats, bench_serving, traced fig3)"
 # The async request engine and the content-addressed caching layer:
 # admission decisions, shed/degradation events and virtual-time latency
-# quantiles (the schema-5 "serving" section) must be bit-identical at
+# quantiles (the "serving" section) must be bit-identical at
 # any worker thread count; wall-clock latency and the per-layer cache
 # counters and speedup live under "timing", which --compare strips.
 # The thread-invariance suites then run 300 times each, so a flake that
@@ -228,7 +268,7 @@ echo "==> [7/11] request lifecycle (lifecycle suites + chaos-armed bench_serving
 # Deadline propagation, cooperative cancellation and per-site circuit
 # breakers: the lifecycle suites replay the breaker state machine at
 # several thread counts, and a bench_serving run with sustained faults
-# armed bench-wide must (a) satisfy the schema-7 validator — outcome
+# armed bench-wide must (a) satisfy the validator — outcome
 # conservation, legal breaker transition chains — and (b) stay
 # bit-identical between 1 and 8 workers. --scenario also skips the
 # cache study.

@@ -3,19 +3,18 @@
 
 Usage:
   scripts/validate_bench_json.py FILE [FILE ...]
-      Schema-check each report (schema_version 2..7, legacy 1 accepted;
-      see bench/harness.hpp). Rejects non-finite numerics (NaN/Infinity
-      are not valid JSON) and, when present, validates the "trace"
-      section, the schema-3 chaos sections ("trial_failures" and
-      "degradations"), the schema-4 "resources" section (per-workload
-      static resource counts), the schema-5 "serving" section
-      (per-workload admission counts, latency quantiles and request-id-
-      sorted shed/degradation event arrays), the per-layer cache
-      counters under "timing" (count conservation), and the schema-7
-      "lifecycle" section (per-workload deadline / cancellation outcome
-      counts conserving against admission, budget-consumption
-      quantiles, and per-site circuit-breaker transition chains
-      replayed against the closed/open/half-open state machine).
+      Schema-check each report (schema_version 8, the only version; see
+      bench/harness.hpp). Rejects non-finite numerics (NaN/Infinity are
+      not valid JSON) and validates each optional section that is
+      present: "trace", "trial_failures" and "degradations", "resources"
+      (per-workload static resource counts), "serving" (per-workload
+      admission counts, latency quantiles and request-id-sorted shed/
+      degradation event arrays), the per-layer cache counters under
+      "timing" (count conservation), and "lifecycle" (per-workload
+      deadline / cancellation outcome counts conserving against
+      admission, budget-consumption quantiles, and per-site circuit-
+      breaker transition chains replayed against the closed/open/
+      half-open state machine).
 
   scripts/validate_bench_json.py --compare A.json B.json
       Assert two reports from the same bench/config are identical modulo
@@ -30,7 +29,7 @@ import json
 import math
 import sys
 
-SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+SCHEMA_VERSION = 8
 
 # Legal circuit-breaker transitions (serve/breaker.hpp): closed trips
 # open, open thaws half-open after the cooldown, a half-open probe
@@ -53,7 +52,7 @@ LIFECYCLE_COUNT_KEYS = (
 # The counter keys of one cache::Stats blob.
 CACHE_STAT_KEYS = ("lookups", "hits", "misses", "inserts", "evictions")
 
-# Required keys of each schema-4 "resources" row; every one is a count
+# Required keys of each "resources" row; every one is a count
 # from the static resource-analysis engine (qasm/analysis) and must be a
 # non-negative integer.
 RESOURCE_COUNT_KEYS = (
@@ -98,8 +97,8 @@ def load(path: str) -> dict:
 
 
 def check_schema(path: str, doc: dict) -> None:
-    if doc.get("schema_version") not in SCHEMA_VERSIONS:
-        fail(f"{path}: schema_version must be one of {SCHEMA_VERSIONS}, "
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        fail(f"{path}: schema_version must be {SCHEMA_VERSION}, "
              f"got {doc.get('schema_version')!r}")
     bench = doc.get("bench")
     if not isinstance(bench, str) or not bench:
@@ -130,37 +129,17 @@ def check_schema(path: str, doc: dict) -> None:
     if not isinstance(doc.get("results"), dict):
         fail(f"{path}: 'results' must be an object")
 
-    if "trace" in doc:
-        check_trace(path, doc["trace"])
-
-    if doc["schema_version"] >= 3:
-        check_chaos_sections(path, doc)
-    else:
-        for key in ("trial_failures", "degradations"):
-            if key in doc:
-                fail(f"{path}: '{key}' requires schema_version >= 3")
-
-    if doc["schema_version"] >= 4:
-        check_resources(path, doc)
-    elif "resources" in doc:
-        fail(f"{path}: 'resources' requires schema_version >= 4")
-
-    if doc["schema_version"] >= 5:
-        check_serving(path, doc)
-    elif "serving" in doc:
-        fail(f"{path}: 'serving' requires schema_version >= 5")
+    for key, check in SECTIONS:
+        if key in doc:
+            check(path, doc)
 
     if "cache" in timing:
         check_cache_timing(path, timing["cache"])
 
-    if doc["schema_version"] >= 7:
-        check_lifecycle(path, doc)
-    elif "lifecycle" in doc:
-        fail(f"{path}: 'lifecycle' requires schema_version >= 7")
 
-
-def check_trace(path: str, trace) -> None:
+def check_trace(path: str, doc: dict) -> None:
     """Validates the deterministic trace summary written under --trace."""
+    trace = doc["trace"]
     if not isinstance(trace, dict):
         fail(f"{path}: 'trace' must be an object")
     for section in ("spans", "counters", "histograms"):
@@ -184,14 +163,13 @@ def check_trace(path: str, trace) -> None:
                  f"non-negative int")
 
 
-def check_chaos_sections(path: str, doc: dict) -> None:
-    """Validates the schema-3 chaos sections (see eval/runner.hpp:
-    trial_failures_to_json / degradations_to_json). Both arrays are
-    deterministic for a fixed (seed, samples, scenario), so the
-    --compare mode includes them."""
-    failures = doc.get("trial_failures")
+def check_trial_failures(path: str, doc: dict) -> None:
+    """Validates the "trial_failures" section (see eval/runner.hpp
+    trial_failures_to_json). Deterministic for a fixed (seed, samples,
+    scenario), so the --compare mode includes it."""
+    failures = doc["trial_failures"]
     if not isinstance(failures, list):
-        fail(f"{path}: 'trial_failures' must be an array (schema 3)")
+        fail(f"{path}: 'trial_failures' must be an array")
     for i, entry in enumerate(failures):
         if not isinstance(entry, dict):
             fail(f"{path}: trial_failures[{i}] must be an object")
@@ -205,9 +183,13 @@ def check_chaos_sections(path: str, doc: dict) -> None:
         if not entry["stage"]:
             fail(f"{path}: trial_failures[{i}].stage is empty")
 
-    degradations = doc.get("degradations")
+
+def check_degradations(path: str, doc: dict) -> None:
+    """Validates the "degradations" section (see eval/runner.hpp
+    degradations_to_json); deterministic like trial_failures."""
+    degradations = doc["degradations"]
     if not isinstance(degradations, list):
-        fail(f"{path}: 'degradations' must be an array (schema 3)")
+        fail(f"{path}: 'degradations' must be an array")
     for i, entry in enumerate(degradations):
         if not isinstance(entry, dict):
             fail(f"{path}: degradations[{i}] must be an object")
@@ -220,12 +202,12 @@ def check_chaos_sections(path: str, doc: dict) -> None:
 
 
 def check_resources(path: str, doc: dict) -> None:
-    """Validates the schema-4 "resources" section: one row per workload,
-    each a static resource digest (see qasm/analysis/resources.hpp).
-    The section is fully deterministic, so --compare includes it."""
-    resources = doc.get("resources")
+    """Validates the "resources" section: one row per workload, each a
+    static resource digest (see qasm/analysis/resources.hpp). The
+    section is fully deterministic, so --compare includes it."""
+    resources = doc["resources"]
     if not isinstance(resources, list):
-        fail(f"{path}: 'resources' must be an array (schema 4)")
+        fail(f"{path}: 'resources' must be an array")
     for i, entry in enumerate(resources):
         if not isinstance(entry, dict):
             fail(f"{path}: resources[{i}] must be an object")
@@ -247,17 +229,14 @@ def check_resources(path: str, doc: dict) -> None:
 
 
 def check_serving(path: str, doc: dict) -> None:
-    """Validates the schema-5 "serving" section: one row per workload
-    (see serve/report.hpp ServingSummary::to_json). Everything here —
-    counts, virtual-time latency quantiles, shed/degradation events — is
+    """Validates the "serving" section: one row per workload (see
+    serve/report.hpp ServingSummary::to_json). Everything here — counts,
+    virtual-time latency quantiles, shed/degradation events — is
     deterministic at any --threads value, so --compare includes it;
-    wall-clock serving latency lives under "timing". From schema 7 the
-    rows also carry deadline_exceeded / cancelled outcome counts and the
-    admission conservation law widens to include them."""
-    schema = doc["schema_version"]
-    serving = doc.get("serving")
+    wall-clock serving latency lives under "timing"."""
+    serving = doc["serving"]
     if not isinstance(serving, dict):
-        fail(f"{path}: 'serving' must be an object (schema 5)")
+        fail(f"{path}: 'serving' must be an object")
     rows = serving.get("rows")
     if not isinstance(rows, list):
         fail(f"{path}: serving.rows must be an array")
@@ -270,12 +249,10 @@ def check_serving(path: str, doc: dict) -> None:
             fail(f"{path}: {where}.mix must be a non-empty string")
         if not isinstance(row.get("rate"), (int, float)) or row["rate"] <= 0:
             fail(f"{path}: {where}.rate must be a positive number")
-        count_keys = ["requests", "completed", "shed", "failed",
-                      "semantic_ok", "admitted_full", "admitted_no_rag",
-                      "admitted_static_only"]
-        if schema >= 7:
-            count_keys += ["deadline_exceeded", "cancelled"]
-        for key in count_keys:
+        for key in ("requests", "completed", "shed", "failed",
+                    "semantic_ok", "admitted_full", "admitted_no_rag",
+                    "admitted_static_only", "deadline_exceeded",
+                    "cancelled"):
             value = row.get(key)
             if not isinstance(value, int) or isinstance(value, bool):
                 fail(f"{path}: {where}.{key} must be an int")
@@ -287,17 +264,11 @@ def check_serving(path: str, doc: dict) -> None:
             fail(f"{path}: {where}: admission counts ({admitted} admitted "
                  f"+ {row['shed']} shed) do not sum to requests "
                  f"({row['requests']})")
-        # Every admitted request resolves to exactly one outcome: before
-        # schema 7 only completed/failed existed; from 7 on deadline and
-        # cancellation outcomes are first-class and must conserve too.
-        resolved = row["completed"] + row["failed"]
-        if schema >= 7:
-            resolved += row["deadline_exceeded"] + row["cancelled"]
-            if resolved != admitted:
-                fail(f"{path}: {where}: completed + failed + "
-                     f"deadline_exceeded + cancelled != admitted")
-        elif resolved != admitted:
-            fail(f"{path}: {where}: completed + failed != admitted")
+        # Every admitted request resolves to exactly one outcome.
+        if (row["completed"] + row["failed"] + row["deadline_exceeded"]
+                + row["cancelled"] != admitted):
+            fail(f"{path}: {where}: completed + failed + "
+                 f"deadline_exceeded + cancelled != admitted")
         if row["semantic_ok"] > row["completed"]:
             fail(f"{path}: {where}: semantic_ok exceeds completed")
 
@@ -382,8 +353,7 @@ def check_cache_timing(path: str, cache) -> None:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             fail(f"{path}: timing.cache.rows[{i}] must be an object")
-        # Reports from before the counters moved here carry no layers.
-        layers = row.get("layers", [])
+        layers = row.get("layers")
         if not isinstance(layers, list):
             fail(f"{path}: timing.cache.rows[{i}].layers must be an array")
         for j, layer in enumerate(layers):
@@ -392,7 +362,7 @@ def check_cache_timing(path: str, cache) -> None:
 
 
 def check_lifecycle(path: str, doc: dict) -> None:
-    """Validates the schema-7 "lifecycle" section: one row per workload
+    """Validates the "lifecycle" section: one row per workload
     (see serve/report.hpp LifecycleSummary::to_json) carrying deadline /
     cancellation outcome counts, budget-consumption quantiles and the
     circuit-breaker transition log. Everything here is expressed in
@@ -401,9 +371,9 @@ def check_lifecycle(path: str, doc: dict) -> None:
     site against the closed/open/half-open state machine: every edge
     must be legal, chains start closed, and virtual time never runs
     backwards within a site."""
-    lifecycle = doc.get("lifecycle")
+    lifecycle = doc["lifecycle"]
     if not isinstance(lifecycle, dict):
-        fail(f"{path}: 'lifecycle' must be an object (schema 7)")
+        fail(f"{path}: 'lifecycle' must be an object")
     rows = lifecycle.get("rows")
     if not isinstance(rows, list):
         fail(f"{path}: lifecycle.rows must be an array")
@@ -508,6 +478,17 @@ def check_lifecycle(path: str, doc: dict) -> None:
             if breaker[key] != tallies[state]:
                 fail(f"{path}: {where}.breaker.{key} ({breaker[key]}) does "
                      f"not match the transition log ({tallies[state]})")
+
+
+# The optional top-level sections, each checked when present.
+SECTIONS = (
+    ("trace", check_trace),
+    ("trial_failures", check_trial_failures),
+    ("degradations", check_degradations),
+    ("resources", check_resources),
+    ("serving", check_serving),
+    ("lifecycle", check_lifecycle),
+)
 
 
 def strip_nondeterministic(doc: dict) -> dict:

@@ -18,41 +18,31 @@ namespace qtrace = ::qcgen::trace;
 
 namespace {
 
-/// Permanent failure of one stage attempt sequence.
-struct StageFailure {
-  std::string site;  ///< fail-point site, "" for organic exceptions
-  std::string what;
-};
-
 /// Runs `body` under the resilience policy: retries with seeded,
 /// budget-charged backoff; injected delay units count against the stage
 /// budget; exhausting either retries or budget returns the failure.
 /// Returns nullopt on success. Behaviour-identical to a bare body()
 /// call when nothing throws and no delay fires.
-std::optional<StageFailure> run_guarded(const char* stage,
-                                        const ResilienceOptions& options,
-                                        Rng& rng, PipelineResult& result,
-                                        const std::function<void()>& body) {
+std::optional<RunFailure> run_guarded(const char* stage,
+                                      const ResilienceOptions& options,
+                                      Rng& rng, PipelineResult& result,
+                                      const std::function<void()>& body) {
   failpoint::Injector* injector = failpoint::current_injector();
   cancel::DeadlineBudget* deadline = cancel::current_budget();
   double budget_used = 0.0;
   double delay_mark =
       injector != nullptr ? injector->delay_units_charged() : 0.0;
   for (int attempt = 0;; ++attempt) {
-    bool ok = false;
-    StageFailure failure;
+    std::optional<RunFailure> failure;
     try {
       body();
-      ok = true;
     } catch (const cancel::CancelledError&) {
       // A cancellation/deadline observed mid-stage is not a stage
       // failure: never retried, never degraded — it must reach the
       // serving layer as the structured lifecycle outcome.
       throw;
-    } catch (const failpoint::InjectedFault& fault) {
-      failure = {fault.site(), fault.what()};
     } catch (const std::exception& error) {
-      failure = {"", error.what()};
+      failure = read_run_failure(error, stage);
     }
     if (injector != nullptr) {
       const double now = injector->delay_units_charged();
@@ -64,10 +54,11 @@ std::optional<StageFailure> run_guarded(const char* stage,
     }
     const bool over_budget = options.stage_budget_units > 0.0 &&
                              budget_used > options.stage_budget_units;
-    if (ok) {
+    if (!failure.has_value()) {
       if (over_budget) {
-        return StageFailure{
-            "", std::string(stage) + ": stage budget exhausted by delays"};
+        return RunFailure{
+            .stage = stage,
+            .what = std::string(stage) + ": stage budget exhausted by delays"};
       }
       return std::nullopt;
     }
@@ -96,16 +87,6 @@ void note_degradation(PipelineResult& result, PassTrace* pass_trace,
   if (pass_trace != nullptr) pass_trace->degradations.push_back(event);
   result.degradations.push_back(std::move(event));
 }
-
-/// The rung each ladder starts its next stage invocation on, local to one
-/// run(). Budget-pressure pre-walks lower it for the rest of the run;
-/// failure fallbacks never touch it, so they last one invocation only.
-struct Rungs {
-  bool rag = true;             ///< generate/repair consult the RAG stores
-  bool abstract_lints = true;  ///< analyze runs the abstract interpreter
-  bool behavioral = true;      ///< verify simulates against the reference
-  std::vector<qec::DecoderKind> decoders{};  ///< QEC ladder; empty = none
-};
 
 /// True when every diagnostic the repair was asked to fix carries a
 /// preservation claim — only then is a behaviour change a defect rather
@@ -143,6 +124,22 @@ void certify_repair(PipelineResult& result, PassTrace& trace,
 
 }  // namespace
 
+RunFailure read_run_failure(const std::exception& error,
+                            const std::string& scope) {
+  using cancel::CancelledError;
+  using failpoint::InjectedFault;
+  if (const auto* cancelled = dynamic_cast<const CancelledError*>(&error)) {
+    return {scope, cancelled->site(), 0, error.what(), cancelled->cause()};
+  }
+  if (const auto* stage = dynamic_cast<const PipelineStageError*>(&error)) {
+    return {stage->stage(), stage->site(), stage->retries(), error.what(), {}};
+  }
+  if (const auto* fault = dynamic_cast<const InjectedFault*>(&error)) {
+    return {scope, fault->site(), 0, error.what(), {}};
+  }
+  return {scope, "", 0, error.what(), {}};
+}
+
 /// One stage invocation's degradation ladder, current rung first.
 struct MultiAgentPipeline::Ladder {
   const char* stage = "";
@@ -169,9 +166,9 @@ std::size_t MultiAgentPipeline::walk(
     const std::function<void(std::size_t)>& run, bool pressed) {
   const std::size_t rungs = ladder.rungs.size();
   for (std::size_t rung = 0; rung < rungs; ++rung) {
-    std::optional<StageFailure> failure;
+    std::optional<RunFailure> failure;
     if (rung == 0 && pressed) {
-      failure = StageFailure{"", "budget-pressure"};
+      failure = RunFailure{.stage = ladder.stage, .what = "budget-pressure"};
     } else {
       if (ladder.checkpoint != nullptr) cancel::checkpoint(ladder.checkpoint);
       failure = run_guarded(ladder.stage, resilience_, resilience_rng_,
@@ -245,11 +242,12 @@ void MultiAgentPipeline::set_caches(PipelineCaches caches) {
 
 PipelineResult MultiAgentPipeline::run(
     const llm::TaskSpec& task, const sim::Distribution& reference,
-    std::size_t prompt_index, const std::shared_ptr<const qasm::Program>& gold) {
+    std::size_t prompt_index, const std::shared_ptr<const qasm::Program>& gold,
+    Rungs start) {
   last_degradations_.clear();
   PipelineResult result;
   try {
-    run_into(result, task, reference, prompt_index, gold);
+    run_into(result, task, reference, prompt_index, gold, start);
   } catch (...) {
     // A throwing run leaves its ladder steps behind: the serving layer
     // attributes per-site fault evidence through them (circuit breakers)
@@ -263,24 +261,27 @@ PipelineResult MultiAgentPipeline::run(
 void MultiAgentPipeline::run_into(
     PipelineResult& result, const llm::TaskSpec& task,
     const sim::Distribution& reference, std::size_t prompt_index,
-    const std::shared_ptr<const qasm::Program>& gold) {
+    const std::shared_ptr<const qasm::Program>& gold, Rungs rungs) {
   qtrace::TraceSpan run_span("pipeline.run");
   const bool rag_technique =
       codegen_.config().rag_api || codegen_.config().rag_guides;
-  Rungs rungs{.rag = rag_enabled_,
-              .abstract_lints = abstract_lints_enabled_ &&
-                                analyzer_.options().analysis.abstract_lints,
-              .behavioral = !reference.empty()};
-  if (qec_agent_.has_value() && device_.has_value()) {
-    // Configured decoder -> union-find -> lookup (distance 3 only; the
-    // lookup decoder does not scale past it).
+  // `rungs` is local to this run: budget-pressure pre-walks lower it for
+  // the rest of the run; failure fallbacks never touch it, so they last
+  // one invocation only.
+  rungs.abstract_lints =
+      rungs.abstract_lints && analyzer_.options().analysis.abstract_lints;
+  rungs.behavioral = rungs.behavioral && !reference.empty();
+  // The QEC ladder: configured decoder -> union-find -> lookup (distance 3
+  // only; the lookup decoder does not scale past it). Empty = no plan.
+  std::vector<qec::DecoderKind> decoders;
+  if (rungs.qec && qec_agent_.has_value() && device_.has_value()) {
     const QecDecoderAgent::Options& configured = qec_agent_->options();
-    rungs.decoders = {configured.decoder};
+    decoders = {configured.decoder};
     for (const qec::DecoderKind kind :
          {qec::DecoderKind::kUnionFind, qec::DecoderKind::kLookup}) {
       if (kind != configured.decoder && (kind != qec::DecoderKind::kLookup ||
                                          configured.target_distance == 3)) {
-        rungs.decoders.push_back(kind);
+        decoders.push_back(kind);
       }
     }
   }
@@ -289,7 +290,7 @@ void MultiAgentPipeline::run_into(
   const auto pressed = [&](double threshold) {
     return resilience_.degrade && cancel::budget_pressure() >= threshold;
   };
-  // Admission control may have taken the rag rung away already, in which
+  // The caller may have taken the rag rung away already, in which
   // case no-rag is the only rung left. On a technique without retrieval
   // the flag is still handed through: it is part of the generation key.
   const auto rag_rungs = [&]() -> std::vector<std::string_view> {
@@ -431,13 +432,13 @@ void MultiAgentPipeline::run_into(
   if (result.semantic_ok) qtrace::Metrics::counter("pipeline.semantic_ok");
   qtrace::Metrics::observe("pipeline.passes_used",
                           static_cast<double>(result.passes_used));
-  if (!rungs.decoders.empty() && result.semantic_ok) {
+  if (!decoders.empty() && result.semantic_ok) {
     qtrace::TraceSpan span("pipeline.qec_plan");
     Ladder ladder{.stage = "qec",
                   .pass = result.passes_used,
                   .floor_to = "none",
                   .checkpoint = "pipeline.qec_plan"};
-    for (const qec::DecoderKind kind : rungs.decoders) {
+    for (const qec::DecoderKind kind : decoders) {
       ladder.rungs.push_back(qec::decoder_kind_name(kind));
     }
     ladder.floor_from = ladder.rungs.back();
@@ -445,7 +446,7 @@ void MultiAgentPipeline::run_into(
     if (walk(result, ladder, [&](std::size_t rung) {
           failpoint::trip("qec.decode", result.passes_used);
           QecDecoderAgent::Options options = qec_agent_->options();
-          options.decoder = rungs.decoders[rung];
+          options.decoder = decoders[rung];
           plan = QecDecoderAgent(options).plan_for(
               *device_, &final_report->resources, caches_.qec_lifetime.get());
         }) < ladder.rungs.size()) {

@@ -21,6 +21,7 @@
 #include "agents/qec_agent.hpp"
 #include "agents/semantic_agent.hpp"
 #include "agents/topology.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -106,6 +107,32 @@ class PipelineStageError : public QcgenError {
   std::string stage_;
   std::string site_;
   int retries_ = 0;
+};
+
+/// A run or stage attempt that threw, as read_run_failure reads it.
+struct RunFailure {
+  std::string stage{};  ///< PipelineStageError's stage, else `scope`
+  std::string site{};   ///< fail-point or checkpoint site ("" for organic)
+  int retries = 0;      ///< stage retries spent (PipelineStageError only)
+  std::string what{};
+  /// Set when the run was cancelled or ran out of deadline budget
+  /// (cancel::CancelledError); such a run did not fail on its own.
+  std::optional<cancel::Cause> cancelled{};
+};
+
+/// Reads a caught exception by its kind. `scope` ("trial", "request")
+/// names the stage of a failure that did not come from PipelineStageError.
+RunFailure read_run_failure(const std::exception& error,
+                            const std::string& scope);
+
+/// The rungs a run starts its ladders on. The serving layer takes rungs
+/// away by admission level and open breakers; a run also drops a rung it
+/// cannot take (no reference, lints off, no QEC agent or device).
+struct Rungs {
+  bool rag = true;             ///< generate/repair consult the RAG stores
+  bool abstract_lints = true;  ///< analyze runs the abstract interpreter
+  bool behavioral = true;      ///< verify simulates against the reference
+  bool qec = true;             ///< a verified result gets a QEC plan
 };
 
 /// Per-pass trace entry.
@@ -212,19 +239,6 @@ class MultiAgentPipeline {
     resilience_ = options;
   }
 
-  /// Admission-control hook (serve layer): every run() starts the
-  /// generate/repair ladder below its rag rung, so generation and repair
-  /// bypass the RAG stores — the same reduced configuration a retrieval
-  /// failure would degrade to at runtime.
-  void set_rag_enabled(bool enabled) noexcept { rag_enabled_ = enabled; }
-
-  /// Admission-control hook (serve layer), the analyze ladder's
-  /// counterpart of set_rag_enabled: `false` starts every analyze on the
-  /// core-lints rung, as an abstract-interpreter failure would degrade to.
-  void set_abstract_lints_enabled(bool enabled) noexcept {
-    abstract_lints_enabled_ = enabled;
-  }
-
   /// Wires the shared caches through to the agents (the retrieval cache
   /// rides inside the shared TechniqueResources and needs no per-
   /// pipeline hookup). The degraded analyzer rung shares the analysis
@@ -237,13 +251,15 @@ class MultiAgentPipeline {
   /// `prompt_index` feeds the CoT hand-written-scaffold rule. `gold`, when
   /// given, is the task's prebuilt gold program (the one its reference
   /// was simulated from); generation reads it instead of rebuilding it,
-  /// with identical results.
+  /// with identical results. A rung `start` takes away starts that
+  /// ladder below it, where a failure there would degrade to.
   /// Throws PipelineStageError when a mandatory stage stays down after
   /// the resilience policy (retries + ladders) is exhausted.
   PipelineResult run(const llm::TaskSpec& task,
                      const sim::Distribution& reference,
                      std::size_t prompt_index,
-                     const std::shared_ptr<const qasm::Program>& gold = nullptr);
+                     const std::shared_ptr<const qasm::Program>& gold = nullptr,
+                     Rungs start = {});
 
   /// Degradation events of the most recent run() if it threw
   /// (PipelineStageError / CancelledError): an aborted request's ladder
@@ -259,7 +275,8 @@ class MultiAgentPipeline {
   /// (degradations in particular) survives a mid-run throw.
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
                 const sim::Distribution& reference, std::size_t prompt_index,
-                const std::shared_ptr<const qasm::Program>& gold);
+                const std::shared_ptr<const qasm::Program>& gold,
+                Rungs rungs);
 
   struct Ladder;  ///< one stage invocation's ladder (pipeline.cpp)
   /// The rung helper every ladder walks through (see pipeline.cpp).
@@ -275,8 +292,6 @@ class MultiAgentPipeline {
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
   ResilienceOptions resilience_;
-  bool rag_enabled_ = true;  ///< admission rag rung (see setter)
-  bool abstract_lints_enabled_ = true;  ///< admission analyze rung
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor
 };

@@ -303,6 +303,18 @@ InjectorScope::InjectorScope(Injector* injector) noexcept
 
 InjectorScope::~InjectorScope() { t_injector = previous_; }
 
+std::shared_ptr<const Scenario> ScenarioScope::arm(std::string_view spec) {
+  auto scenario = std::make_shared<const Scenario>(Scenario::parse(spec));
+  return scenario->empty() ? nullptr : scenario;
+}
+
+ScenarioScope::ScenarioScope(const std::shared_ptr<const Scenario>& scenario,
+                             std::uint64_t seed) {
+  if (scenario == nullptr) return;
+  injector_.emplace(scenario, seed);
+  scope_.emplace(&*injector_);
+}
+
 #if QCGEN_FAILPOINTS_ENABLED
 
 std::optional<Hit> check(std::string_view site, int pass) {

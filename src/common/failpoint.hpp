@@ -171,6 +171,25 @@ class InjectorScope {
   Injector* previous_;
 };
 
+/// RAII: runs its scope (an eval trial, a serving request, a matrix's
+/// oracle prewarm) under a fresh Injector over `scenario` seeded with
+/// `seed`. A null scenario installs nothing: an outer injector stays live.
+class ScenarioScope {
+ public:
+  /// Parses `spec` once for every scope to share; null when it arms no
+  /// site. Throws like Scenario::parse.
+  static std::shared_ptr<const Scenario> arm(std::string_view spec);
+
+  ScenarioScope(const std::shared_ptr<const Scenario>& scenario,
+                std::uint64_t seed);
+  ScenarioScope(const ScenarioScope&) = delete;
+  ScenarioScope& operator=(const ScenarioScope&) = delete;
+
+ private:
+  std::optional<Injector> injector_;
+  std::optional<InjectorScope> scope_;
+};
+
 #if QCGEN_FAILPOINTS_ENABLED
 
 /// Site entry point: evaluates the thread's injector (if any) for

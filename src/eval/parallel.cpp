@@ -40,12 +40,8 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
 
   // Parsed once up front: a malformed scenario is a configuration error
   // and fails fast, before any trial runs.
-  std::shared_ptr<const failpoint::Scenario> scenario;
-  if (!options.chaos_scenario.empty()) {
-    scenario = std::make_shared<const failpoint::Scenario>(
-        failpoint::Scenario::parse(options.chaos_scenario));
-    if (scenario->empty()) scenario.reset();
-  }
+  const std::shared_ptr<const failpoint::Scenario> scenario =
+      failpoint::ScenarioScope::arm(options.chaos_scenario);
 
   TrialMatrix matrix;
 
@@ -70,12 +66,8 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   // (null when the oracle is down: generation then builds its own).
   std::vector<std::shared_ptr<const qasm::Program>> golds(suite.size());
   {
-    std::optional<failpoint::Injector> oracle_injector;
-    std::optional<failpoint::InjectorScope> oracle_scope;
-    if (scenario != nullptr) {
-      oracle_injector.emplace(scenario, options.seed ^ kOracleChaosSalt);
-      oracle_scope.emplace(&*oracle_injector);
-    }
+    const failpoint::ScenarioScope chaos(scenario,
+                                         options.seed ^ kOracleChaosSalt);
     for (std::size_t case_idx = 0; case_idx < suite.size(); ++case_idx) {
       try {
         references.push_back(&oracle.reference_for(suite[case_idx]));
@@ -129,13 +121,9 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
     // Per-trial injector on an independent chaos stream: injection
     // decisions depend only on (seed, case, sample), never the worker
     // schedule, so chaos runs are bit-identical at any thread count.
-    std::optional<failpoint::Injector> injector;
-    std::optional<failpoint::InjectorScope> injector_scope;
-    if (scenario != nullptr) {
-      injector.emplace(scenario, trial_seed(options.seed ^ kTrialChaosSalt,
-                                            case_idx, sample_idx));
-      injector_scope.emplace(&*injector);
-    }
+    const failpoint::ScenarioScope chaos(
+        scenario,
+        trial_seed(options.seed ^ kTrialChaosSalt, case_idx, sample_idx));
     try {
       failpoint::trip("pool.task");
       agents::MultiAgentPipeline pipeline(
@@ -145,18 +133,11 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
       pipeline.set_caches(caches);
       out.pipeline = pipeline.run(suite[case_idx].task, *references[case_idx],
                                   case_idx, golds[case_idx]);
-    } catch (const agents::PipelineStageError& error) {
-      out.failure = TrialFailure{case_idx, sample_idx, error.stage(),
-                                 error.site(), error.retries(), error.what()};
-    } catch (const failpoint::InjectedFault& fault) {
-      out.failure =
-          TrialFailure{case_idx, sample_idx, "trial", fault.site(), 0,
-                       fault.what()};
     } catch (const std::exception& error) {
-      out.failure =
-          TrialFailure{case_idx, sample_idx, "trial", "", 0, error.what()};
-    }
-    if (out.failure.has_value()) {
+      agents::RunFailure f = agents::read_run_failure(error, "trial");
+      out.failure = TrialFailure{case_idx, sample_idx, std::move(f.stage),
+                                 std::move(f.site), f.retries,
+                                 std::move(f.what)};
       trace::Metrics::counter("eval.trial_failures");
     }
   });

@@ -82,7 +82,7 @@ double evaluate_pass_at_k(const agents::TechniqueConfig& technique,
                           const RunnerOptions& options);
 
 /// Serialises contained trial failures / degradation records for the
-/// bench harness's schema-3 `trial_failures` / `degradations` sections.
+/// bench report's `trial_failures` / `degradations` sections.
 Json trial_failures_to_json(const std::vector<TrialFailure>& failures);
 Json degradations_to_json(const std::vector<DegradationRecord>& records);
 

@@ -1,5 +1,5 @@
 #pragma once
-// Serving-report builders: latency quantiles and the schema-5 "serving"
+// Serving-report builders: latency quantiles and the "serving"
 // section of a bench report.
 //
 // The split mirrors the harness contract: everything in a serving row
@@ -70,7 +70,7 @@ Json serving_timing_json(const Server& server, std::size_t semantic_ok,
 
 /// Deterministic request-lifecycle summary of one serving row: deadline
 /// outcomes, budget-pressure pre-degradations, breaker activity and the
-/// authoritative per-site breaker transition history (schema-7
+/// authoritative per-site breaker transition history (the
 /// "lifecycle" section; see validate_bench_json.py check_lifecycle).
 struct LifecycleSummary {
   std::string mix;

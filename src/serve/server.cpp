@@ -20,16 +20,6 @@ constexpr std::size_t kCacheShards = 8;
 
 const sim::Distribution kEmptyReference;
 
-/// The rungs a request starts its pipeline on, set from its admission
-/// level and the breakers open at its arrival.
-struct StartingConfig {
-  std::string fail_fast_site{};  ///< first open fail-fast site ("" = run)
-  bool rag = true;
-  bool abstract_lints = true;
-  bool behavioral = true;  ///< narrowed to "has a reference" once looked up
-  bool qec = false;
-};
-
 /// Every fail-point site in the request path, with the starting rung an
 /// open breaker there takes away: no-rag, core-lints, static-only or
 /// skip-QEC. Null means fail fast: the site has no cheaper rung. The
@@ -37,15 +27,15 @@ struct StartingConfig {
 /// mentions it (organic failures attribute sites too, via
 /// PipelineStageError::site). Fail-fast sites come first, in precedence
 /// order: the first open one names the failure.
-constexpr std::pair<const char*, bool StartingConfig::*> kSiteTable[] = {
+constexpr std::pair<const char*, bool agents::Rungs::*> kSiteTable[] = {
     {"llm.generate", nullptr},
     {"analyzer.parse", nullptr},
     {"pool.task", nullptr},
-    {"retrieval.query", &StartingConfig::rag},
-    {"analyzer.abstract", &StartingConfig::abstract_lints},
-    {"analyzer.simulate", &StartingConfig::behavioral},
-    {"oracle.reference", &StartingConfig::behavioral},
-    {"qec.decode", &StartingConfig::qec},
+    {"retrieval.query", &agents::Rungs::rag},
+    {"analyzer.abstract", &agents::Rungs::abstract_lints},
+    {"analyzer.simulate", &agents::Rungs::behavioral},
+    {"oracle.reference", &agents::Rungs::behavioral},
+    {"qec.decode", &agents::Rungs::qec},
 };
 
 /// The sites this request failed at, for the breaker event log: the
@@ -74,7 +64,7 @@ std::vector<std::string> failed_sites_of(const RequestResult& result) {
 /// the catalog is prewarmed at construction, so serving requests only
 /// ever do the const cache lookup.
 std::vector<std::string> succeeded_sites_of(
-    const RequestResult& result, const StartingConfig& config,
+    const RequestResult& result, const agents::Rungs& rungs,
     const agents::TechniqueConfig& technique,
     const std::vector<std::string>& failed_sites) {
   std::vector<std::string> sites;
@@ -83,7 +73,7 @@ std::vector<std::string> succeeded_sites_of(
   }
   // Stages every completed pipeline run exercises.
   sites = {"analyzer.parse", "llm.generate", "pool.task"};
-  if (config.abstract_lints && result.pipeline.syntactic_ok) {
+  if (rungs.abstract_lints && result.pipeline.syntactic_ok) {
     sites.push_back("analyzer.abstract");
   }
   bool rag_prewalked = false;
@@ -96,19 +86,19 @@ std::vector<std::string> succeeded_sites_of(
     if (event.stage == "verify") verify_degraded = true;
     if (event.stage == "qec") qec_degraded = true;
   }
-  if (config.rag && !rag_prewalked &&
+  if (rungs.rag && !rag_prewalked &&
       (technique.rag_api || technique.rag_guides)) {
     sites.push_back("retrieval.query");
   }
   const bool any_syntactic_pass = std::any_of(
       result.pipeline.trace.begin(), result.pipeline.trace.end(),
       [](const agents::PassTrace& pass) { return pass.syntactic_ok; });
-  if (config.behavioral && any_syntactic_pass && !verify_degraded) {
+  if (rungs.behavioral && any_syntactic_pass && !verify_degraded) {
     sites.push_back("analyzer.simulate");
   }
   // The QEC stage only runs after a semantically-verified pass (the same
   // condition the pipeline gates on).
-  if (config.qec && result.pipeline.semantic_ok && !qec_degraded) {
+  if (rungs.qec && result.pipeline.semantic_ok && !qec_degraded) {
     sites.push_back("qec.decode");
   }
   std::sort(sites.begin(), sites.end());
@@ -147,11 +137,7 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     resources->enable_retrieval_cache(retrieval_cache_);
   }
   resources_ = std::move(resources);
-  if (!options_.chaos_scenario.empty()) {
-    scenario_ = std::make_shared<const failpoint::Scenario>(
-        failpoint::Scenario::parse(options_.chaos_scenario));
-    if (scenario_->empty()) scenario_.reset();
-  }
+  scenario_ = failpoint::ScenarioScope::arm(options_.chaos_scenario);
   if (options_.breaker.enabled) {
     BreakerOptions breaker_options = options_.breaker;
     if (breaker_options.seed == 0) breaker_options.seed = options_.seed;
@@ -301,24 +287,22 @@ RequestResult Server::run_request(const Request& request,
 
   // Per-request injector on an independent chaos stream: injection
   // decisions depend only on (seed, id), never the worker schedule.
-  std::optional<failpoint::Injector> injector;
-  std::optional<failpoint::InjectorScope> injector_scope;
-  if (scenario_ != nullptr) {
-    injector.emplace(scenario_,
-                     request_seed(options_.seed ^ kServeChaosSalt, request.id));
-    injector_scope.emplace(&*injector);
-  }
+  const failpoint::ScenarioScope chaos(
+      scenario_, request_seed(options_.seed ^ kServeChaosSalt, request.id));
 
   // Outlives the try so an aborted run's partial degradation ladder (the
-  // request's per-site fault evidence) can be salvaged in the catches.
+  // request's per-site fault evidence) can be salvaged in the catch.
   std::optional<agents::MultiAgentPipeline> pipeline;
-  // Admission pre-walks the generate/repair ladder's first rung, and
-  // static-only admission the verify ladder's.
-  StartingConfig config{
+  // The rungs this request's pipeline starts on. Admission pre-walks the
+  // generate/repair ladder's first rung, and static-only admission the
+  // verify ladder's; behavioral is narrowed to "has a reference" once
+  // the reference is looked up.
+  agents::Rungs rungs{
       .rag = ticket.level == AdmissionLevel::kFull,
       .abstract_lints = options_.analyzer.analysis.abstract_lints,
       .behavioral = ticket.level != AdmissionLevel::kStaticOnly,
       .qec = request.options.qec && options_.qec.has_value()};
+  std::string fail_fast_site;  ///< first open fail-fast site ("" = run)
   try {
     // Born-cancelled requests resolve here, before the breaker gate —
     // they never block on (or contribute signal to) the event log.
@@ -337,11 +321,11 @@ RequestResult Server::run_request(const Request& request,
       const auto it = verdicts.find(site);
       if (it == verdicts.end() || !it->second.short_circuit) continue;
       if (rung != nullptr) {
-        config.*rung = false;
-      } else if (config.fail_fast_site.empty()) {
+        rungs.*rung = false;
+      } else if (fail_fast_site.empty()) {
         // A structured kFailed beats burning deadline budget on a path
         // that has been failing persistently.
-        config.fail_fast_site = site;
+        fail_fast_site = site;
       }
     }
 
@@ -357,26 +341,25 @@ RequestResult Server::run_request(const Request& request,
     if (const auto found = prompt_index_.find(request.test_case.id);
         found != prompt_index_.end()) {
       prompt_index = found->second;
-      const sim::Distribution* cached =
-          config.behavioral ? oracle_.find(request.test_case.id) : nullptr;
-      if (cached != nullptr) reference = cached;
+      if (const sim::Distribution* cached = oracle_.find(request.test_case.id);
+          cached != nullptr) {
+        reference = cached;
+      }
       gold = oracle_.gold(request.test_case.id);
     }
-    config.behavioral = !reference->empty();
+    rungs.behavioral = rungs.behavioral && !reference->empty();
 
-    if (!config.fail_fast_site.empty()) {
+    if (!fail_fast_site.empty()) {
       result.outcome = RequestOutcome::kFailed;
       result.failure_stage = "request";
-      result.failure_site = config.fail_fast_site;
-      result.failure_what =
-          "circuit breaker open at " + config.fail_fast_site;
+      result.failure_site = fail_fast_site;
+      result.failure_what = "circuit breaker open at " + fail_fast_site;
       trace::Metrics::counter("breaker.fail_fast");
       trace::Metrics::counter("serve.request_failures");
     } else {
       failpoint::trip("pool.task");
       pipeline.emplace(options_.technique, resources_, analyzers_,
-                       config.qec ? options_.qec : std::nullopt,
-                       options_.device,
+                       options_.qec, options_.device,
                        request_seed(options_.seed, request.id));
       pipeline->set_resilience(options_.resilience);
       // bypass mode leaves both cache pointers null: the same content-
@@ -384,40 +367,26 @@ RequestResult Server::run_request(const Request& request,
       // memo is shared in every cache mode (it is not content-addressed).
       pipeline->set_caches({options_.cache.enabled, generation_cache_,
                             analysis_cache_, qec_lifetime_});
-      pipeline->set_rag_enabled(config.rag);
-      pipeline->set_abstract_lints_enabled(config.abstract_lints);
       result.pipeline = pipeline->run(request.test_case.task, *reference,
-                                      prompt_index, gold);
+                                      prompt_index, gold, rungs);
       result.outcome = RequestOutcome::kCompleted;
       trace::Metrics::counter("serve.completed");
     }
-  } catch (const cancel::CancelledError& error) {
-    result.outcome = error.cause() == cancel::Cause::kDeadlineExceeded
-                         ? RequestOutcome::kDeadlineExceeded
-                         : RequestOutcome::kCancelled;
-    result.failure_stage = "request";
-    result.failure_site = error.site();
-    result.failure_what = error.what();
-    trace::Metrics::counter(result.outcome == RequestOutcome::kCancelled
-                                ? "serve.cancelled"
-                                : "serve.deadline_exceeded");
-  } catch (const agents::PipelineStageError& error) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = error.stage();
-    result.failure_site = error.site();
-    result.failure_what = error.what();
-    trace::Metrics::counter("serve.request_failures");
-  } catch (const failpoint::InjectedFault& fault) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = "request";
-    result.failure_site = fault.site();
-    result.failure_what = fault.what();
-    trace::Metrics::counter("serve.request_failures");
   } catch (const std::exception& error) {
-    result.outcome = RequestOutcome::kFailed;
-    result.failure_stage = "request";
-    result.failure_what = error.what();
-    trace::Metrics::counter("serve.request_failures");
+    agents::RunFailure failure = agents::read_run_failure(error, "request");
+    result.outcome =
+        !failure.cancelled.has_value() ? RequestOutcome::kFailed
+        : *failure.cancelled == cancel::Cause::kDeadlineExceeded
+            ? RequestOutcome::kDeadlineExceeded
+            : RequestOutcome::kCancelled;
+    result.failure_stage = std::move(failure.stage);
+    result.failure_site = std::move(failure.site);
+    result.failure_what = std::move(failure.what);
+    trace::Metrics::counter(
+        result.outcome == RequestOutcome::kFailed ? "serve.request_failures"
+        : result.outcome == RequestOutcome::kCancelled
+            ? "serve.cancelled"
+            : "serve.deadline_exceeded");
   }
   // An aborted run (deadline, cancel, stage error) discards its partial
   // pipeline result, but the ladder steps it took up to the abort are
@@ -432,7 +401,7 @@ RequestResult Server::run_request(const Request& request,
   if (breaker_ != nullptr) {
     const std::vector<std::string> failed = failed_sites_of(result);
     breaker_->report(request.id, failed,
-                     succeeded_sites_of(result, config, options_.technique,
+                     succeeded_sites_of(result, rungs, options_.technique,
                                         failed));
   }
   return result;

@@ -1,16 +1,25 @@
-// Tests for the shared bench harness flag parsing (bench/harness.hpp).
+// Tests for the shared bench harness (bench/harness.hpp): flag parsing
+// and the report schema.
 //
 // The harness owns the CLI surface of every bench binary, so malformed
 // invocations must fail fast with exit code 2 instead of silently
 // running a wrong experiment (a negative --samples used to wrap around
 // through std::stoull to 2^64-3). Exit paths are covered with gtest
-// death tests; the parsed-state checks construct the harness directly.
+// death tests; the parsed-state checks construct the harness directly,
+// and one check reads back the report finish() writes.
 
 #include "harness.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qcgen::bench {
@@ -62,6 +71,48 @@ TEST(BenchHarness, QuickKeepsAnExplicitSamplesOverride) {
 
 TEST(BenchHarness, ThreadsAtLimitAccepted) {
   EXPECT_EQ(make({"--threads", "1024"}).threads(), 1024u);
+}
+
+/// The top-level keys of the report `record` leaves finish() to write,
+/// read off the indented dump (the library's Json is write-only), plus
+/// the raw text.
+std::pair<std::set<std::string>, std::string> finished_report(
+    const std::string& file, const std::function<void(Harness&)>& record) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / file).string();
+  Harness harness = make({"--json", path});
+  record(harness);
+  EXPECT_EQ(harness.finish(), 0);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::set<std::string> keys;
+  const std::regex top_level_key("^  \"([a-z_]+)\":");
+  std::string line;
+  while (std::getline(text, line)) {
+    std::smatch match;
+    if (std::regex_search(line, match, top_level_key)) keys.insert(match[1]);
+  }
+  std::filesystem::remove(path);
+  return {keys, text.str()};
+}
+
+TEST(BenchHarness, FinishWritesOneSchemaVersionAndOnlyRecordedSections) {
+  const std::set<std::string> base = {"bench", "config", "results",
+                                      "schema_version", "timing"};
+  const auto [bare_keys, bare_text] =
+      finished_report("harness_bare.json", [](Harness&) {});
+  EXPECT_EQ(bare_keys, base);
+  EXPECT_NE(bare_text.find("\"schema_version\": 8,"), std::string::npos);
+
+  const auto [keys, text] =
+      finished_report("harness_section.json", [](Harness& harness) {
+        harness.record_section("resources", Json(JsonArray{}));
+      });
+  std::set<std::string> expected = base;
+  expected.insert("resources");
+  EXPECT_EQ(keys, expected);
+  EXPECT_NE(text.find("\"schema_version\": 8,"), std::string::npos);
 }
 
 using BenchHarnessDeath = ::testing::Test;

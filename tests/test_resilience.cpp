@@ -5,9 +5,11 @@
 // topologies, empty suites, empty references).
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,6 +354,86 @@ TEST(ResilienceLadder, PressureDegradationDoesNotOutliveTheRun) {
   EXPECT_EQ(second.semantic_ok, expected.semantic_ok);
 }
 
+// ---------------------------------------------------------------------
+// The one failure capture eval trials, serving requests and stage
+// attempts share: each exception kind maps to one RunFailure.
+
+TEST(RunFailureCapture, ReadsEachExceptionKind) {
+  using cancel::Cause;
+  struct Case {
+    const char* name;
+    std::function<void()> raise;
+    agents::RunFailure expected;
+  };
+  const std::vector<Case> cases = {
+      {"stage error",
+       [] {
+         throw agents::PipelineStageError("verify", "analyzer.simulate", 2,
+                                          "verify down");
+       },
+       {"verify", "analyzer.simulate", 2, "verify down", std::nullopt}},
+      {"injected fault",
+       [] { throw failpoint::InjectedFault("llm.generate", "injected"); },
+       {"trial", "llm.generate", 0, "injected", std::nullopt}},
+      {"cancelled",
+       [] { throw cancel::CancelledError(Cause::kCancelled, "serve.request"); },
+       {"trial", "serve.request", 0, "cancelled at serve.request",
+        Cause::kCancelled}},
+      {"deadline exceeded",
+       [] {
+         throw cancel::CancelledError(Cause::kDeadlineExceeded,
+                                      "pipeline.analyze");
+       },
+       {"trial", "pipeline.analyze", 0, "deadline_exceeded at pipeline.analyze",
+        Cause::kDeadlineExceeded}},
+      {"organic", [] { throw std::runtime_error("boom"); },
+       {"trial", "", 0, "boom", std::nullopt}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    try {
+      c.raise();
+      ADD_FAILURE() << "did not throw";
+    } catch (const std::exception& error) {
+      const agents::RunFailure got = agents::read_run_failure(error, "trial");
+      EXPECT_EQ(got.stage, c.expected.stage);
+      EXPECT_EQ(got.site, c.expected.site);
+      EXPECT_EQ(got.retries, c.expected.retries);
+      EXPECT_EQ(got.what, c.expected.what);
+      EXPECT_EQ(got.cancelled, c.expected.cancelled);
+    }
+  }
+}
+
+TEST(StartingRungs, EachFlagStartsItsLadderBelowTheTop) {
+  const LadderCase ladder = ladder_case(0);
+  auto run = [&](agents::Rungs start) {
+    auto pipeline = ladder_pipeline(/*with_qec=*/true);
+    return pipeline.run(ladder.test_case.task, ladder.reference,
+                        ladder.prompt_index, nullptr, start);
+  };
+  // Static-only verification: semantic mirrors syntactic at tvd 0, the
+  // same verdicts an empty reference gives.
+  auto pipeline = ladder_pipeline(/*with_qec=*/true);
+  const agents::PipelineResult no_reference = pipeline.run(
+      ladder.test_case.task, sim::Distribution{}, ladder.prompt_index);
+  const agents::PipelineResult static_only = run({.behavioral = false});
+  // The syntactically valid first pass verifies, so QEC plans it.
+  ASSERT_TRUE(static_only.semantic_ok);
+  EXPECT_TRUE(static_only.qec.has_value());
+  EXPECT_FALSE(run({.behavioral = false, .qec = false}).qec.has_value());
+  ASSERT_EQ(static_only.trace.size(), no_reference.trace.size());
+  for (std::size_t i = 0; i < static_only.trace.size(); ++i) {
+    EXPECT_EQ(static_only.trace[i].tvd, no_reference.trace[i].tvd);
+    EXPECT_EQ(static_only.trace[i].semantic_ok,
+              no_reference.trace[i].semantic_ok);
+  }
+  EXPECT_EQ(static_only.generation.source, no_reference.generation.source);
+  // No ladder step is recorded for a rung the caller took away.
+  EXPECT_TRUE(run({.rag = false, .abstract_lints = false}).degradations
+                  .empty());
+}
+
 #if QCGEN_FAILPOINTS_ENABLED
 
 std::set<std::pair<std::size_t, std::size_t>> failed_trials(
@@ -682,6 +764,47 @@ TEST(ResilienceLadder, DecoderOutageWalksEveryDecoderToNone) {
                 injected(1, "qec mwpm->union-find", "qec.decode"),
                 injected(1, "qec union-find->lookup", "qec.decode"),
                 injected(1, "qec lookup->none", "qec.decode")}));
+}
+
+// ---------------------------------------------------------------------
+// ScenarioScope: an unarmed scope installs nothing, so a fault an outer
+// injector arms still fires inside a run; an armed scope replaces it.
+
+TEST(ScenarioScope, UnarmedScopeLeavesAnOuterInjectorLive) {
+  EXPECT_EQ(failpoint::ScenarioScope::arm(""), nullptr);
+  failpoint::Injector outer(
+      failpoint::ScenarioScope::arm("llm.generate=error(1.0)"), 7);
+  failpoint::InjectorScope outer_scope(&outer);
+  const LadderCase ladder = ladder_case(0);
+  const auto failure_site = [&](const char* inner_spec) {
+    const failpoint::ScenarioScope inner(
+        failpoint::ScenarioScope::arm(inner_spec), 11);
+    auto pipeline = ladder_pipeline(/*with_qec=*/false);
+    try {
+      (void)pipeline.run(ladder.test_case.task, ladder.reference,
+                         ladder.prompt_index);
+    } catch (const std::exception& error) {
+      return agents::read_run_failure(error, "trial").site;
+    }
+    return std::string("(completed)");
+  };
+  EXPECT_EQ(failure_site(""), "llm.generate");
+  EXPECT_EQ(failure_site("analyzer.parse=error(1.0)"), "analyzer.parse");
+  EXPECT_EQ(failure_site(""), "llm.generate");
+}
+
+TEST(ScenarioScope, UnarmedMatrixKeepsAnOuterInjectorAroundTheOraclePrewarm) {
+  // The prewarm runs on the calling thread under the matrix's scope.
+  failpoint::Injector outer(
+      failpoint::ScenarioScope::arm("oracle.reference=error(1.0)"), 7);
+  failpoint::InjectorScope outer_scope(&outer);
+  const auto suite = small_suite(3);
+  const eval::AccuracyReport report =
+      eval::evaluate_technique(test_technique(), suite, base_options());
+  ASSERT_EQ(report.degradations.size(), suite.size());
+  for (const eval::DegradationRecord& record : report.degradations) {
+    EXPECT_EQ(record.event.stage, "oracle");
+  }
 }
 
 #endif  // QCGEN_FAILPOINTS_ENABLED
