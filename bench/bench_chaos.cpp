@@ -116,15 +116,11 @@ int main(int argc, char** argv) {
   table.set_title("Fault-injection sweep over the resilient pipeline");
   JsonArray json_rows;
   std::size_t total_trials = 0;
-  const eval::AccuracyReport* last = nullptr;
-  std::vector<eval::AccuracyReport> reports;
-  reports.reserve(scenarios.size());
+  eval::AccuracyReport report;  // the last row's is recorded below
   for (const std::string& scenario : scenarios) {
     eval::RunnerOptions row_options = options;
     row_options.chaos_scenario = scenario;
-    reports.push_back(
-        eval::evaluate_technique(technique, suite, row_options));
-    const eval::AccuracyReport& report = reports.back();
+    report = eval::evaluate_technique(technique, suite, row_options);
     total_trials += suite.size() * harness.samples();
     // trial_failures carry their retry counts; completed trials are not
     // walked here, so the column reports retries spent on lost trials.
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
     record["trial_failures"] = report.trial_failures.size();
     record["degradations"] = report.degradations.size();
     json_rows.push_back(std::move(record));
-    last = &report;
     std::fflush(stdout);
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -156,14 +151,10 @@ int main(int argc, char** argv) {
 
   harness.record("rows", Json(std::move(json_rows)));
   harness.record("cases", Json(suite.size()));
-  if (last != nullptr) {
-    harness.record_section(
-        "trial_failures",
-        eval::trial_failures_to_json(last->trial_failures));
-    harness.record_section(
-        "degradations",
-        eval::degradations_to_json(last->degradations));
-  }
+  harness.record_section("trial_failures",
+                         eval::trial_failures_to_json(report.trial_failures));
+  harness.record_section("degradations",
+                         eval::degradations_to_json(report.degradations));
 
   // ---- Serving lifecycle sweep: fault rate x deadline with per-site
   // circuit breakers. Skipped under --scenario (which pins the batch

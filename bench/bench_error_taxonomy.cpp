@@ -5,7 +5,8 @@
 // repair (Sec V-D), and "syntactically correct but semantically invalid
 // code" from bad CoT scaffolds (Sec V-E). This bench reproduces that
 // analysis: for each technique, failed samples are bucketed by their
-// dominant error class.
+// dominant error class. Under --scenario, trials that threw count as
+// failed in no class and are listed in trial_failures, rows in order.
 
 #include <cstdio>
 #include <map>
@@ -140,34 +141,40 @@ int main(int argc, char** argv) {
                   "(percentages of failures)");
 
   JsonArray json_failures;
+  std::vector<eval::TrialFailure> trial_failures;
   std::size_t total_trials = 0;
   for (const Row& row : rows) {
     // Run the whole (case x sample) matrix on the trial scheduler; the
-    // classification below walks the results in deterministic order.
-    const std::vector<eval::TrialResult> trials =
-        eval::run_trial_matrix(row.config, suite, samples, options).trials;
+    // visitor classifies each trial in deterministic index order.
     std::map<Bucket, std::size_t> histogram;
     std::size_t failures = 0;
-    for (const eval::TrialResult& trial : trials) {
-      ++total_trials;
-      const agents::PipelineResult& result = trial.pipeline;
-      if (result.semantic_ok) continue;
-      ++failures;
-      const Bucket bucket = classify(result);
-      ++histogram[bucket];
-      Json record;
-      record["technique"] = row.name;
-      record["prompt"] = trial.case_idx;
-      record["sample"] = trial.sample_idx;
-      record["bucket"] = bucket_name(bucket);
-      record["passes_used"] = result.passes_used;
-      record["diagnostics"] =
-          qasm::diagnostics_to_json(result.trace.back().diagnostics);
-      json_failures.push_back(std::move(record));
-    }
+    eval::run_trial_matrix(
+        row.config, suite, samples, options, [&](const eval::Trial& trial) {
+          if (trial.failure != nullptr) {
+            ++failures;
+            trial_failures.push_back(*trial.failure);
+            return;
+          }
+          const agents::PipelineResult& result = *trial.result;
+          if (result.semantic_ok) return;
+          ++failures;
+          const Bucket bucket = classify(result);
+          ++histogram[bucket];
+          Json record;
+          record["technique"] = row.name;
+          record["prompt"] = trial.case_idx;
+          record["sample"] = trial.sample_idx;
+          record["bucket"] = bucket_name(bucket);
+          record["passes_used"] = result.passes_used;
+          record["diagnostics"] =
+              qasm::diagnostics_to_json(result.trace.back().diagnostics);
+          json_failures.push_back(std::move(record));
+        });
+    const std::size_t trials = suite.size() * samples;
+    total_trials += trials;
     std::vector<std::string> cells = {
         row.name,
-        format_double(100.0 * failures / trials.size(), 1),
+        format_double(100.0 * failures / trials, 1),
     };
     for (Bucket b : buckets) {
       const double share =
@@ -185,7 +192,15 @@ int main(int argc, char** argv) {
       "class overall -- exactly the paper's Sec V-D account of why the "
       "gains plateau; (2) SCoT collapses the wrong-plan share, leaving "
       "syntactic classes (chiefly import misuse) as the bottleneck.\n");
+  if (!trial_failures.empty()) {
+    std::printf("%zu trials threw: failed, in no class.\n",
+                trial_failures.size());
+  }
   harness.record("failures", Json(std::move(json_failures)));
+  if (!harness.scenario().empty()) {
+    harness.record_section("trial_failures",
+                           eval::trial_failures_to_json(trial_failures));
+  }
   harness.set_trials(total_trials);
   return harness.finish();
 }

@@ -72,6 +72,22 @@ std::uint64_t parse_u64(const std::string& name, const char* flag,
   std::exit(2);
 }
 
+/// Writes `text` and a newline to `path`. False, after a diagnostic, when
+/// the file cannot be opened or the write fails.
+bool write_file(const std::string& name, const std::string& path,
+                const std::string& text) {
+  std::ofstream out(path);
+  if (out) {
+    out << text << "\n";
+    out.close();
+  }
+  if (!out) {
+    std::fprintf(stderr, "bench_%s: cannot write %s\n", name.c_str(),
+                 path.c_str());
+  }
+  return static_cast<bool>(out);
+}
+
 }  // namespace
 
 Harness::Harness(std::string name, int argc, char** argv, Defaults defaults)
@@ -193,24 +209,11 @@ int Harness::finish(int exit_code) {
       // Wall-clock-shaped trace data rides with "timing" so the
       // validator's determinism compare strips it with the rest.
       timing["stages"] = sink_->stage_seconds_json();
-      timing["scheduler"] = sink_->scheduler_json();
       report["trace"] = sink_->summary_json();
     }
     report["timing"] = Json(std::move(timing));
     report["results"] = Json(results_);
-    std::ofstream out(json_path_);
-    if (!out) {
-      std::fprintf(stderr, "bench_%s: cannot write %s\n", name_.c_str(),
-                   json_path_.c_str());
-      return 1;
-    }
-    out << report.dump(2) << "\n";
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "bench_%s: write to %s failed\n", name_.c_str(),
-                   json_path_.c_str());
-      return 1;
-    }
+    if (!write_file(name_, json_path_, report.dump(2))) return 1;
     std::printf("[bench_%s] wrote %s\n", name_.c_str(), json_path_.c_str());
   }
 
@@ -218,17 +221,7 @@ int Harness::finish(int exit_code) {
     const trace::Summary summary = sink_->summary();
     std::uint64_t spans = 0;
     for (const auto& [name, count] : summary.span_counts) spans += count;
-    std::ofstream trace_out(trace_path_);
-    if (!trace_out) {
-      std::fprintf(stderr, "bench_%s: cannot write %s\n", name_.c_str(),
-                   trace_path_.c_str());
-      return 1;
-    }
-    trace_out << sink_->chrome_trace_json() << "\n";
-    trace_out.close();
-    if (!trace_out) {
-      std::fprintf(stderr, "bench_%s: write to %s failed\n", name_.c_str(),
-                   trace_path_.c_str());
+    if (!write_file(name_, trace_path_, sink_->chrome_trace_json())) {
       return 1;
     }
     std::printf("[bench_%s] traced %llu spans across %zu stages; wrote %s\n",

@@ -27,7 +27,7 @@
 //     "config":  {"samples": N, "seed": S, "threads": T, "quick": B,
 //                 "scenario": "..."},                     // --scenario only
 //     "timing":  {"wall_seconds": W, "trials": N, "trials_per_second": R,
-//                 "stages": {...}, "scheduler": {...}},   // --trace only
+//                 "stages": {...}},                       // --trace only
 //     "results": { ... bench-specific ... },
 //     "trace":   {"spans": {...}, "counters": {...},
 //                 "histograms": {...}},                   // --trace only
@@ -40,8 +40,7 @@
 // Everything outside "timing" is deterministic for a fixed (samples,
 // seed) at any --threads value — including the "trace" summary, whose
 // per-trial sinks merge in trial index order; wall-clock stage totals
-// and scheduler balance live under "timing", and raw timestamps only in
-// the Chrome export. scripts/validate_bench_json.py checks the schema
+// live under "timing", and raw timestamps only in the Chrome export. scripts/validate_bench_json.py checks the schema
 // and compares reports modulo "timing".
 
 #include <chrono>

@@ -144,6 +144,14 @@ expect_rejected() {  # FILE REASON
 }
 expect_rejected "$SMOKE/bad_schema.json" "schema_version must be 8"
 expect_rejected "$SMOKE/bad_admission.json" "admission counts"
+# google-benchmark's wall numbers ride under "timing", so two runs of the
+# microbenchmarks agree outside it.
+for run in a b; do
+  ./build-check/bench/bench_sim_throughput --samples 1 \
+    --json "$SMOKE/sim_throughput_$run.json" >/dev/null 2>&1
+done
+scripts/validate_bench_json.py --compare \
+  "$SMOKE/sim_throughput_a.json" "$SMOKE/sim_throughput_b.json"
 
 echo "==> [3/11] chaos determinism (bench_chaos --quick, threads 1 vs 8)"
 # The fault-injection sweep must be bit-identical at any thread count
@@ -170,6 +178,14 @@ scripts/validate_bench_json.py \
   build-check/BENCH_chaos_ladder_t1.json build-check/BENCH_chaos_ladder_t8.json
 scripts/validate_bench_json.py --compare \
   build-check/BENCH_chaos_ladder_t1.json build-check/BENCH_chaos_ladder_t8.json
+# The taxonomy bench must contain failed trials too: a scenario that
+# fails every generation, and the ladder scenario, each exit 0 with a
+# valid report.
+for scenario in "llm.generate=error(1.0)" "$LADDER_SCENARIO"; do
+  ./build-check/bench/bench_error_taxonomy --samples 1 --scenario "$scenario" \
+    --json build-check/BENCH_error_taxonomy_chaos.json >/dev/null
+  scripts/validate_bench_json.py build-check/BENCH_error_taxonomy_chaos.json
+done
 
 echo "==> [4/11] translation validation (verify suites + bench_equivalence)"
 # Every equivalence verdict is cross-checked against exact simulation;
@@ -227,6 +243,9 @@ ctest --test-dir build-check --output-on-failure -L cache
 ./build-check/tests/test_parallel_eval --gtest_brief=1 \
   --gtest_filter='EvaluateTechnique.*ThreadCount*:RunTrialMatrix.*' \
   --gtest_repeat=300
+# The fold relies on the pool starting tasks and indices in order.
+./build-check/tests/test_thread_pool --gtest_brief=1 \
+  --gtest_filter='ThreadPool.*Order*' --gtest_repeat=300
 # Every worker reads the matrix's shared gold programs and analyzer kit
 # and aliases shared analysis reports; none may be mutated through the
 # share at any thread count.

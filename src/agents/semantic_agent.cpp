@@ -111,7 +111,6 @@ SemanticAnalyzerAgent::Config::Config(Options options_in)
     : options(std::move(options_in)),
       digest(analyzer_options_digest(options.analysis)),
       lint(options.analysis.to_lint_config()) {
-  require(options.shots >= 1, "SemanticAnalyzerAgent: shots >= 1");
   require(options.tvd_threshold > 0.0 && options.tvd_threshold < 1.0,
           "SemanticAnalyzerAgent: tvd_threshold in (0,1)");
 }

@@ -79,9 +79,7 @@ std::uint64_t circuit_digest(const sim::Circuit& circuit) noexcept;
 class SemanticAnalyzerAgent {
  public:
   struct Options {
-    std::uint64_t shots = 2048;
     double tvd_threshold = 0.05;
-    std::uint64_t seed = 11;
     /// Static-analysis configuration forwarded to qasm::analyze; the
     /// defaults enable the dataflow lints and fix-it emission (flip
     /// `analysis.emit_fixits` off for the repair-loop ablation).

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/trace.hpp"
@@ -20,10 +18,6 @@ std::size_t resolve_thread_count(std::size_t requested) noexcept {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t count = resolve_thread_count(threads);
-  queues_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -33,7 +27,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   wait_idle();
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   work_available_.notify_all();
@@ -43,47 +37,12 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   require(static_cast<bool>(task), "ThreadPool::submit: empty task");
   {
-    // The push happens under state_mutex_ so it cannot interleave with a
-    // worker's empty-scan-then-sleep sequence (which also holds it); a
-    // task is therefore either visible to the scan or notified after the
-    // worker is inside wait().
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     require(!stopping_, "ThreadPool::submit after shutdown");
     ++pending_;
-    const std::size_t target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    std::lock_guard<std::mutex> qlock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
+    tasks_.push_back(std::move(task));
   }
   work_available_.notify_one();
-}
-
-bool ThreadPool::try_pop_local(std::size_t index,
-                               std::function<void()>& task) {
-  Queue& queue = *queues_[index];
-  std::lock_guard<std::mutex> lock(queue.mutex);
-  if (queue.tasks.empty()) return false;
-  // LIFO on the owner's side: the most recently pushed task is the one
-  // whose working set is most likely still cache-resident.
-  task = std::move(queue.tasks.back());
-  queue.tasks.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, std::function<void()>& task) {
-  const std::size_t n = queues_.size();
-  for (std::size_t offset = 1; offset < n; ++offset) {
-    Queue& victim = *queues_[(thief + offset) % n];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.tasks.empty()) continue;
-    // FIFO on the thief's side: take the oldest (coldest) task so the
-    // owner keeps its warm tail.
-    task = std::move(victim.tasks.front());
-    victim.tasks.pop_front();
-    tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
@@ -92,69 +51,60 @@ void ThreadPool::worker_loop(std::size_t index) {
   trace::set_thread_tag(static_cast<std::uint32_t>(index) + 1);
   for (;;) {
     std::function<void()> task;
-    if (try_pop_local(index, task) || try_steal(index, task)) {
-      task();
-      // Destroy the task (and anything it captured — e.g. parallel_for's
-      // shared error state) BEFORE signalling completion: wait_idle
-      // callers may use state the task owned the moment it returns.
-      task = nullptr;
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (--pending_ == 0) idle_.notify_all();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_available_.wait(lock,
+                           [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (stopping_) return;
-    // Re-check under the lock: a task may have been submitted between
-    // the failed scans and acquiring the lock.
-    bool any = false;
-    for (const auto& queue : queues_) {
-      std::lock_guard<std::mutex> qlock(queue->mutex);
-      if (!queue->tasks.empty()) {
-        any = true;
-        break;
-      }
-    }
-    if (any) continue;
-    work_available_.wait(lock);
+    task();
+    // Destroy the task (and anything it captured) BEFORE signalling
+    // completion: wait_idle callers may use state the task owned the
+    // moment it returns.
+    task = nullptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--pending_ == 0) idle_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  // Failures are collected out-of-band with their index; every index
-  // still runs to completion, and the lowest-index exception is the one
-  // rethrown on the caller — deterministic no matter which worker's
-  // failure happened to land first.
-  struct Errors {
-    std::mutex mutex;
-    std::vector<std::pair<std::size_t, std::exception_ptr>> entries;
-  };
-  auto errors = std::make_shared<Errors>();
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([&body, i, errors] {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(errors->mutex);
-        errors->entries.emplace_back(i, std::current_exception());
+  // One task per worker, each claiming the next index until none is
+  // left. Failures are kept out-of-band; every index still runs, and the
+  // lowest failing index's exception is the one rethrown on the caller —
+  // deterministic no matter which worker's failure landed first. The
+  // tasks capture locals by reference: wait_idle returns only after
+  // every task has finished.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t failed_index = n;
+  std::exception_ptr error;
+  const std::size_t tasks = std::min(n, size());
+  for (std::size_t t = 0; t < tasks; ++t) {
+    submit([&] {
+      for (std::size_t i = next++; i < n; i = next++) {
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < failed_index) {
+            failed_index = i;
+            error = std::current_exception();
+          }
+        }
       }
     });
   }
   wait_idle();
-  std::lock_guard<std::mutex> lock(errors->mutex);
-  if (!errors->entries.empty()) {
-    const auto lowest = std::min_element(
-        errors->entries.begin(), errors->entries.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::rethrow_exception(lowest->second);
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace qcgen

@@ -1,17 +1,15 @@
 #pragma once
-// Work-stealing thread pool for embarrassingly-parallel trial scheduling.
+// Thread pool for embarrassingly-parallel trial and request scheduling.
 //
-// Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
-// and steals FIFO from a victim when empty, so uneven trial costs (a
-// 6-pass repair loop next to a single-shot success) balance out without
-// a central queue becoming the bottleneck. Determinism is the caller's
-// job: parallel_for hands out index ranges, and callers seed each index
-// independently so the schedule never influences results.
+// One FIFO task queue under one mutex: workers pop the oldest task, so
+// tasks start in submission order. parallel_for submits one task per
+// worker, and each claims the next index from a shared counter, so
+// indices start in ascending order. Determinism is the caller's job:
+// callers seed each index independently so the schedule never
+// influences results.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -42,52 +40,25 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
 
-  /// Tasks submitted but not yet finished (a live gauge — by the time
-  /// the caller reads it, workers may already have drained more).
-  std::size_t pending() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return pending_;
-  }
-
   /// Runs body(i) for each i in [0, n) across the pool and blocks until
-  /// all calls completed. Exceptions are collected per index; after the
-  /// pool drains, the one thrown by the *lowest* failing index is
-  /// rethrown on the calling thread — deterministic under any worker
-  /// interleaving (remaining indices still run).
+  /// all calls completed. Indices are claimed in ascending order, so a
+  /// one-worker pool calls body(0), body(1), ... in turn. Exceptions are
+  /// collected per index; after the pool drains, the one thrown by the
+  /// *lowest* failing index is rethrown on the calling thread —
+  /// deterministic under any worker interleaving (remaining indices
+  /// still run).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Scheduler-balance counters (lifetime totals). Tasks executed counts
-  /// every task a worker ran; tasks stolen counts the subset a worker
-  /// took from another worker's deque, exposing how much rebalancing the
-  /// work-stealing scheduler had to do.
-  std::uint64_t tasks_executed() const noexcept {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t tasks_stolen() const noexcept {
-    return tasks_stolen_.load(std::memory_order_relaxed);
-  }
-
  private:
-  struct Queue {
-    std::deque<std::function<void()>> tasks;
-    std::mutex mutex;
-  };
-
   void worker_loop(std::size_t index);
-  bool try_pop_local(std::size_t index, std::function<void()>& task);
-  bool try_steal(std::size_t thief, std::function<void()>& task);
 
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
 
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> tasks_stolen_{0};
-
-  mutable std::mutex state_mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
-  std::size_t pending_ = 0;     ///< submitted but not yet finished
-  std::size_t next_queue_ = 0;  ///< round-robin submission cursor
+  std::deque<std::function<void()>> tasks_;
+  std::size_t pending_ = 0;  ///< submitted but not yet finished
   bool stopping_ = false;
 };
 

@@ -63,12 +63,6 @@ Json Summary::to_json() const {
   return out;
 }
 
-void SchedulerStats::merge(const SchedulerStats& other) noexcept {
-  workers = std::max(workers, other.workers);
-  tasks_executed += other.tasks_executed;
-  tasks_stolen += other.tasks_stolen;
-}
-
 TraceSink::TraceSink(bool keep_events, std::size_t max_events)
     : keep_events_(keep_events), max_events_(max_events) {}
 
@@ -99,11 +93,6 @@ void TraceSink::observe(std::string_view name, double value) {
   summary_.histograms[std::string(name)].observe(value);
 }
 
-void TraceSink::add_scheduler(const SchedulerStats& stats) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  scheduler_.merge(stats);
-}
-
 void TraceSink::merge(const TraceSink& other) {
   // Callers merge finished child sinks into a parent; lock ordering is
   // therefore hierarchical and cannot deadlock.
@@ -111,7 +100,6 @@ void TraceSink::merge(const TraceSink& other) {
   std::lock_guard<std::mutex> lock(mutex_);
   summary_.merge(other.summary_);
   for (const auto& [name, ns] : other.stage_ns_) stage_ns_[name] += ns;
-  scheduler_.merge(other.scheduler_);
   events_dropped_ += other.events_dropped_;
   if (keep_events_) {
     for (const SpanEvent& event : other.events_) {
@@ -132,11 +120,6 @@ void TraceSink::add_summary(const Summary& summary) {
 Summary TraceSink::summary() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return summary_;
-}
-
-SchedulerStats TraceSink::scheduler() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return scheduler_;
 }
 
 std::vector<SpanEvent> TraceSink::events() const {
@@ -164,15 +147,6 @@ Json TraceSink::stage_seconds_json() const {
   JsonObject out;
   for (const auto& [name, seconds] : stage_seconds()) out[name] = seconds;
   return Json(std::move(out));
-}
-
-Json TraceSink::scheduler_json() const {
-  const SchedulerStats stats = scheduler();
-  Json out;
-  out["workers"] = stats.workers;
-  out["tasks_executed"] = stats.tasks_executed;
-  out["tasks_stolen"] = stats.tasks_stolen;
-  return out;
 }
 
 std::string TraceSink::chrome_trace_json() const {

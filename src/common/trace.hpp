@@ -13,8 +13,7 @@
 //  * TraceSink — the aggregation point. It separates the *deterministic*
 //    summary (span counts per stage, counter totals, histogram
 //    count/sum/min/max) from wall-clock data (per-stage nanosecond
-//    totals, scheduler balance, raw events for the Chrome trace-event
-//    export). Per-trial sinks merged in trial index order therefore give
+//    totals, raw events for the Chrome trace-event export). Per-trial sinks merged in trial index order therefore give
 //    bit-identical summaries at any thread count, while the timestamped
 //    view is still available for chrome://tracing / Perfetto.
 //
@@ -80,17 +79,6 @@ struct SpanEvent {
   std::uint16_t depth = 0;        ///< nesting depth at entry
 };
 
-/// Scheduler balance stats harvested from a ThreadPool run. Inherently
-/// wall-clock-shaped (steals depend on timing), so these are reported
-/// next to timing data, never inside the deterministic summary.
-struct SchedulerStats {
-  std::uint64_t workers = 0;
-  std::uint64_t tasks_executed = 0;
-  std::uint64_t tasks_stolen = 0;
-
-  void merge(const SchedulerStats& other) noexcept;
-};
-
 /// Thread-safe trace aggregation point.
 class TraceSink {
  public:
@@ -107,7 +95,6 @@ class TraceSink {
                    std::uint16_t depth);
   void add_counter(std::string_view name, std::int64_t delta);
   void observe(std::string_view name, double value);
-  void add_scheduler(const SchedulerStats& stats);
 
   /// Folds a finished child sink in. Call in a deterministic order
   /// (e.g. trial index order) to keep the merged summary bit-stable.
@@ -119,7 +106,6 @@ class TraceSink {
 
   // -- snapshots --------------------------------------------------------
   Summary summary() const;
-  SchedulerStats scheduler() const;
   std::vector<SpanEvent> events() const;
   std::uint64_t events_dropped() const;
   /// Per-stage wall-clock totals in seconds (timing data, not part of
@@ -129,7 +115,6 @@ class TraceSink {
   // -- serialisation ----------------------------------------------------
   Json summary_json() const;        ///< deterministic "trace" section
   Json stage_seconds_json() const;  ///< for the report's "timing" subtree
-  Json scheduler_json() const;      ///< for the report's "timing" subtree
   /// Full Chrome trace-event JSON (load in chrome://tracing / Perfetto).
   std::string chrome_trace_json() const;
 
@@ -137,7 +122,6 @@ class TraceSink {
   mutable std::mutex mutex_;
   Summary summary_;
   std::map<std::string, std::uint64_t> stage_ns_;
-  SchedulerStats scheduler_;
   bool keep_events_ = false;
   std::size_t max_events_ = 0;
   std::uint64_t events_dropped_ = 0;

@@ -10,8 +10,6 @@
 
 namespace qcgen::eval {
 
-ReferenceOracle::ReferenceOracle(Options options) : options_(options) {}
-
 const sim::Distribution& ReferenceOracle::reference_for(
     const TestCase& test_case) {
   auto it = cache_.find(test_case.id);

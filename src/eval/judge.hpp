@@ -22,14 +22,6 @@ namespace qcgen::eval {
 /// instead of rebuilding it per trial.
 class ReferenceOracle {
  public:
-  struct Options {
-    std::uint64_t shots = 4096;
-    std::uint64_t seed = 97;
-  };
-
-  ReferenceOracle() : ReferenceOracle(Options()) {}
-  explicit ReferenceOracle(Options options);
-
   /// Exact reference distribution for a case (cached on first use).
   const sim::Distribution& reference_for(const TestCase& test_case);
 
@@ -53,7 +45,6 @@ class ReferenceOracle {
     sim::Distribution reference;
     std::shared_ptr<const qasm::Program> gold;
   };
-  Options options_;
   std::map<std::string, Entry> cache_;
 };
 

@@ -1,6 +1,9 @@
 #include "eval/parallel.hpp"
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 
 #include "agents/technique_resources.hpp"
 #include "common/error.hpp"
@@ -29,12 +32,69 @@ namespace {
 constexpr std::uint64_t kTrialChaosSalt = 0x7c3a5ec1d9b04f37ULL;
 constexpr std::uint64_t kOracleChaosSalt = 0x51ed2700c611a1b5ULL;
 
+/// A trial that has run, held until every trial before it is visited.
+struct Finished {
+  std::size_t case_idx = 0;
+  std::size_t sample_idx = 0;
+  agents::PipelineResult result;  ///< meaningless when `failure` is set
+  std::optional<TrialFailure> failure;
+  std::unique_ptr<trace::TraceSink> sink;  ///< null when untraced
+};
+
+/// Visits finished trials in trial index order and merges each one's
+/// sink into the matrix sink. A trial that finishes ahead of its
+/// predecessors waits in an index-keyed window; whichever worker
+/// completes the next index drains the contiguous prefix under the
+/// fold's lock. Workers claim trials in index order, so the window only
+/// holds what scheduling jitter puts out of order.
+class OrderedFold {
+ public:
+  OrderedFold(const std::function<void(const Trial&)>& visit,
+              trace::TraceSink* trace)
+      : visit_(visit), trace_(trace) {}
+
+  void complete(std::size_t index, Finished trial) {
+    // Declared before the lock, so the drained trials (and `trial`) are
+    // freed after it is released: freeing them under it stalls the other
+    // workers (fig3 at 4 workers on 4 vCPUs ran ~15% slower).
+    std::map<std::size_t, Finished> drained;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (index != next_) {
+      window_.emplace(index, std::move(trial));
+      return;
+    }
+    fold(trial);
+    while (!window_.empty() && window_.begin()->first == next_) {
+      auto node = window_.extract(window_.begin());
+      fold(node.mapped());
+      drained.insert(std::move(node));
+    }
+  }
+
+ private:
+  void fold(const Finished& trial) {
+    ++next_;
+    visit_(Trial{trial.case_idx, trial.sample_idx,
+                 trial.failure.has_value() ? nullptr : &trial.result,
+                 trial.failure.has_value() ? &*trial.failure : nullptr,
+                 trial.sink.get()});
+    if (trace_ != nullptr) trace_->merge(*trial.sink);
+  }
+
+  const std::function<void(const Trial&)>& visit_;
+  trace::TraceSink* trace_;
+  std::mutex mutex_;
+  std::size_t next_ = 0;  ///< the next trial index to visit
+  std::map<std::size_t, Finished> window_;
+};
+
 }  // namespace
 
 TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
                              const std::vector<TestCase>& suite,
                              std::size_t samples_per_case,
-                             const RunnerOptions& options) {
+                             const RunnerOptions& options,
+                             const std::function<void(const Trial&)>& visit) {
   require(!suite.empty(), "run_trial_matrix: empty suite");
   require(samples_per_case >= 1, "run_trial_matrix: samples_per_case >= 1");
 
@@ -58,7 +118,7 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
         std::make_shared<llm::RetrievalCache>(cache::CacheOptions{}));
     return built;
   }();
-  ReferenceOracle oracle(options.oracle);
+  ReferenceOracle oracle;
   static const sim::Distribution kEmptyReference;
   std::vector<const sim::Distribution*> references;
   references.reserve(suite.size());
@@ -94,67 +154,47 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
   caches.qec_lifetime = std::make_shared<agents::QecLifetimeMemo>();
 
   const std::size_t n_trials = suite.size() * samples_per_case;
-  matrix.trials.resize(n_trials);
-  std::vector<TrialResult>& results = matrix.trials;
-
-  // One sink per trial: each is written by exactly one worker while the
-  // trial runs, then merged below in trial index order, which keeps the
-  // aggregate summary independent of the worker schedule.
   const bool tracing = options.trace != nullptr;
-  std::vector<std::unique_ptr<trace::TraceSink>> sinks;
-  if (tracing) {
-    sinks.reserve(n_trials);
-    for (std::size_t i = 0; i < n_trials; ++i) {
-      sinks.push_back(
-          std::make_unique<trace::TraceSink>(options.trace->keep_events()));
-    }
-  }
-
+  OrderedFold fold(visit, options.trace);
   ThreadPool pool(options.threads);
   pool.parallel_for(n_trials, [&](std::size_t trial) {
-    trace::SinkScope scope(tracing ? sinks[trial].get() : nullptr);
-    const std::size_t case_idx = trial / samples_per_case;
-    const std::size_t sample_idx = trial % samples_per_case;
-    TrialResult& out = results[trial];
-    out.case_idx = case_idx;
-    out.sample_idx = sample_idx;
-    // Per-trial injector on an independent chaos stream: injection
-    // decisions depend only on (seed, case, sample), never the worker
-    // schedule, so chaos runs are bit-identical at any thread count.
-    const failpoint::ScenarioScope chaos(
-        scenario,
-        trial_seed(options.seed ^ kTrialChaosSalt, case_idx, sample_idx));
-    try {
-      failpoint::trip("pool.task");
-      agents::MultiAgentPipeline pipeline(
-          technique, resources, analyzers, options.qec, options.device,
-          trial_seed(options.seed, case_idx, sample_idx));
-      pipeline.set_resilience(options.resilience);
-      pipeline.set_caches(caches);
-      out.pipeline = pipeline.run(suite[case_idx].task, *references[case_idx],
-                                  case_idx, golds[case_idx]);
-    } catch (const std::exception& error) {
-      agents::RunFailure f = agents::read_run_failure(error, "trial");
-      out.failure = TrialFailure{case_idx, sample_idx, std::move(f.stage),
-                                 std::move(f.site), f.retries,
-                                 std::move(f.what)};
-      trace::Metrics::counter("eval.trial_failures");
+    Finished out;
+    out.case_idx = trial / samples_per_case;
+    out.sample_idx = trial % samples_per_case;
+    // The trial's own sink, written only by this worker while it runs.
+    if (tracing) {
+      out.sink =
+          std::make_unique<trace::TraceSink>(options.trace->keep_events());
     }
+    {
+      const trace::SinkScope scope(out.sink.get());
+      // Per-trial injector on an independent chaos stream: injection
+      // decisions depend only on (seed, case, sample), never the worker
+      // schedule, so chaos runs are bit-identical at any thread count.
+      const failpoint::ScenarioScope chaos(
+          scenario, trial_seed(options.seed ^ kTrialChaosSalt, out.case_idx,
+                               out.sample_idx));
+      try {
+        failpoint::trip("pool.task");
+        agents::MultiAgentPipeline pipeline(
+            technique, resources, analyzers, options.qec, options.device,
+            trial_seed(options.seed, out.case_idx, out.sample_idx));
+        pipeline.set_resilience(options.resilience);
+        pipeline.set_caches(caches);
+        out.result = pipeline.run(suite[out.case_idx].task,
+                                  *references[out.case_idx], out.case_idx,
+                                  golds[out.case_idx]);
+      } catch (const std::exception& error) {
+        agents::RunFailure f = agents::read_run_failure(error, "trial");
+        out.failure = TrialFailure{out.case_idx, out.sample_idx,
+                                   std::move(f.stage), std::move(f.site),
+                                   f.retries, std::move(f.what)};
+        trace::Metrics::counter("eval.trial_failures");
+      }
+    }
+    fold.complete(trial, std::move(out));
   });
-
-  for (const TrialResult& trial : results) {
-    if (trial.failure.has_value()) matrix.failures.push_back(*trial.failure);
-  }
   matrix.analysis_cache = caches.analysis->stats();
-
-  if (tracing) {
-    for (std::size_t trial = 0; trial < n_trials; ++trial) {
-      results[trial].trace = sinks[trial]->summary();
-      options.trace->merge(*sinks[trial]);
-    }
-    options.trace->add_scheduler(trace::SchedulerStats{
-        pool.size(), pool.tasks_executed(), pool.tasks_stolen()});
-  }
   return matrix;
 }
 

@@ -7,14 +7,14 @@
 // expensive immutable state — RAG corpora/indexes, the fine-tuned
 // knowledge profile, the reference distributions — is built once per
 // suite and shared read-only across workers. Because no trial observes
-// another trial's RNG stream, the per-trial results (and anything
-// aggregated from them in index order) are bit-identical at any thread
-// count, including --threads 1.
+// another trial's RNG stream, the per-trial results (and anything a
+// visitor folds from them, since visits come in index order) are
+// bit-identical at any thread count, including --threads 1.
 //
 // Trials are also the containment boundary: a trial that throws (an
 // injected fault, a PipelineStageError after the resilience policy is
-// exhausted, or any organic exception) is recorded as a structured
-// TrialFailure on its TrialResult and never escapes the scheduler, so a
+// exhausted, or any organic exception) is handed to the visitor as a
+// structured TrialFailure and never escapes the scheduler, so a
 // chaos scenario with a 100% failure rate on one site still completes
 // the full matrix. When RunnerOptions::chaos_scenario is set, each trial
 // runs under its own failpoint::Injector seeded from the trial stream —
@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "agents/codegen_agent.hpp"
@@ -64,48 +63,43 @@ struct TrialFailure {
   friend bool operator==(const TrialFailure&, const TrialFailure&) = default;
 };
 
-/// Per-trial outcome, in row-major (case-major, then sample) order.
-struct TrialResult {
+/// One finished trial, as a run_trial_matrix visitor sees it. The
+/// pointers are valid only for the duration of the visit.
+struct Trial {
   std::size_t case_idx = 0;
   std::size_t sample_idx = 0;
-  agents::PipelineResult pipeline;
-  /// Set when the trial threw; `pipeline` is then default-constructed
-  /// and must not be interpreted as an outcome.
-  std::optional<TrialFailure> failure;
-  /// Deterministic per-trial trace summary; populated only when the
-  /// runner was handed a trace sink (empty otherwise).
-  trace::Summary trace;
+  /// The trial's outcome; null when the trial threw.
+  const agents::PipelineResult* result = nullptr;
+  /// Set when the trial threw.
+  const TrialFailure* failure = nullptr;
+  /// The trial's own sink; null when the runner was handed no sink.
+  const trace::TraceSink* trace = nullptr;
 };
 
-/// Full matrix outcome: per-trial results plus the failures and
-/// matrix-level degradations extracted in trial index order.
+/// What a matrix run reports besides its trials.
 struct TrialMatrix {
-  std::vector<TrialResult> trials;
-  /// Contained trial failures, in trial index order (each also appears
-  /// on its TrialResult).
-  std::vector<TrialFailure> failures;
   /// Degradations taken outside any single trial — currently the
   /// reference-oracle fallback to static-only verification. Per-trial
-  /// ladder steps live on each TrialResult's pipeline.degradations.
+  /// ladder steps live on each trial's result->degradations.
   std::vector<DegradationRecord> degradations;
   /// Lookup counts of the matrix's analysis memo (see run_trial_matrix).
   cache::Stats analysis_cache;
-
-  std::size_t completed() const noexcept {
-    return trials.size() - failures.size();
-  }
 };
 
 /// Runs the full (case x sample) trial matrix for one technique on a
-/// work-stealing pool (`options.threads`; 0 = all hardware threads).
-/// Results come back indexed, in deterministic order.
+/// thread pool (`options.threads`; 0 = all hardware threads) and calls
+/// `visit` once per trial, in trial index order (row-major: case-major,
+/// then sample), never concurrently. Workers claim trials in index
+/// order; a trial that finishes before its predecessors waits until they
+/// are visited, and each trial is freed once visited, so nothing holds
+/// the whole matrix. Visits run on pool workers, outside the trial's
+/// trace sink and fault-injection scope. An exception thrown by `visit`
+/// is rethrown once the pool drains; later trials may go unvisited.
 ///
 /// When `options.trace` is set, every trial records into its own
-/// TraceSink (installed thread-locally around the trial body), and the
-/// per-trial sinks are merged into `options.trace` in trial index order
-/// after the pool drains — so the aggregate summary is bit-identical at
-/// any thread count. Scheduler stats (tasks executed/stolen) are folded
-/// in as timing-class data.
+/// TraceSink (installed thread-locally around the trial body), which is
+/// merged into `options.trace` right after its visit — in trial index
+/// order, so the aggregate summary is bit-identical at any thread count.
 ///
 /// The matrix owns an unbounded analysis cache (PipelineCaches::analysis)
 /// and retrieval cache (TechniqueResources::enable_retrieval_cache) for
@@ -122,6 +116,7 @@ struct TrialMatrix {
 TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
                              const std::vector<TestCase>& suite,
                              std::size_t samples_per_case,
-                             const RunnerOptions& options);
+                             const RunnerOptions& options,
+                             const std::function<void(const Trial&)>& visit);
 
 }  // namespace qcgen::eval

@@ -13,15 +13,10 @@ AccuracyReport evaluate_technique(const agents::TechniqueConfig& technique,
   require(options.samples_per_case >= 1,
           "evaluate_technique: samples_per_case >= 1");
 
-  const TrialMatrix matrix =
-      run_trial_matrix(technique, suite, options.samples_per_case, options);
-
   AccuracyReport report;
   report.label = technique.label();
   report.cases = suite.size();
   report.samples_per_case = options.samples_per_case;
-  report.trial_failures = matrix.failures;
-  report.degradations = matrix.degradations;
 
   std::size_t syntactic = 0;
   std::size_t semantic = 0;
@@ -29,30 +24,37 @@ AccuracyReport evaluate_technique(const agents::TechniqueConfig& technique,
   std::size_t passes_total = 0;
   std::map<llm::Tier, std::pair<std::size_t, std::size_t>> by_tier;
 
-  // Trials arrive index-ordered regardless of worker schedule, so this
-  // aggregation (including the double sums) is thread-count invariant.
-  for (const TrialResult& trial : matrix.trials) {
-    report.trace.merge(trial.trace);
-    for (const agents::DegradationEvent& event :
-         trial.pipeline.degradations) {
-      report.degradations.push_back(
-          {trial.case_idx, trial.sample_idx, event});
-    }
-    // A failed trial stays in every denominator but contributes no
-    // successes and no pass count.
-    auto& tier_counts = by_tier[suite[trial.case_idx].tier];
-    ++tier_counts.second;
-    if (trial.failure.has_value()) continue;
-    ++completed;
-    const agents::PipelineResult& result = trial.pipeline;
-    passes_total += static_cast<std::size_t>(result.passes_used);
-    if (result.syntactic_ok) ++syntactic;
-    if (result.semantic_ok) {
-      ++semantic;
-      ++tier_counts.first;
-    }
-  }
-  const std::size_t total = matrix.trials.size();
+  // Trials are visited in index order regardless of worker schedule, so
+  // this fold (including the double sums) is thread-count invariant.
+  const TrialMatrix matrix = run_trial_matrix(
+      technique, suite, options.samples_per_case, options,
+      [&](const Trial& trial) {
+        // A failed trial stays in every denominator but contributes no
+        // successes and no pass count.
+        auto& tier_counts = by_tier[suite[trial.case_idx].tier];
+        ++tier_counts.second;
+        if (trial.failure != nullptr) {
+          report.trial_failures.push_back(*trial.failure);
+          return;
+        }
+        const agents::PipelineResult& result = *trial.result;
+        for (const agents::DegradationEvent& event : result.degradations) {
+          report.degradations.push_back(
+              {trial.case_idx, trial.sample_idx, event});
+        }
+        ++completed;
+        passes_total += static_cast<std::size_t>(result.passes_used);
+        if (result.syntactic_ok) ++syntactic;
+        if (result.semantic_ok) {
+          ++semantic;
+          ++tier_counts.first;
+        }
+      });
+  // Matrix-level events first, then per-trial events in trial order.
+  report.degradations.insert(report.degradations.begin(),
+                             matrix.degradations.begin(),
+                             matrix.degradations.end());
+  const std::size_t total = suite.size() * options.samples_per_case;
   report.syntactic_rate = static_cast<double>(syntactic) / total;
   report.semantic_rate = static_cast<double>(semantic) / total;
   report.mean_passes_used =
@@ -75,13 +77,14 @@ double evaluate_pass_at_k(const agents::TechniqueConfig& technique,
                           const RunnerOptions& options) {
   require(!suite.empty(), "evaluate_pass_at_k: empty suite");
   require(k >= 1 && k <= n_samples, "evaluate_pass_at_k: 1 <= k <= n");
-  const TrialMatrix matrix =
-      run_trial_matrix(technique, suite, n_samples, options);
   std::vector<std::size_t> correct(suite.size(), 0);
-  for (const TrialResult& trial : matrix.trials) {
-    if (trial.failure.has_value()) continue;  // a lost trial is a miss
-    if (trial.pipeline.semantic_ok) ++correct[trial.case_idx];
-  }
+  run_trial_matrix(technique, suite, n_samples, options,
+                   [&](const Trial& trial) {
+                     // A lost trial (null result) is a miss.
+                     if (trial.result != nullptr && trial.result->semantic_ok) {
+                       ++correct[trial.case_idx];
+                     }
+                   });
   double total = 0.0;
   for (std::size_t i = 0; i < suite.size(); ++i) {
     total += llm::pass_at_k(n_samples, correct[i], k);

@@ -36,10 +36,6 @@ struct AccuracyReport {
   std::vector<DegradationRecord> degradations;
   /// Fraction of trials that completed (1.0 when nothing failed).
   double completed_rate = 1.0;
-  /// Deterministic per-stage trace summary for this evaluation (merged
-  /// from the per-trial sinks in trial index order); empty unless
-  /// RunnerOptions::trace was set.
-  trace::Summary trace;
 };
 
 /// Runner options shared across experiments.
@@ -51,7 +47,6 @@ struct RunnerOptions {
   /// from an independent RNG stream; see eval/parallel.hpp).
   std::size_t threads = 0;
   agents::SemanticAnalyzerAgent::Options analyzer;
-  ReferenceOracle::Options oracle;
   /// Optional tracing: when set, run_trial_matrix gives every trial its
   /// own TraceSink and merges them into this sink in trial index order
   /// (summaries stay bit-identical at any thread count). The bench

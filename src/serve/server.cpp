@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -111,10 +112,18 @@ std::vector<std::string> succeeded_sites_of(
 
 }  // namespace
 
+struct Server::QueuedRequest {
+  Request request;
+  AdmissionTicket ticket;
+  std::promise<RequestResult> promise;
+  /// Wall-clock submit instant; completion - submit is the reported
+  /// serving latency (queue wait + execution).
+  std::chrono::steady_clock::time_point submitted_at;
+};
+
 Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
     : options_(std::move(options)),
       analyzers_(options_.analyzer),
-      oracle_(options_.oracle),
       admission_(options_.admission),
       pool_(options_.threads) {
   require(!options_.qec.has_value() || options_.device.has_value(),
@@ -204,9 +213,12 @@ std::future<RequestResult> Server::submit(Request request) {
     breaker_->register_request(request.id, ticket.virtual_start,
                                ticket.virtual_finish);
   }
-  queue_.push({std::move(request), ticket, std::move(promise),
-               std::chrono::steady_clock::now()});
-  pool_.submit([this] { execute_one(); });
+  // std::function needs a copyable callable, so the task holds its
+  // request (and the move-only promise) through a shared_ptr.
+  auto item = std::make_shared<QueuedRequest>(
+      QueuedRequest{std::move(request), ticket, std::move(promise),
+                    std::chrono::steady_clock::now()});
+  pool_.submit([this, item] { execute(*item); });
   return future;
 }
 
@@ -216,10 +228,7 @@ void Server::cancel(std::uint64_t request_id) {
   trace::Metrics::counter("serve.cancel_requests");
 }
 
-void Server::execute_one() {
-  std::optional<QueuedRequest> item = queue_.try_pop();
-  if (!item.has_value()) return;  // submit/pop pairing makes this unreachable
-
+void Server::execute(QueuedRequest& item) {
   // Per-request sink so the aggregate summary can merge in id order.
   std::unique_ptr<trace::TraceSink> sink;
   if (options_.trace != nullptr) {
@@ -228,11 +237,11 @@ void Server::execute_one() {
   RequestResult result;
   {
     trace::SinkScope scope(sink.get());
-    result = run_request(item->request, item->ticket);
+    result = run_request(item.request, item.ticket);
   }
   result.wall_latency_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    item->submitted_at)
+                                    item.submitted_at)
           .count();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -255,7 +264,7 @@ void Server::execute_one() {
     lifecycles_[result.id].done = true;
     if (sink != nullptr) sinks_[result.id] = std::move(sink);
   }
-  item->promise.set_value(std::move(result));
+  item.promise.set_value(std::move(result));
 }
 
 RequestResult Server::run_request(const Request& request,
@@ -431,14 +440,6 @@ void Server::drain() {
     options_.trace->merge(*sink);
   }
   sinks_.clear();
-  // Scheduler counters are lifetime totals; report only the delta since
-  // the last drain so repeated drains never double-count.
-  const trace::SchedulerStats current{pool_.size(), pool_.tasks_executed(),
-                                      pool_.tasks_stolen()};
-  options_.trace->add_scheduler(
-      {current.workers, current.tasks_executed - reported_scheduler_.tasks_executed,
-       current.tasks_stolen - reported_scheduler_.tasks_stolen});
-  reported_scheduler_ = current;
 }
 
 std::vector<BreakerTransition> Server::breaker_transitions() const {

@@ -1,6 +1,6 @@
 #pragma once
 // Long-lived server core: an asynchronous request engine in front of the
-// existing work-stealing thread pool.
+// thread pool.
 //
 // One Server owns, for its lifetime:
 //   * the expensive immutable state built once and shared read-only by
@@ -9,8 +9,9 @@
 //     gold cases it serves;
 //   * an AdmissionController making deterministic virtual-time
 //     admission/shedding decisions at enqueue time;
-//   * a RequestQueue of admitted requests and a ThreadPool of workers
-//     draining it.
+//   * a ThreadPool whose FIFO task queue holds the admitted requests:
+//     each pool task owns one request, so requests start in submit
+//     order.
 //
 // Each request executes on its own cheap per-request pipeline seeded by
 // request_seed(seed, id), so any interleaving of worker execution — any
@@ -36,7 +37,6 @@
 #include "eval/suite.hpp"
 #include "serve/admission.hpp"
 #include "serve/breaker.hpp"
-#include "serve/queue.hpp"
 #include "serve/request.hpp"
 
 namespace qcgen::serve {
@@ -84,7 +84,6 @@ class Server {
     std::optional<agents::DeviceTopology> device;
     agents::ResilienceOptions resilience;
     AdmissionOptions admission;
-    eval::ReferenceOracle::Options oracle;
     std::uint64_t seed = 2025;
     /// Worker threads (0 = all hardware threads). Per-request results
     /// are bit-identical at any value.
@@ -182,9 +181,6 @@ class Server {
   /// Wall-clock submit -> completion latency per completed/failed
   /// request id, in seconds (timing-class data).
   std::map<std::uint64_t, double> wall_latencies() const;
-  /// Live depth gauges (wall-clock-shaped; for logging, not reports).
-  std::size_t queued() const { return queue_.depth(); }
-  std::size_t pool_backlog() const { return pool_.pending(); }
 
  private:
   /// Per-request lifecycle state, created eagerly by cancel() or submit()
@@ -196,7 +192,10 @@ class Server {
     bool done = false;
   };
 
-  void execute_one();
+  /// An admitted request, owned by the pool task that executes it.
+  struct QueuedRequest;
+
+  void execute(QueuedRequest& item);
   RequestResult run_request(const Request& request,
                             const AdmissionTicket& ticket);
 
@@ -216,16 +215,12 @@ class Server {
   std::shared_ptr<const failpoint::Scenario> scenario_;
   std::unique_ptr<BreakerBoard> breaker_;  ///< null unless enabled
   AdmissionController admission_;
-  RequestQueue queue_;
 
   mutable std::mutex mutex_;  ///< stats, latencies, lifecycles, sinks
   Stats stats_;
   std::map<std::uint64_t, Lifecycle> lifecycles_;
   std::map<std::uint64_t, double> wall_latencies_;
   std::map<std::uint64_t, std::unique_ptr<trace::TraceSink>> sinks_;
-  /// Pool counters already folded into Options::trace (drain reports
-  /// deltas so repeated drains never double-count).
-  trace::SchedulerStats reported_scheduler_;
 
   ThreadPool pool_;  ///< last member: workers must die before state
 };

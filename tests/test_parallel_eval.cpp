@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -35,6 +38,44 @@ std::vector<TestCase> small_suite() {
   return cases;
 }
 
+/// A visited trial, copied out of its visit: the result (default-
+/// constructed when the trial failed), the failure and the trace summary.
+struct Collected {
+  std::size_t case_idx = 0;
+  std::size_t sample_idx = 0;
+  agents::PipelineResult pipeline;
+  std::optional<TrialFailure> failure;
+  trace::Summary trace;
+};
+
+/// Runs the matrix with a visitor that copies every trial, checking that
+/// visits come one at a time, in trial index order, and carry a sink
+/// exactly when the runner was handed one.
+std::vector<Collected> collect(const agents::TechniqueConfig& technique,
+                               const std::vector<TestCase>& suite,
+                               std::size_t samples,
+                               const RunnerOptions& options,
+                               TrialMatrix* matrix = nullptr) {
+  std::vector<Collected> trials;
+  std::atomic<bool> visiting{false};
+  const TrialMatrix got = run_trial_matrix(
+      technique, suite, samples, options, [&](const Trial& trial) {
+        EXPECT_FALSE(visiting.exchange(true)) << "concurrent visits";
+        EXPECT_EQ(trial.case_idx * samples + trial.sample_idx, trials.size());
+        EXPECT_NE(trial.result == nullptr, trial.failure == nullptr);
+        EXPECT_EQ(trial.trace != nullptr, options.trace != nullptr);
+        Collected& out = trials.emplace_back();
+        out.case_idx = trial.case_idx;
+        out.sample_idx = trial.sample_idx;
+        if (trial.result != nullptr) out.pipeline = *trial.result;
+        if (trial.failure != nullptr) out.failure = *trial.failure;
+        if (trial.trace != nullptr) out.trace = trial.trace->summary();
+        visiting = false;
+      });
+  if (matrix != nullptr) *matrix = got;
+  return trials;
+}
+
 TEST(TrialSeed, StreamsAreDistinctAcrossTheMatrix) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t c = 0; c < 64; ++c) {
@@ -59,9 +100,9 @@ TEST(RunTrialMatrix, ResultsComeBackInRowMajorOrder) {
   RunnerOptions options;
   options.seed = 11;
   options.threads = 2;
-  const auto trials = run_trial_matrix(
+  const auto trials = collect(
       agents::TechniqueConfig::fine_tuned_only(llm::ModelProfile::kStarCoder3B),
-      suite, 2, options).trials;
+      suite, 2, options);
   ASSERT_EQ(trials.size(), suite.size() * 2);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     EXPECT_EQ(trials[i].case_idx, i / 2);
@@ -80,8 +121,9 @@ TEST(RunTrialMatrix, BitIdenticalAcrossThreadCounts) {
   RunnerOptions wide = serial;
   wide.threads = 8;
 
-  const auto a = run_trial_matrix(technique, suite, 3, serial).trials;
-  const auto b = run_trial_matrix(technique, suite, 3, wide).trials;
+  // collect() also checks that the 8-worker visits come in index order.
+  const auto a = collect(technique, suite, 3, serial);
+  const auto b = collect(technique, suite, 3, wide);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].case_idx, b[i].case_idx);
@@ -140,17 +182,15 @@ TEST(EvaluateTechnique, TraceSummaryIdenticalAtAnyThreadCount) {
   trace::TraceSink wide_sink;
   wide.trace = &wide_sink;
 
-  const AccuracyReport a = evaluate_technique(technique, suite, serial);
-  const AccuracyReport b = evaluate_technique(technique, suite, wide);
+  evaluate_technique(technique, suite, serial);
+  evaluate_technique(technique, suite, wide);
 
-  EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(serial_sink.summary(), wide_sink.summary());
   // Serialized form too: the bench harness compares reports as JSON.
   EXPECT_EQ(serial_sink.summary_json().dump(), wide_sink.summary_json().dump());
 #if QCGEN_TRACE_ENABLED
   // The pipeline instrumentation actually fired (one run span per
   // trial); under -DQCGEN_TRACE=OFF the summaries are empty by design.
-  EXPECT_FALSE(a.trace.empty());
   const auto& spans = serial_sink.summary().span_counts;
   const auto it = spans.find("pipeline.run");
   ASSERT_NE(it, spans.end());
@@ -181,12 +221,12 @@ TEST(EvaluateTechnique, TraceSummaryWithQecIdenticalAtAnyThreadCount) {
   trace::TraceSink wide_sink;
   wide.trace = &wide_sink;
 
-  const TrialMatrix a = run_trial_matrix(technique, suite, 2, serial);
-  const TrialMatrix b = run_trial_matrix(technique, suite, 2, wide);
+  const auto a = collect(technique, suite, 2, serial);
+  const auto b = collect(technique, suite, 2, wide);
 
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].trace, b.trials[i].trace) << "trial " << i;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].trace, b[i].trace) << "trial " << i;
   }
   EXPECT_EQ(serial_sink.summary(), wide_sink.summary());
   EXPECT_EQ(serial_sink.summary_json().dump(), wide_sink.summary_json().dump());
@@ -212,7 +252,7 @@ constexpr const char* kLadderScenario =
 
 /// run_trial_matrix's trial body, run serially with only the QEC lifetime
 /// memo attached: no analysis cache, no retrieval cache.
-std::vector<TrialResult> run_uncached(const agents::TechniqueConfig& technique,
+std::vector<Collected> run_uncached(const agents::TechniqueConfig& technique,
                                       const std::vector<TestCase>& suite,
                                       std::size_t samples_per_case,
                                       const RunnerOptions& options) {
@@ -223,7 +263,7 @@ std::vector<TrialResult> run_uncached(const agents::TechniqueConfig& technique,
   }
   const auto resources =
       std::make_shared<const agents::TechniqueResources>(technique);
-  ReferenceOracle oracle(options.oracle);
+  ReferenceOracle oracle;
   std::vector<sim::Distribution> references;
   {
     std::optional<failpoint::Injector> injector;
@@ -242,11 +282,11 @@ std::vector<TrialResult> run_uncached(const agents::TechniqueConfig& technique,
   }
   agents::PipelineCaches caches;
   caches.qec_lifetime = std::make_shared<agents::QecLifetimeMemo>();
-  std::vector<TrialResult> results(suite.size() * samples_per_case);
+  std::vector<Collected> results(suite.size() * samples_per_case);
   for (std::size_t trial = 0; trial < results.size(); ++trial) {
     trace::TraceSink sink;
     const trace::SinkScope sink_scope(&sink);
-    TrialResult& out = results[trial];
+    Collected& out = results[trial];
     out.case_idx = trial / samples_per_case;
     out.sample_idx = trial % samples_per_case;
     std::optional<failpoint::Injector> injector;
@@ -338,7 +378,7 @@ void expect_same_qec(const std::optional<agents::QecPlan>& got,
 }
 
 /// Every PipelineResult field, the failure record and the trace summary.
-void expect_same_trial(const TrialResult& got, const TrialResult& want) {
+void expect_same_trial(const Collected& got, const Collected& want) {
   EXPECT_EQ(got.case_idx, want.case_idx);
   EXPECT_EQ(got.sample_idx, want.sample_idx);
   EXPECT_EQ(got.failure, want.failure);
@@ -386,21 +426,23 @@ void expect_matrix_matches_uncached(const std::string& scenario) {
   options.qec = qec;
   options.device = agents::DeviceTopology::grid(5, 5);
   const std::size_t samples = 2;
-  const std::vector<TrialResult> want =
+  const std::vector<Collected> want =
       run_uncached(technique, suite, samples, options);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     trace::TraceSink sink;
     options.trace = &sink;
     options.threads = threads;
-    const TrialMatrix got = run_trial_matrix(technique, suite, samples, options);
-    ASSERT_EQ(got.trials.size(), want.size());
+    TrialMatrix matrix;
+    const std::vector<Collected> got =
+        collect(technique, suite, samples, options, &matrix);
+    ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       SCOPED_TRACE("trial " + std::to_string(i));
-      expect_same_trial(got.trials[i], want[i]);
+      expect_same_trial(got[i], want[i]);
     }
     // Trials meet the same programs again, so the memo really serves hits.
-    EXPECT_GT(got.analysis_cache.lookups, got.analysis_cache.misses);
+    EXPECT_GT(matrix.analysis_cache.lookups, matrix.analysis_cache.misses);
   }
 }
 
@@ -412,14 +454,83 @@ TEST(RunTrialMatrix, ReusedAnalysisMatchesUncachedPipelinesUnderLadderChaos) {
   expect_matrix_matches_uncached(kLadderScenario);
 }
 
-TEST(EvaluateTechnique, UntracedRunLeavesSummaryEmpty) {
+TEST(EvaluateTechnique, LadderChaosReportIdenticalAtAnyThreadCount) {
+  // Failures and ladder steps are folded into lists in visit order, so
+  // the whole report — lists included — must match between 1 and 8
+  // workers.
+  const auto suite = small_suite();
+  RunnerOptions serial;
+  serial.samples_per_case = 2;
+  serial.seed = 2025;
+  serial.threads = 1;
+  serial.chaos_scenario = kLadderScenario;
+  agents::QecDecoderAgent::Options qec;
+  qec.trials = 100;
+  serial.qec = qec;
+  serial.device = agents::DeviceTopology::grid(5, 5);
+  RunnerOptions wide = serial;
+  wide.threads = 8;
+
+  const auto technique =
+      agents::TechniqueConfig::with_multipass(llm::ModelProfile::kStarCoder3B, 3);
+  const AccuracyReport a = evaluate_technique(technique, suite, serial);
+  const AccuracyReport b = evaluate_technique(technique, suite, wide);
+#if QCGEN_FAILPOINTS_ENABLED
+  EXPECT_FALSE(a.degradations.empty());
+#endif
+  EXPECT_EQ(a.degradations, b.degradations);
+  EXPECT_EQ(a.trial_failures, b.trial_failures);
+  EXPECT_EQ(a.syntactic_rate, b.syntactic_rate);
+  EXPECT_EQ(a.semantic_rate, b.semantic_rate);
+  EXPECT_EQ(a.mean_passes_used, b.mean_passes_used);
+  EXPECT_EQ(a.completed_rate, b.completed_rate);
+  EXPECT_EQ(a.semantic_by_tier, b.semantic_by_tier);
+}
+
+#if QCGEN_TRACE_ENABLED
+TEST(RunTrialMatrix, OneWorkerVisitsEachTrialBeforeTheNextStarts) {
+  // Span timestamps share one steady clock: trial i's visit, recorded as
+  // a span into a test sink, must end before trial i+1's first span.
+  const auto suite = small_suite();
+  RunnerOptions options;
+  options.threads = 1;
+  trace::TraceSink matrix_sink(/*keep_events=*/true);
+  options.trace = &matrix_sink;
+  trace::TraceSink visits(/*keep_events=*/true);
+  std::vector<std::uint64_t> first_span_ns;
+  run_trial_matrix(
+      agents::TechniqueConfig::fine_tuned_only(llm::ModelProfile::kStarCoder3B),
+      suite, 2, options, [&](const Trial& trial) {
+        // The visit runs outside the trial's own sink.
+        EXPECT_EQ(trace::current_sink(), nullptr);
+        std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+        for (const trace::SpanEvent& event : trial.trace->events()) {
+          first = std::min(first, event.start_ns);
+        }
+        first_span_ns.push_back(first);
+        const trace::SinkScope scope(&visits);
+        const trace::TraceSpan span("visit");
+      });
+  const std::vector<trace::SpanEvent> visit_spans = visits.events();
+  ASSERT_EQ(visit_spans.size(), suite.size() * 2);
+  ASSERT_EQ(first_span_ns.size(), visit_spans.size());
+  for (std::size_t i = 0; i + 1 < visit_spans.size(); ++i) {
+    EXPECT_LE(visit_spans[i].start_ns + visit_spans[i].duration_ns,
+              first_span_ns[i + 1])
+        << "trial " << i + 1 << " started before trial " << i
+        << " was visited";
+  }
+}
+#endif
+
+TEST(RunTrialMatrix, UntracedRunVisitsWithoutSinks) {
   const auto suite = small_suite();
   const auto technique =
       agents::TechniqueConfig::fine_tuned_only(llm::ModelProfile::kStarCoder3B);
   RunnerOptions options;
-  options.samples_per_case = 1;
-  const AccuracyReport report = evaluate_technique(technique, suite, options);
-  EXPECT_TRUE(report.trace.empty());
+  // collect() checks every visit's sink is null when untraced.
+  const auto trials = collect(technique, suite, 1, options);
+  EXPECT_EQ(trials.size(), suite.size());
 }
 
 TEST(EvaluatePassAtK, IdenticalAtAnyThreadCount) {
@@ -451,8 +562,8 @@ TEST(EvaluateTechnique, DifferentSeedsProduceIndependentRuns) {
   x.seed = 1;
   RunnerOptions y = x;
   y.seed = 999;
-  const auto a = run_trial_matrix(technique, suite, 2, x).trials;
-  const auto b = run_trial_matrix(technique, suite, 2, y).trials;
+  const auto a = collect(technique, suite, 2, x);
+  const auto b = collect(technique, suite, 2, y);
   bool any_difference = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].pipeline.generation.source !=

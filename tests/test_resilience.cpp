@@ -219,11 +219,9 @@ TEST(QecLifetimeMemo, CancelledFillLeavesTheMemoEmpty) {
   EXPECT_EQ(memo.size(), 1u);
 }
 
-TEST(Resilience, OracleHandlesZeroShotOptionsAndEmptyReference) {
+TEST(Resilience, OracleReferencesHaveUnitMassAndEmptyReferenceMismatches) {
   const auto suite = small_suite(3);
-  eval::ReferenceOracle::Options zero_shots;
-  zero_shots.shots = 0;
-  eval::ReferenceOracle oracle(zero_shots);
+  eval::ReferenceOracle oracle;
   for (const eval::TestCase& test_case : suite) {
     const sim::Distribution& reference = oracle.reference_for(test_case);
     double mass = 0.0;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/trace.hpp"
 #include "eval/parallel.hpp"
 #include "eval/suite.hpp"
 #include "qasm/diagnostics.hpp"
@@ -349,6 +350,40 @@ TEST(Server, ResultsAreSubmissionOrderInvariant) {
     EXPECT_EQ(a[i].second, b[i].second) << "request " << a[i].first;
   }
 }
+
+#if QCGEN_TRACE_ENABLED
+TEST(Server, OneWorkerRunsRequestsInSubmitOrder) {
+  const auto catalog = small_catalog();
+  trace::TraceSink sink(/*keep_events=*/true);
+  auto options =
+      server_options(/*threads=*/1, serve::AdmissionOptions::unlimited());
+  options.trace = &sink;
+  const std::vector<std::uint64_t> order = {5, 2, 7, 0, 3, 6, 1, 4};
+  {
+    serve::Server server(options, catalog);
+    for (const std::uint64_t id : order) {
+      serve::Request request;
+      request.id = id;
+      request.test_case = catalog[id % catalog.size()];
+      (void)server.submit(std::move(request));
+    }
+    server.drain();
+  }
+  // drain() merges the per-request sinks in id order, and every request
+  // records one run span: sorting those spans by start time must give
+  // back the submit order.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> starts;  // (ns, id)
+  for (const trace::SpanEvent& event : sink.events()) {
+    if (event.name != "pipeline.run") continue;
+    starts.emplace_back(event.start_ns, starts.size());
+  }
+  ASSERT_EQ(starts.size(), order.size());
+  std::sort(starts.begin(), starts.end());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(starts[i].second, order[i]) << "position " << i;
+  }
+}
+#endif
 
 TEST(Server, ShedRequestsResolveImmediately) {
   const auto catalog = small_catalog();

@@ -65,51 +65,56 @@ agents::TechniqueConfig rag_multipass() {
   return technique;
 }
 
-/// Checks every trial's planned program against a fresh build: a correct
-/// plan aliases its case's one shared gold program, a wrong-algorithm
-/// plan aliases the process-wide default of that algorithm, and every
-/// shared program still prints exactly as gold_program builds it.
+/// Runs the matrix and checks every trial's planned program, while the
+/// trial is visited, against a fresh build: a correct plan aliases its
+/// case's one shared gold program, a wrong-algorithm plan aliases the
+/// process-wide default of that algorithm, and every shared program
+/// still prints exactly as gold_program builds it.
 void expect_golds_intact(const std::vector<eval::TestCase>& suite,
-                         const eval::TrialMatrix& matrix) {
+                         std::size_t threads) {
   std::map<std::size_t, const qasm::Program*> case_gold;
   std::size_t wrong_algorithm_plans = 0;
-  for (const eval::TrialResult& trial : matrix.trials) {
-    ASSERT_FALSE(trial.failure.has_value()) << trial.failure->what;
-    const llm::GenerationResult& generation = trial.pipeline.generation;
-    ASSERT_NE(generation.intended_ast, nullptr);
-    std::optional<std::string> wrong_plan;
-    for (const llm::Fault& fault : generation.faults) {
-      if (fault.kind == llm::FaultKind::kWrongPlan) wrong_plan = fault.detail;
-    }
-    const llm::TaskSpec& task = suite[trial.case_idx].task;
-    if (!wrong_plan.has_value()) {
-      EXPECT_EQ(printed(*generation.intended_ast),
-                printed(llm::gold_program(task)))
-          << suite[trial.case_idx].id;
-      const auto [it, inserted] = case_gold.emplace(
-          trial.case_idx, generation.intended_ast.get());
-      EXPECT_EQ(it->second, generation.intended_ast.get())
-          << "trials of " << suite[trial.case_idx].id
-          << " planned from different gold objects";
-      (void)inserted;
-      continue;
-    }
-    const std::string prefix = "wrong-algorithm:";
-    if (wrong_plan->rfind(prefix, 0) == 0) {
-      const auto id = algorithm_named(wrong_plan->substr(prefix.size()));
-      ASSERT_TRUE(id.has_value()) << *wrong_plan;
-      EXPECT_EQ(generation.intended_ast.get(),
-                llm::default_gold_program(*id).get());
-      ++wrong_algorithm_plans;
-    } else {
-      // A structurally corrupted plan owns its copy; the case's shared
-      // gold must not be the object it mutated.
-      const auto it = case_gold.find(trial.case_idx);
-      if (it != case_gold.end()) {
-        EXPECT_NE(it->second, generation.intended_ast.get());
-      }
-    }
-  }
+  eval::run_trial_matrix(
+      rag_multipass(), suite, 3, matrix_options(threads),
+      [&](const eval::Trial& trial) {
+        ASSERT_EQ(trial.failure, nullptr) << trial.failure->what;
+        const llm::GenerationResult& generation = trial.result->generation;
+        ASSERT_NE(generation.intended_ast, nullptr);
+        std::optional<std::string> wrong_plan;
+        for (const llm::Fault& fault : generation.faults) {
+          if (fault.kind == llm::FaultKind::kWrongPlan) {
+            wrong_plan = fault.detail;
+          }
+        }
+        const llm::TaskSpec& task = suite[trial.case_idx].task;
+        if (!wrong_plan.has_value()) {
+          EXPECT_EQ(printed(*generation.intended_ast),
+                    printed(llm::gold_program(task)))
+              << suite[trial.case_idx].id;
+          const auto [it, inserted] = case_gold.emplace(
+              trial.case_idx, generation.intended_ast.get());
+          EXPECT_EQ(it->second, generation.intended_ast.get())
+              << "trials of " << suite[trial.case_idx].id
+              << " planned from different gold objects";
+          (void)inserted;
+          return;
+        }
+        const std::string prefix = "wrong-algorithm:";
+        if (wrong_plan->rfind(prefix, 0) == 0) {
+          const auto id = algorithm_named(wrong_plan->substr(prefix.size()));
+          ASSERT_TRUE(id.has_value()) << *wrong_plan;
+          EXPECT_EQ(generation.intended_ast.get(),
+                    llm::default_gold_program(*id).get());
+          ++wrong_algorithm_plans;
+        } else {
+          // A structurally corrupted plan owns its copy; the case's
+          // shared gold must not be the object it mutated.
+          const auto it = case_gold.find(trial.case_idx);
+          if (it != case_gold.end()) {
+            EXPECT_NE(it->second, generation.intended_ast.get());
+          }
+        }
+      });
   EXPECT_GT(wrong_algorithm_plans, 0u);
   // Most cases plan correctly at least once at these settings; every one
   // that did was checked above against a fresh build.
@@ -126,10 +131,7 @@ TEST(SharedArtifacts, GoldProgramsStayIntactAtAnyThreadCount) {
   const auto suite = eval::semantic_suite();
   for (const std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE(threads);
-    const eval::TrialMatrix matrix =
-        eval::run_trial_matrix(rag_multipass(), suite, 3,
-                               matrix_options(threads));
-    expect_golds_intact(suite, matrix);
+    expect_golds_intact(suite, threads);
   }
 }
 
@@ -242,10 +244,11 @@ TEST(SharedArtifacts, MatrixPipelinesShareOneAnalyzerKitAtAnyThreadCount) {
   for (const std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE(threads);
     const std::size_t before = agents::AnalyzerKit::built();
-    const eval::TrialMatrix matrix = eval::run_trial_matrix(
-        rag_multipass(), suite, 2, matrix_options(threads));
+    std::size_t visits = 0;
+    eval::run_trial_matrix(rag_multipass(), suite, 2, matrix_options(threads),
+                           [&](const eval::Trial&) { ++visits; });
     EXPECT_EQ(agents::AnalyzerKit::built() - before, 1u);
-    EXPECT_EQ(matrix.trials.size(), 2 * suite.size());
+    EXPECT_EQ(visits, 2 * suite.size());
   }
 }
 

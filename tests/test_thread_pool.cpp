@@ -1,4 +1,4 @@
-// Tests for the work-stealing trial scheduler (common/thread_pool.hpp).
+// Tests for the trial scheduler's thread pool (common/thread_pool.hpp).
 
 #include "common/thread_pool.hpp"
 
@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -40,6 +41,53 @@ TEST(ThreadPool, SingleWorkerPoolIsValid) {
   EXPECT_EQ(counter.load(), 50);
 }
 
+TEST(ThreadPool, OneWorkerRunsSubmittedTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::vector<int> order;
+  for (int i = 0; i < 272; ++i) {
+    pool.submit([&order, i] {
+      // Short enough to queue many, long enough that the queue fills.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      order.push_back(i);
+    });
+  }
+  pool.wait_idle();
+  std::vector<int> expected(272);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, OneWorkerParallelForCallsIndicesInAscendingOrder) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  pool.parallel_for(272, [&order](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> expected(272);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, ParallelForStartsIndicesInAscendingOrder) {
+  // Workers claim indices from one counter, so even at 8 workers the
+  // calls *start* in index order (they may finish in any order).
+  ThreadPool pool(8);
+  std::mutex mutex;
+  std::vector<std::size_t> started;
+  pool.parallel_for(1000, [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      started.push_back(i);
+    }
+    if (i % 7 == 0) std::this_thread::yield();
+  });
+  ASSERT_EQ(started.size(), 1000u);
+  // Claim and record are not one atomic step, so a worker that claimed
+  // index i may record it after a later claim; it can trail by at most
+  // the number of workers.
+  for (std::size_t k = 0; k < started.size(); ++k) {
+    EXPECT_LT(started[k], k + 8) << "position " << k;
+  }
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   constexpr std::size_t kN = 1000;
@@ -61,7 +109,7 @@ TEST(ThreadPool, ParallelForZeroIterationsIsANoOp) {
 
 TEST(ThreadPool, UnevenTaskCostsStillComplete) {
   // Mimics the eval workload: most trials are cheap, a few are long
-  // (multi-pass repair); stealing must keep all indices covered.
+  // (multi-pass repair); every index must still be covered.
   ThreadPool pool(4);
   std::atomic<std::size_t> done{0};
   pool.parallel_for(64, [&done](std::size_t i) {

@@ -1,7 +1,7 @@
 // Unit tests for the tracing/metrics layer (common/trace.hpp): RAII span
 // semantics (nesting, exception unwinding), counter/histogram
 // aggregation, sink merging (the determinism contract), thread-local
-// binding, ThreadPool scheduler stats, and the Chrome trace-event export.
+// binding, and the Chrome trace-event export.
 
 #include "common/trace.hpp"
 
@@ -188,16 +188,6 @@ TEST(TraceSink, SummaryJsonPrintsExactIntegers) {
   EXPECT_NE(json.find("\"big\":9007199254740993"), std::string::npos);
 }
 
-TEST(ThreadPool, SchedulerStatsCountEveryTask) {
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 512;
-  pool.parallel_for(kTasks, [](std::size_t) {});
-  EXPECT_EQ(pool.tasks_executed(), kTasks);
-  // Steals are timing-dependent, but never exceed executions.
-  EXPECT_LE(pool.tasks_stolen(), pool.tasks_executed());
-  EXPECT_EQ(pool.size(), 4u);
-}
-
 TEST(TraceSink, EventCapDropsButStillCounts) {
   TraceSink sink(/*keep_events=*/true, /*max_events=*/2);
   for (int i = 0; i < 5; ++i) {
@@ -218,15 +208,6 @@ TEST(TraceSink, ChromeExportIsWellFormed) {
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"tid\":7"), std::string::npos);
   EXPECT_NE(chrome.find("\"qcgenDroppedEvents\":0"), std::string::npos);
-}
-
-TEST(SchedulerStats, MergeSumsWorkAndKeepsWidestPool) {
-  SchedulerStats a{4, 100, 10};
-  SchedulerStats b{8, 50, 5};
-  a.merge(b);
-  EXPECT_EQ(a.workers, 8u);
-  EXPECT_EQ(a.tasks_executed, 150u);
-  EXPECT_EQ(a.tasks_stolen, 15u);
 }
 
 TEST(Summary, EmptyAndEquality) {
