@@ -53,12 +53,12 @@ const char* bucket_name(Bucket b) {
 Bucket classify(const agents::PipelineResult& result) {
   if (!result.syntactic_ok) {
     // Key on the structured diagnostic codes the trace now carries
-    // (PassTrace::diagnostics), not on the rendered error-trace text.
+    // (the pass report's diagnostics), not on the rendered error trace.
     using qasm::DiagCode;
     bool malformed = false;
     bool import_misuse = false;
     bool gate_misuse = false;
-    for (const qasm::Diagnostic& d : result.trace.back().diagnostics) {
+    for (const qasm::Diagnostic& d : result.trace.back().report->diagnostics) {
       switch (d.code) {
         case DiagCode::kLexError:
         case DiagCode::kParseError:
@@ -166,8 +166,8 @@ int main(int argc, char** argv) {
           record["sample"] = trial.sample_idx;
           record["bucket"] = bucket_name(bucket);
           record["passes_used"] = result.passes_used;
-          record["diagnostics"] =
-              qasm::diagnostics_to_json(result.trace.back().diagnostics);
+          record["diagnostics"] = qasm::diagnostics_to_json(
+              result.trace.back().report->diagnostics);
           json_failures.push_back(std::move(record));
         });
     const std::size_t trials = suite.size() * samples;

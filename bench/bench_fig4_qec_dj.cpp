@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     result = pipeline.run(task, reference, /*prompt_index=*/100);
     if (result.semantic_ok) break;
   }
-  if (!result.semantic_ok || !result.circuit.has_value()) {
+  if (!result.semantic_ok || result.circuit == nullptr) {
     std::printf("pipeline failed to produce a valid DJ program\n");
     return harness.finish(1);
   }

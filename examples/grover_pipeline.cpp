@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "agents/pipeline.hpp"
 #include "agents/topology.hpp"
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   Table table({"technique", "valid / 20 samples"});
   table.set_title("Grover generation success by technique");
   std::string best_source;
-  std::optional<sim::Circuit> best_circuit;
+  std::shared_ptr<const sim::Circuit> best_circuit;
   for (const Candidate& candidate : candidates) {
     agents::MultiAgentPipeline pipeline(
         candidate.config, agents::SemanticAnalyzerAgent::Options(),
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  if (!best_circuit.has_value()) {
+  if (best_circuit == nullptr) {
     std::printf("no valid program generated; try another seed\n");
     return 1;
   }

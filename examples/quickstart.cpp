@@ -59,7 +59,7 @@ int main() {
               "--------------------------------------------------------\n\n",
               result.generation.source.c_str());
 
-  if (result.circuit.has_value()) {
+  if (result.circuit != nullptr) {
     std::printf("Circuit diagram:\n%s\n", sim::draw(*result.circuit).c_str());
     const Counts counts =
         sim::run_ideal(*result.circuit, sim::RunOptions{1024, 7});

@@ -346,9 +346,8 @@ void MultiAgentPipeline::run_into(
     }
     cancel::charge("pipeline.analyze", resilience_.stage_costs.analyze);
     trace.syntactic_ok = static_report->syntactic_ok;
-    trace.error_trace = static_report->error_trace;
     trace.error_count = static_report->diagnostics.size();
-    trace.diagnostics = static_report->diagnostics;
+    trace.report = static_report;
     if (pass > 1) {
       // Translation validation of the repair that produced this pass.
       certify_repair(result, trace, prev_report->circuit,
@@ -378,8 +377,7 @@ void MultiAgentPipeline::run_into(
           cancel::checkpoint("pipeline.verify");
           BehaviorReport behavior;
           if (walk(result, ladder, [&](std::size_t) {
-                behavior = analyzer_.check_behavior(*static_report->circuit,
-                                                    reference);
+                behavior = analyzer_.check_behavior(*static_report, reference);
               }) == 0) {
             semantic_ok = behavior.matches;
             trace.tvd = behavior.tvd;
@@ -421,7 +419,10 @@ void MultiAgentPipeline::run_into(
       result.syntactic_ok = trace.syntactic_ok;
       result.semantic_ok = semantic_ok;
       result.generation = std::move(generation);
-      result.circuit = static_report->circuit;
+      if (static_report->circuit.has_value()) {
+        result.circuit = std::shared_ptr<const sim::Circuit>(
+            static_report, &*static_report->circuit);
+      }
       final_report = std::move(static_report);
       break;
     }

@@ -142,11 +142,12 @@ struct PassTrace {
   bool semantic_ok = false;
   double tvd = 1.0;
   std::size_t error_count = 0;
-  std::string error_trace;
-  /// Structured diagnostics behind `error_trace` (including abstract.*
-  /// facts), so eval/bench tooling can classify without string-scraping;
-  /// serialise with qasm::diagnostics_to_json.
-  std::vector<qasm::Diagnostic> diagnostics;
+  /// The pass's static report, shared with the analysis that produced it
+  /// (a cache hit aliases the entry). Its `error_trace` is what the
+  /// repair prompt saw; its structured `diagnostics` (abstract.* facts
+  /// included) let eval/bench tooling classify without string-scraping
+  /// (serialise with qasm::diagnostics_to_json).
+  std::shared_ptr<const StaticReport> report;
   /// Degradation-ladder steps taken during this pass.
   std::vector<DegradationEvent> degradations;
   /// Translation-validation certificate for the repair step that produced
@@ -166,7 +167,9 @@ struct PipelineResult {
   int passes_used = 0;
   std::vector<PassTrace> trace;
   llm::GenerationResult generation;  ///< final artifact
-  std::optional<sim::Circuit> circuit;
+  /// The final artifact's lowered circuit (null unless it analyzed
+  /// clean), aliasing its pass's report.
+  std::shared_ptr<const sim::Circuit> circuit;
   std::optional<QecPlan> qec;
   /// Every degradation-ladder step taken, in occurrence order (the
   /// per-pass subset also appears on the matching PassTrace).

@@ -225,11 +225,27 @@ AnalysisValue SemanticAnalyzerAgent::analyze_impl(
   report.syntactic_ok = true;
   trace::TraceSpan span("analyze.lower");
   report.circuit = qasm::build_circuit(*parsed.program);
+  report.circuit_digest = circuit_digest(*report.circuit);
   return value;
 }
 
 BehaviorReport SemanticAnalyzerAgent::check_behavior(
     const sim::Circuit& circuit, const sim::Distribution& reference) const {
+  // Only the cache key needs the digest.
+  return judge(circuit, cache_ != nullptr ? circuit_digest(circuit) : 0,
+               reference);
+}
+
+BehaviorReport SemanticAnalyzerAgent::check_behavior(
+    const StaticReport& report, const sim::Distribution& reference) const {
+  require(report.circuit.has_value(),
+          "SemanticAnalyzerAgent::check_behavior: report has no circuit");
+  return judge(*report.circuit, report.circuit_digest, reference);
+}
+
+BehaviorReport SemanticAnalyzerAgent::judge(
+    const sim::Circuit& circuit, std::uint64_t digest,
+    const sim::Distribution& reference) const {
   BehaviorReport report;
   report.checked = true;
   if (reference.empty()) {
@@ -248,7 +264,7 @@ BehaviorReport SemanticAnalyzerAgent::check_behavior(
   if (cache_ != nullptr) {
     const std::uint64_t key = cache::KeyHasher()
                                   .mix(kSimulateSalt)
-                                  .mix(circuit_digest(circuit))
+                                  .mix(digest)
                                   .digest();
     entry = traced_lookup(*cache_, key, [&] {
       AnalysisValue value;

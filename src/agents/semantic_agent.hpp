@@ -36,6 +36,9 @@ struct StaticReport {
   std::vector<qasm::Diagnostic> diagnostics;
   /// Lowered circuit; present iff syntactic_ok.
   std::optional<sim::Circuit> circuit;
+  /// circuit_digest(*circuit), computed once when it is lowered (0 when
+  /// there is no circuit); keys the judged-distribution cache entries.
+  std::uint64_t circuit_digest = 0;
   /// Formatted trace for the repair prompt (Sec IV-A).
   std::string error_trace;
   /// Static resource digest of the entry circuit (computed whenever the
@@ -132,9 +135,15 @@ class SemanticAnalyzerAgent {
   /// it to the reference under total variation distance.
   BehaviorReport check_behavior(const sim::Circuit& circuit,
                                 const sim::Distribution& reference) const;
+  /// The same for a report's lowered circuit (it must have one), keyed by
+  /// the digest the report already carries.
+  BehaviorReport check_behavior(const StaticReport& report,
+                                const sim::Distribution& reference) const;
 
  private:
   AnalysisValue analyze_impl(const std::string& source) const;
+  BehaviorReport judge(const sim::Circuit& circuit, std::uint64_t digest,
+                       const sim::Distribution& reference) const;
 
   std::shared_ptr<const Config> config_;
   std::shared_ptr<AnalysisCache> cache_;

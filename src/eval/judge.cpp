@@ -55,7 +55,7 @@ Verdict judge_source(const std::string& source,
   verdict.syntactic_ok = static_report->syntactic_ok;
   if (!verdict.syntactic_ok) return verdict;
   const agents::BehaviorReport behavior =
-      analyzer.check_behavior(*static_report->circuit, reference);
+      analyzer.check_behavior(*static_report, reference);
   verdict.semantic_ok = behavior.matches;
   verdict.tvd = behavior.tvd;
   return verdict;

@@ -53,7 +53,7 @@ KnowledgeState apply_finetuning(const KnowledgeState& base,
       0.0, 1.0);
   // Scraped repos contain few high-quality algorithmic walkthroughs
   // (paper Sec V-C), so semantic gains are modest and tier-dependent.
-  for (auto& [algo, sem] : tuned.semantic) {
+  tuned.semantic.for_each([&](AlgorithmId algo, double& sem) {
     double gain = 0.0;
     switch (algorithm_tier(algo)) {
       case Tier::kBasic: gain = 0.18; break;
@@ -61,7 +61,7 @@ KnowledgeState apply_finetuning(const KnowledgeState& base,
       case Tier::kAdvanced: gain = 0.04; break;
     }
     sem = KnowledgeState::boost(sem, gain * strength);
-  }
+  });
   return tuned;
 }
 

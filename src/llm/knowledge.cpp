@@ -8,8 +8,7 @@
 namespace qcgen::llm {
 
 double KnowledgeState::semantic_for(AlgorithmId id) const {
-  auto it = semantic.find(id);
-  return it == semantic.end() ? 0.0 : it->second;
+  return semantic.get(id);
 }
 
 double KnowledgeState::boost(double value, double fraction) {
@@ -85,9 +84,11 @@ std::uint64_t knowledge_digest(const KnowledgeState& knowledge) noexcept {
   cache::KeyHasher hasher;
   hasher.mix(knowledge.syntax_skill).mix(knowledge.api_recency);
   hasher.mix(static_cast<std::uint64_t>(knowledge.semantic.size()));
-  for (const auto& [algorithm, value] : knowledge.semantic) {
+  // Ascending id order, as the ordered map this table replaced iterated:
+  // the digest feeds generation keys, so it must not move.
+  knowledge.semantic.for_each([&](AlgorithmId algorithm, double value) {
     hasher.mix(static_cast<std::uint64_t>(algorithm)).mix(value);
-  }
+  });
   return hasher.digest();
 }
 

@@ -98,6 +98,29 @@ double semantic_replan_probability(int pass_number) {
   return std::min(0.06, 0.02 + 0.005 * static_cast<double>(pass_number));
 }
 
+/// A program shared until first written: read() is the current version
+/// and write() copies the shared one on its first call, so a generation
+/// no fault touches emits its plan without copying it.
+class CowProgram {
+ public:
+  explicit CowProgram(std::shared_ptr<const qasm::Program> shared)
+      : shared_(std::move(shared)) {}
+  const qasm::Program& read() const { return owned_ ? *owned_ : *shared_; }
+  qasm::Program& write() {
+    if (!owned_) owned_ = std::make_shared<qasm::Program>(*shared_);
+    return *owned_;
+  }
+  /// The current version as an immutable handle.
+  std::shared_ptr<const qasm::Program> share() const {
+    if (owned_) return owned_;
+    return shared_;
+  }
+
+ private:
+  std::shared_ptr<const qasm::Program> shared_;
+  std::shared_ptr<qasm::Program> owned_;
+};
+
 SimLM::SimLM(KnowledgeState knowledge, std::uint64_t seed)
     : SimLM(std::make_shared<const KnowledgeState>(std::move(knowledge)),
             seed) {}
@@ -176,6 +199,11 @@ KnowledgeState SimLM::effective_knowledge(const TaskSpec& task,
 namespace {
 
 std::vector<Stmt>& entry_body(Program& program) {
+  require(!program.circuits.empty(), "SimLM: program has no circuit");
+  return program.circuits.front().body;
+}
+
+const std::vector<Stmt>& entry_body(const Program& program) {
   require(!program.circuits.empty(), "SimLM: program has no circuit");
   return program.circuits.front().body;
 }
@@ -296,12 +324,11 @@ std::string corrupt_structure(Program& program, Rng& rng) {
 }
 
 /// Small in-plan slip: one wrong detail on a random gate.
-std::string apply_slip(Program& program, Rng& rng) {
-  auto& body = entry_body(program);
-  const auto gates = gate_indices(body);
+std::string apply_slip(CowProgram& program, Rng& rng) {
+  const auto gates = gate_indices(entry_body(program.read()));
   if (gates.empty()) return "noop";
-  auto& g = std::get<GateStmt>(
-      body[gates[rng.uniform_int(static_cast<std::uint64_t>(gates.size()))]]);
+  auto& g = std::get<GateStmt>(entry_body(program.write())[gates[
+      rng.uniform_int(static_cast<std::uint64_t>(gates.size()))]]);
   if (order_sensitive(g) && rng.bernoulli(0.5)) {
     std::swap(g.operands[0], g.operands[1]);
     return "swapped-operands:" + g.name;
@@ -349,30 +376,35 @@ std::shared_ptr<const Program> SimLM::plan(
   return std::make_shared<const Program>(std::move(program));
 }
 
-void SimLM::inject_surface_faults(Program& program, const FaultRates& rates,
+void SimLM::inject_surface_faults(CowProgram& program, const FaultRates& rates,
                                   std::vector<Fault>& faults) {
   const auto& registry = qasm::LanguageRegistry::current();
-  auto& body = entry_body(program);
+  const std::vector<Stmt>& planned_body = entry_body(program.read());
+  // Every fault writes through program.write(); statement positions never
+  // move, so indices read off the shared plan stay valid in the copy.
+  const auto gate_at = [&](std::size_t idx) -> GateStmt& {
+    return std::get<GateStmt>(entry_body(program.write())[idx]);
+  };
 
   if (rng_.bernoulli(rates.deprecated_import)) {
     const auto& deprecated = registry.deprecated_imports();
     const std::string& pick = deprecated[rng_.uniform_int(
         static_cast<std::uint64_t>(deprecated.size()))];
-    program.imports.push_back(Import{pick, 0});
+    program.write().imports.push_back(Import{pick, 0});
     faults.push_back(Fault{FaultKind::kDeprecatedImport, pick, 0});
   }
   if (rng_.bernoulli(rates.unknown_import)) {
     const std::string pick = kBogusImports[rng_.uniform_int(
         static_cast<std::uint64_t>(std::size(kBogusImports)))];
-    program.imports.push_back(Import{pick, 0});
+    program.write().imports.push_back(Import{pick, 0});
     faults.push_back(Fault{FaultKind::kUnknownImport, pick, 0});
   }
 
-  const auto gates = gate_indices(body);
+  const auto gates = gate_indices(planned_body);
   if (!gates.empty() && rng_.bernoulli(rates.gate_misuse)) {
     const std::size_t idx =
         gates[rng_.uniform_int(static_cast<std::uint64_t>(gates.size()))];
-    auto& g = std::get<GateStmt>(body[idx]);
+    auto& g = gate_at(idx);
     switch (rng_.uniform_int(static_cast<std::uint64_t>(3))) {
       case 0: {
         faults.push_back(Fault{FaultKind::kUnknownGate, g.name, idx});
@@ -405,22 +437,24 @@ void SimLM::inject_surface_faults(Program& program, const FaultRates& rates,
   if (!gates.empty() && rng_.bernoulli(rates.index_error)) {
     const std::size_t idx =
         gates[rng_.uniform_int(static_cast<std::uint64_t>(gates.size()))];
-    auto& g = std::get<GateStmt>(body[idx]);
-    if (!g.operands.empty()) {
-      g.operands[0].index = program.circuits.front().num_qubits;  // one past
+    const qasm::CircuitDecl& entry = program.read().circuits.front();
+    if (!std::get<GateStmt>(entry.body[idx]).operands.empty()) {
+      const std::size_t one_past = entry.num_qubits;  // read before copying
+      auto& g = gate_at(idx);
+      g.operands[0].index = one_past;
       faults.push_back(Fault{FaultKind::kIndexError, g.name, idx});
     }
   }
+  const auto is_measure = [](const Stmt& stmt) {
+    return std::holds_alternative<qasm::MeasureStmt>(stmt) ||
+           std::holds_alternative<qasm::MeasureAllStmt>(stmt);
+  };
   if (rng_.bernoulli(rates.missing_measure)) {
-    bool removed = false;
-    for (auto& stmt : body) {
-      if (std::holds_alternative<qasm::MeasureStmt>(stmt) ||
-          std::holds_alternative<qasm::MeasureAllStmt>(stmt)) {
-        stmt = Stmt{qasm::BarrierStmt{0}};  // keep indices stable
-        removed = true;
+    const std::vector<Stmt>& body = entry_body(program.read());
+    if (std::any_of(body.begin(), body.end(), is_measure)) {
+      for (Stmt& stmt : entry_body(program.write())) {
+        if (is_measure(stmt)) stmt = Stmt{qasm::BarrierStmt{0}};  // keep indices
       }
-    }
-    if (removed) {
       faults.push_back(Fault{FaultKind::kMissingMeasure, "", 0});
     }
   }
@@ -461,7 +495,8 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
   result.scaffold = std::move(scaffold);
 
   result.intended_ast = plan(task, k, context.gold, result.faults);
-  result.ast = *result.intended_ast;
+  // The emitted program is the plan until a fault writes to it.
+  CowProgram emitted(result.intended_ast);
 
   const FaultRates rates =
       fault_rates(k, task.algorithm, context.syntax_difficulty);
@@ -470,11 +505,12 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
       std::none_of(result.faults.begin(), result.faults.end(),
                    [](const Fault& f) { return f.kind == FaultKind::kWrongPlan; });
   if (planned_correctly && rng_.bernoulli(rates.semantic_slip)) {
-    const std::string detail = apply_slip(result.ast, rng_);
+    const std::string detail = apply_slip(emitted, rng_);
     result.faults.push_back(Fault{FaultKind::kSemanticSlip, detail, 0});
   }
-  inject_surface_faults(result.ast, rates, result.faults);
-  result.source = realise(result.ast, rates, result.faults);
+  inject_surface_faults(emitted, rates, result.faults);
+  result.ast = emitted.share();
+  result.source = realise(*result.ast, rates, result.faults);
   result.effective = std::move(k);
   return result;
 }
@@ -525,13 +561,13 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   // are rebuilt below, so they are not copied from `prev` (which stays
   // untouched: a retried repair sees the same input).
   GenerationResult next;
-  next.ast = prev.ast;
+  Program ast = *prev.ast;
   next.intended_ast = prev.intended_ast;
   next.scaffold = prev.scaffold;
   next.retrieval = prev.retrieval;
   next.effective = prev.effective;
   const auto& registry = qasm::LanguageRegistry::current();
-  auto& body = entry_body(next.ast);
+  auto& body = entry_body(ast);
   const auto& intended_body =
       prev.intended_ast == nullptr || prev.intended_ast->circuits.empty()
           ? body
@@ -563,7 +599,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         fixed.push_back(FaultKind::kParseCorruption);
         break;
       case DiagCode::kDeprecatedImport: {
-        for (Import& imp : next.ast.imports) {
+        for (Import& imp : ast.imports) {
           if (registry.import_status(imp.path) == qasm::ImportStatus::kDeprecated) {
             if (auto repl = registry.import_replacement(imp.path)) {
               imp.path = *repl;
@@ -576,14 +612,14 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         break;
       }
       case DiagCode::kUnknownImport: {
-        std::erase_if(next.ast.imports, [&](const Import& imp) {
+        std::erase_if(ast.imports, [&](const Import& imp) {
           return registry.import_status(imp.path) == qasm::ImportStatus::kUnknown;
         });
         fixed.push_back(FaultKind::kUnknownImport);
         break;
       }
       case DiagCode::kMissingQiskitImport:
-        next.ast.imports.insert(next.ast.imports.begin(),
+        ast.imports.insert(ast.imports.begin(),
                                 Import{"qiskit", 1});
         break;
       case DiagCode::kUnknownGate: {
@@ -630,7 +666,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
       }
       case DiagCode::kQubitOutOfRange:
       case DiagCode::kClbitOutOfRange: {
-        const std::size_t limit = next.ast.circuits.front().num_qubits;
+        const std::size_t limit = ast.circuits.front().num_qubits;
         for (Stmt& stmt : body) {
           if (!is_gate(stmt)) continue;
           for (auto& ref : std::get<GateStmt>(stmt).operands) {
@@ -723,7 +759,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   const auto delete_first_unreachable = [&]() -> bool {
     // First conditional whose clbit is tested true but never written
     // before it (the statement the fix-it span covers).
-    std::vector<bool> written(next.ast.circuits.front().num_clbits, false);
+    std::vector<bool> written(ast.circuits.front().num_clbits, false);
     for (std::size_t i = 0; i < body.size(); ++i) {
       if (const auto* m = std::get_if<qasm::MeasureStmt>(&body[i])) {
         if (m->clbit.index < written.size()) written[m->clbit.index] = true;
@@ -746,7 +782,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   };
   const auto delete_first_redundant_reset = [&]() -> bool {
     // First reset on a qubit that nothing has touched yet.
-    std::vector<bool> touched(next.ast.circuits.front().num_qubits, false);
+    std::vector<bool> touched(ast.circuits.front().num_qubits, false);
     const auto touch = [&](const RegRef& ref) {
       if (ref.index < touched.size()) touched[ref.index] = true;
     };
@@ -776,7 +812,7 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   const auto delete_first_trivial_control = [&]() -> bool {
     // First controlled gate whose control qubit is still in |0> —
     // untouched since preparation, so the gate is a provable identity.
-    std::vector<bool> touched(next.ast.circuits.front().num_qubits, false);
+    std::vector<bool> touched(ast.circuits.front().num_qubits, false);
     const auto touch = [&](const RegRef& ref) {
       if (ref.index < touched.size()) touched[ref.index] = true;
     };
@@ -841,7 +877,8 @@ GenerationResult SimLM::repair(const TaskSpec& task,
 
   // Realise the repaired program. A parse corruption that was not fixed
   // re-applies itself (the model reproduces its own malformed line).
-  next.source = qasm::print_program(next.ast);
+  next.source = qasm::print_program(ast);
+  next.ast = std::make_shared<const Program>(std::move(ast));
   const bool parse_fault_remains = std::any_of(
       next.faults.begin(), next.faults.end(), [](const Fault& f) {
         return f.kind == FaultKind::kParseCorruption;

@@ -76,8 +76,10 @@ struct RetrievalTrace {
 struct GenerationResult {
   std::string source;
   /// AST actually emitted (faults baked in, before text-level parse
-  /// corruption).
-  qasm::Program ast;
+  /// corruption). Shared and immutable: it is `intended_ast` itself when
+  /// no fault wrote to the plan, and a repair that keeps it hands the
+  /// same object on; only a fault or a repair edit copies it.
+  std::shared_ptr<const qasm::Program> ast;
   /// AST the model planned before surface-fault injection ("intent");
   /// statement indices align with `ast` (surface faults are in-place).
   /// Shared and immutable: a correct plan aliases the task's gold
@@ -88,6 +90,9 @@ struct GenerationResult {
   RetrievalTrace retrieval;
   KnowledgeState effective;  ///< knowledge after technique boosts
 };
+
+/// A program shared until a fault first writes to it (simlm.cpp).
+class CowProgram;
 
 /// The simulated model. Deterministic given (knowledge, seed) and the
 /// request stream.
@@ -124,7 +129,7 @@ class SimLM {
       const TaskSpec& task, const KnowledgeState& knowledge,
       const std::shared_ptr<const qasm::Program>& gold,
       std::vector<Fault>& faults);
-  void inject_surface_faults(qasm::Program& program, const FaultRates& rates,
+  void inject_surface_faults(CowProgram& program, const FaultRates& rates,
                              std::vector<Fault>& faults);
   std::string realise(const qasm::Program& program, const FaultRates& rates,
                       std::vector<Fault>& faults);

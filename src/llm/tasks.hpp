@@ -43,6 +43,10 @@ enum class AlgorithmId {
   kInverseQft,
 };
 
+/// Number of AlgorithmId values (they are dense from 0).
+inline constexpr std::size_t kAlgorithmCount =
+    static_cast<std::size_t>(AlgorithmId::kInverseQft) + 1;
+
 std::string_view algorithm_name(AlgorithmId id);
 Tier algorithm_tier(AlgorithmId id);
 std::vector<AlgorithmId> all_algorithms();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "common/error.hpp"
 #include "qasm/lint/abstract/interpreter.hpp"
@@ -64,6 +65,7 @@ Schedule schedule_asap(const CircuitFacts& facts,
   std::vector<std::size_t> qubit_level(circ.num_qubits, 0);
   std::vector<std::size_t> clbit_level(circ.num_clbits, 0);
   std::vector<std::size_t> t_level(circ.num_qubits, 0);
+  std::vector<std::size_t> qubits;  // the op's distinct qubits, reused
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
     if (reach[i] == OpFact::Reach::kUnreachable) continue;
     if (!include_maybe && reach[i] == OpFact::Reach::kMaybe) continue;
@@ -81,12 +83,12 @@ Schedule schedule_asap(const CircuitFacts& facts,
       continue;
     }
     if (!executable(op, circ)) continue;
-    std::vector<std::size_t> qubits;
     if (std::holds_alternative<MeasureAllStmt>(*op.stmt)) {
       qubits.resize(circ.num_qubits);
       for (std::size_t q = 0; q < circ.num_qubits; ++q) qubits[q] = q;
     } else {
-      qubits = qubit_operands(op, circ);
+      const auto operands = qubit_operands(op, facts);
+      qubits.assign(operands.begin(), operands.end());
       std::sort(qubits.begin(), qubits.end());
       qubits.erase(std::unique(qubits.begin(), qubits.end()), qubits.end());
     }
@@ -131,6 +133,8 @@ std::vector<std::size_t> schedule_alap(const CircuitFacts& facts,
   std::vector<std::size_t> alap(facts.ops.size(), 0);
   std::vector<std::size_t> qubit_deadline(circ.num_qubits, asap.depth + 1);
   std::vector<std::size_t> clbit_deadline(circ.num_clbits, asap.depth + 1);
+  std::vector<std::size_t> all_qubits(circ.num_qubits);
+  for (std::size_t q = 0; q < circ.num_qubits; ++q) all_qubits[q] = q;
   for (std::size_t r = facts.ops.size(); r > 0; --r) {
     const std::size_t i = r - 1;
     const FlatOp& op = facts.ops[i];
@@ -143,13 +147,10 @@ std::vector<std::size_t> schedule_alap(const CircuitFacts& facts,
       continue;
     }
     if (asap.layer[i] == 0) continue;
-    std::vector<std::size_t> qubits;
-    if (std::holds_alternative<MeasureAllStmt>(*op.stmt)) {
-      qubits.resize(circ.num_qubits);
-      for (std::size_t q = 0; q < circ.num_qubits; ++q) qubits[q] = q;
-    } else {
-      qubits = qubit_operands(op, circ);
-    }
+    const std::span<const std::size_t> qubits =
+        std::holds_alternative<MeasureAllStmt>(*op.stmt)
+            ? std::span<const std::size_t>(all_qubits)
+            : qubit_operands(op, facts);
     std::size_t deadline = asap.depth + 1;
     for (const std::size_t q : qubits) {
       deadline = std::min(deadline, qubit_deadline[q]);
@@ -323,7 +324,7 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
     if (!res.ops[i].counted) continue;
     const std::optional<sim::GateKind> kind = facts.ops[i].gate;
     if (!kind || sim::gate_info(*kind).num_qubits != 2) continue;
-    std::vector<std::size_t> qs = qubit_operands(facts.ops[i], circ);
+    const auto qs = qubit_operands(facts.ops[i], facts);
     if (qs.size() != 2 || qs[0] == qs[1]) continue;
     ++pairs[{std::min(qs[0], qs[1]), std::max(qs[0], qs[1])}];
   }

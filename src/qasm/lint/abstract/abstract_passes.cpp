@@ -237,7 +237,7 @@ class TopologyConformancePass final : public LintPass {
         if (gate == nullptr) continue;
         const std::optional<sim::GateKind> kind = op.gate;
         if (!kind || sim::gate_info(*kind).num_qubits != 2) continue;
-        const std::vector<std::size_t> qs = qubit_operands(op, circ);
+        const auto qs = qubit_operands(op, facts);
         if (qs.size() != 2 || qs[0] == qs[1]) continue;
         if (qs[0] >= topo.num_qubits || qs[1] >= topo.num_qubits) {
           sink.report(Severity::kWarning, DiagCode::kNonAdjacentQubits,

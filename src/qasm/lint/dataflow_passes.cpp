@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -249,7 +250,7 @@ class DeadCodePass final : public LintPass {
                   live.erase(s.qubit.index);
                 }
               } else if constexpr (std::is_same_v<T, GateStmt>) {
-                const std::vector<std::size_t> qs = qubit_operands(op, circ);
+                const auto qs = qubit_operands(op, facts);
                 if (qs.empty()) return;  // all operands out of range
                 const bool any_live =
                     std::any_of(qs.begin(), qs.end(), [&](std::size_t q) {
@@ -304,7 +305,6 @@ class RedundantPairPass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      const CircuitDecl& circ = *facts.circuit;
       // chains_adjacent[{i,j}] = number of qubit timelines on which op j
       // is the immediate successor of op i (both gate events).
       std::map<std::pair<std::size_t, std::size_t>, std::size_t>
@@ -328,8 +328,8 @@ class RedundantPairPass final : public LintPass {
         const std::optional<sim::GateKind> ka = first.gate;
         const std::optional<sim::GateKind> kb = second.gate;
         if (!ka || !kb || *ka != *kb || !self_inverse(*ka)) continue;
-        const std::vector<std::size_t> qa = qubit_operands(first, circ);
-        const std::vector<std::size_t> qb = qubit_operands(second, circ);
+        const auto qa = qubit_operands(first, facts);
+        const auto qb = qubit_operands(second, facts);
         // Every operand of both gates must witness the adjacency, and
         // the operand multisets must agree up to gate symmetry.
         if (qa.size() != count || qb.size() != count) continue;
@@ -369,10 +369,10 @@ class RedundantPairPass final : public LintPass {
   /// fully symmetric, ccx is symmetric in its controls, cswap in its
   /// targets; everything else must match positionally.
   static bool operands_match(sim::GateKind kind,
-                             const std::vector<std::size_t>& a,
-                             const std::vector<std::size_t>& b) {
+                             std::span<const std::size_t> a,
+                             std::span<const std::size_t> b) {
     if (a.size() != b.size()) return false;
-    if (a == b) return true;
+    if (std::equal(a.begin(), a.end(), b.begin())) return true;
     const auto same_pair = [](std::size_t a0, std::size_t a1, std::size_t b0,
                               std::size_t b1) {
       return (a0 == b0 && a1 == b1) || (a0 == b1 && a1 == b0);

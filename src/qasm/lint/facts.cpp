@@ -26,6 +26,23 @@ void flatten_stmt(const Stmt& stmt, std::vector<const IfStmt*>& guards,
   out.push_back(std::move(op));
 }
 
+/// Appends the op's in-range qubit operands to the circuit's buffer.
+void record_operands(FlatOp& op, CircuitFacts& facts) {
+  const std::size_t num_qubits = facts.circuit->num_qubits;
+  op.operands_begin = facts.operands.size();
+  const auto add = [&](const RegRef& ref) {
+    if (ref.index < num_qubits) facts.operands.push_back(ref.index);
+  };
+  if (const auto* gate = std::get_if<GateStmt>(op.stmt)) {
+    for (const RegRef& ref : gate->operands) add(ref);
+  } else if (const auto* measure = std::get_if<MeasureStmt>(op.stmt)) {
+    add(measure->qubit);
+  } else if (const auto* reset = std::get_if<ResetStmt>(op.stmt)) {
+    add(reset->qubit);
+  }
+  op.operands_count = facts.operands.size() - op.operands_begin;
+}
+
 void record_events(CircuitFacts& facts) {
   const CircuitDecl& circ = *facts.circuit;
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
@@ -104,32 +121,13 @@ ProgramFacts ProgramFacts::compute(const Program& program) {
       facts.has_guarded_op =
           std::any_of(facts.ops.begin(), facts.ops.end(),
                       [](const FlatOp& op) { return op.guarded(); });
+      for (FlatOp& op : facts.ops) record_operands(op, facts);
       facts.qubit_events.resize(circ.num_qubits);
       facts.clbit_events.resize(circ.num_clbits);
       record_events(facts);
     }
     out.circuits.push_back(std::move(facts));
   }
-  return out;
-}
-
-std::vector<std::size_t> qubit_operands(const FlatOp& op,
-                                        const CircuitDecl& circ) {
-  std::vector<std::size_t> out;
-  std::visit(
-      [&](const auto& s) {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, GateStmt>) {
-          for (const RegRef& ref : s.operands) {
-            if (ref.index < circ.num_qubits) out.push_back(ref.index);
-          }
-        } else if constexpr (std::is_same_v<T, MeasureStmt>) {
-          if (s.qubit.index < circ.num_qubits) out.push_back(s.qubit.index);
-        } else if constexpr (std::is_same_v<T, ResetStmt>) {
-          if (s.qubit.index < circ.num_qubits) out.push_back(s.qubit.index);
-        }
-      },
-      *op.stmt);
   return out;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "qasm/ast.hpp"
@@ -35,6 +36,9 @@ struct FlatOp {
   /// alias), from LanguageRegistry::current().resolve_gate; empty for
   /// unknown mnemonics and for non-gate statements.
   std::optional<sim::GateKind> gate;
+  /// This op's run of CircuitFacts::operands (see qubit_operands).
+  std::size_t operands_begin = 0;
+  std::size_t operands_count = 0;
 
   bool guarded() const { return !guards.empty(); }
   /// Indentation depth of the statement in canonical printing.
@@ -64,6 +68,9 @@ struct CircuitFacts {
   bool analyzable = false;
   /// Flattened body in program order.
   std::vector<FlatOp> ops;
+  /// Every op's in-range qubit operands, one run per op in op order, in
+  /// one buffer for the circuit (read through qubit_operands).
+  std::vector<std::size_t> operands;
   /// True when some op sits under an if-guard. Only such circuits can
   /// have reachability verdicts other than "always runs".
   bool has_guarded_op = false;
@@ -85,10 +92,14 @@ struct ProgramFacts {
   static ProgramFacts compute(const Program& program);
 };
 
-/// Qubit operand indices of a flat op that are in range for `circ`
-/// (gate operands, measured qubit, reset qubit; empty for barriers).
-std::vector<std::size_t> qubit_operands(const FlatOp& op,
-                                        const CircuitDecl& circ);
+/// Qubit operand indices of a flat op of `facts` that are in range for
+/// its circuit (gate operands in order, measured qubit, reset qubit;
+/// empty for barriers and measure_all). Computed once by
+/// ProgramFacts::compute; the span views `facts.operands`.
+inline std::span<const std::size_t> qubit_operands(const FlatOp& op,
+                                                   const CircuitFacts& facts) {
+  return {facts.operands.data() + op.operands_begin, op.operands_count};
+}
 
 }  // namespace lint
 }  // namespace qcgen::qasm

@@ -43,6 +43,50 @@ TEST(Knowledge, TierSemanticsOrdered) {
   EXPECT_EQ(k.semantic_for(static_cast<AlgorithmId>(9999)), 0.0);
 }
 
+TEST(Knowledge, DigestIsPinned) {
+  // Generation keys fold the digest in, and content-addressed generations
+  // seed their model from those keys: these values must never move.
+  EXPECT_EQ(knowledge_digest(base_knowledge(ModelProfile::kStarCoder3B)),
+            0x5a267b0c7e2c9a5fULL);
+  EXPECT_EQ(knowledge_digest(base_knowledge(ModelProfile::kStarCoder7B)),
+            0xcc58ae3156f75fb9ULL);
+  EXPECT_EQ(knowledge_digest(base_knowledge(ModelProfile::kGranite20B)),
+            0x4c3d47bee70e533aULL);
+  EXPECT_EQ(knowledge_digest(apply_finetuning(
+                base_knowledge(ModelProfile::kStarCoder3B), FineTuneConfig{})),
+            0xab72a4019b958ec0ULL);
+  // Only present ids are hashed, in ascending id order.
+  KnowledgeState sparse;
+  sparse.semantic[AlgorithmId::kGhz] = 0.5;
+  sparse.semantic[AlgorithmId::kBellPair] = 0.25;
+  EXPECT_EQ(knowledge_digest(sparse), 0x74358b65b05e15c4ULL);
+  EXPECT_EQ(knowledge_digest(KnowledgeState{}), 0x5db1c9c93624d952ULL);
+}
+
+TEST(Knowledge, SemanticTableMarksPresence) {
+  KnowledgeState k;
+  EXPECT_EQ(k.semantic.size(), 0u);
+  EXPECT_FALSE(k.semantic.contains(AlgorithmId::kGrover));
+  EXPECT_EQ(k.semantic_for(AlgorithmId::kGrover), 0.0);
+  // operator[] marks the id present even before anything is written.
+  (void)k.semantic[AlgorithmId::kGrover];
+  EXPECT_TRUE(k.semantic.contains(AlgorithmId::kGrover));
+  EXPECT_EQ(k.semantic.size(), 1u);
+  EXPECT_EQ(k.semantic_for(AlgorithmId::kGrover), 0.0);
+  const std::uint64_t marked = knowledge_digest(k);
+  EXPECT_NE(marked, knowledge_digest(KnowledgeState{}));
+  k.semantic[AlgorithmId::kGrover] = 0.75;
+  EXPECT_EQ(k.semantic_for(AlgorithmId::kGrover), 0.75);
+  EXPECT_NE(knowledge_digest(k), marked);
+  EXPECT_FALSE(k.semantic.contains(static_cast<AlgorithmId>(9999)));
+  EXPECT_THROW(k.semantic[static_cast<AlgorithmId>(9999)],
+               InvalidArgumentError);
+  // Every profile states a value for every algorithm.
+  EXPECT_EQ(base_knowledge(ModelProfile::kGranite20B).semantic.size(),
+            kAlgorithmCount);
+  EXPECT_EQ(all_algorithms().size(), kAlgorithmCount);
+}
+
 TEST(Knowledge, FaultRatesDecreaseWithSkill) {
   KnowledgeState weak;
   weak.syntax_skill = 0.2;
@@ -269,9 +313,11 @@ TEST(SimLM, RepairFixesDeprecatedImportEventually) {
   TaskSpec task;
   task.algorithm = AlgorithmId::kBellPair;
   GenerationResult result = model.generate(task, GenerationContext{});
-  result.ast.imports.push_back(qasm::Import{"qiskit.aqua", 0});
+  qasm::Program faulted = *result.ast;
+  faulted.imports.push_back(qasm::Import{"qiskit.aqua", 0});
+  result.ast = std::make_shared<const qasm::Program>(std::move(faulted));
   result.faults.push_back(Fault{FaultKind::kDeprecatedImport, "qiskit.aqua", 0});
-  result.source = qasm::print_program(result.ast);
+  result.source = qasm::print_program(*result.ast);
 
   bool fixed = false;
   for (int pass = 1; pass <= 60 && !fixed; ++pass) {

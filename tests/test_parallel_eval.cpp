@@ -327,7 +327,7 @@ std::vector<Collected> run_uncached(const agents::TechniqueConfig& technique,
 void expect_same_generation(const llm::GenerationResult& got,
                             const llm::GenerationResult& want) {
   EXPECT_EQ(got.source, want.source);
-  EXPECT_EQ(qasm::print_program(got.ast), qasm::print_program(want.ast));
+  EXPECT_EQ(qasm::print_program(*got.ast), qasm::print_program(*want.ast));
   EXPECT_EQ(qasm::print_program(*got.intended_ast),
             qasm::print_program(*want.intended_ast));
   ASSERT_EQ(got.faults.size(), want.faults.size());
@@ -396,14 +396,17 @@ void expect_same_trial(const Collected& got, const Collected& want) {
     EXPECT_EQ(a.trace[i].semantic_ok, b.trace[i].semantic_ok);
     EXPECT_EQ(a.trace[i].tvd, b.trace[i].tvd);
     EXPECT_EQ(a.trace[i].error_count, b.trace[i].error_count);
-    EXPECT_EQ(a.trace[i].error_trace, b.trace[i].error_trace);
-    EXPECT_EQ(a.trace[i].diagnostics, b.trace[i].diagnostics);
+    EXPECT_EQ(a.trace[i].report->error_trace, b.trace[i].report->error_trace);
+    EXPECT_EQ(a.trace[i].report->diagnostics, b.trace[i].report->diagnostics);
     EXPECT_EQ(a.trace[i].degradations, b.trace[i].degradations);
     EXPECT_EQ(a.trace[i].repair_certificate, b.trace[i].repair_certificate);
     EXPECT_EQ(a.trace[i].repair_rejected, b.trace[i].repair_rejected);
   }
   expect_same_generation(a.generation, b.generation);
-  EXPECT_EQ(a.circuit, b.circuit);
+  ASSERT_EQ(a.circuit == nullptr, b.circuit == nullptr);
+  if (a.circuit != nullptr) {
+    EXPECT_EQ(*a.circuit, *b.circuit);
+  }
   expect_same_qec(a.qec, b.qec);
   EXPECT_EQ(a.degradations, b.degradations);
   EXPECT_EQ(a.stage_retries, b.stage_retries);

@@ -53,7 +53,7 @@ std::string fingerprint(const serve::RequestResult& result,
     out += '|' + std::to_string(result.pipeline.passes_used);
     out += result.pipeline.semantic_ok ? "|sem" : "|nosem";
     for (const auto& pass : result.pipeline.trace) {
-      out += '|' + qasm::diagnostics_to_json(pass.diagnostics).dump(0);
+      out += '|' + qasm::diagnostics_to_json(pass.report->diagnostics).dump(0);
     }
     if (result.pipeline.qec.has_value()) {
       char buffer[128];

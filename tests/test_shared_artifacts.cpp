@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agents/pipeline.hpp"
@@ -191,7 +193,7 @@ TEST(SharedArtifacts, RetriedRepairSeesTheSameInput) {
         model.generate(test_case.task, llm::GenerationContext{});
     const auto report = analyzer.analyze(prev.source);
     const std::string prev_source = prev.source;
-    const std::string prev_ast = printed(prev.ast);
+    const std::string prev_ast = printed(*prev.ast);
     // Two identically seeded models repairing the same artifact: the
     // second call must see exactly what the first saw.
     llm::SimLM first(knowledge, 91);
@@ -199,7 +201,7 @@ TEST(SharedArtifacts, RetriedRepairSeesTheSameInput) {
     const auto a = first.repair(test_case.task, prev, report->diagnostics,
                                 report->syntactic_ok, {}, 1);
     EXPECT_EQ(prev.source, prev_source);
-    EXPECT_EQ(printed(prev.ast), prev_ast);
+    EXPECT_EQ(printed(*prev.ast), prev_ast);
     const auto b = retry.repair(test_case.task, prev, report->diagnostics,
                                 report->syntactic_ok, {}, 1);
     EXPECT_EQ(a.source, b.source) << test_case.id;
@@ -207,6 +209,123 @@ TEST(SharedArtifacts, RetriedRepairSeesTheSameInput) {
     if (a.source != prev.source) ++repaired;
   }
   EXPECT_GT(repaired, 0u);
+}
+
+TEST(SharedArtifacts, UntouchedPlanIsEmittedWithoutACopy) {
+  // A model that never faults emits the gold program it was handed.
+  llm::KnowledgeState perfect;
+  perfect.syntax_skill = 1.0;
+  perfect.api_recency = 1.0;
+  for (const llm::AlgorithmId id : llm::all_algorithms()) {
+    perfect.semantic[id] = 1.0;
+  }
+  for (const eval::TestCase& test_case : eval::semantic_suite()) {
+    llm::SimLM model(perfect, 13);
+    llm::GenerationContext context;
+    context.gold = std::make_shared<const qasm::Program>(
+        llm::gold_program(test_case.task));
+    const llm::GenerationResult result =
+        model.generate(test_case.task, context);
+    ASSERT_TRUE(result.faults.empty()) << test_case.id;
+    EXPECT_EQ(result.intended_ast.get(), context.gold.get());
+    EXPECT_EQ(result.ast.get(), result.intended_ast.get()) << test_case.id;
+    EXPECT_EQ(result.source, printed(*context.gold));
+  }
+}
+
+TEST(SharedArtifacts, FaultedGenerationOwnsItsCopy) {
+  // Every surface fault and slip writes to a copy: the shared plan keeps
+  // printing as the gold it aliases.
+  const llm::KnowledgeState weak =
+      llm::base_knowledge(llm::ModelProfile::kStarCoder3B);
+  std::size_t owned = 0;
+  std::size_t shared = 0;
+  for (const eval::TestCase& test_case : eval::semantic_suite()) {
+    llm::SimLM model(weak, 29);
+    llm::GenerationContext context;
+    context.gold = std::make_shared<const qasm::Program>(
+        llm::gold_program(test_case.task));
+    const std::string gold = printed(*context.gold);
+    for (int sample = 0; sample < 4; ++sample) {
+      const llm::GenerationResult result =
+          model.generate(test_case.task, context);
+      const bool wrote = std::any_of(
+          result.faults.begin(), result.faults.end(),
+          [](const llm::Fault& f) {
+            return f.kind != llm::FaultKind::kWrongPlan &&
+                   f.kind != llm::FaultKind::kParseCorruption;
+          });
+      if (wrote) {
+        ++owned;
+        EXPECT_NE(result.ast.get(), result.intended_ast.get());
+        EXPECT_NE(printed(*result.ast), printed(*result.intended_ast));
+      } else {
+        ++shared;
+        EXPECT_EQ(result.ast.get(), result.intended_ast.get());
+      }
+      EXPECT_EQ(printed(*context.gold), gold) << test_case.id;
+    }
+  }
+  EXPECT_GT(owned, 0u);
+  EXPECT_GT(shared, 0u);
+}
+
+TEST(SharedArtifacts, KeptRepairSharesItsInputAst) {
+  // Statically clean but behaviourally wrong: the model mostly keeps its
+  // artifact, and a kept artifact is handed on, not copied.
+  const llm::KnowledgeState weak =
+      llm::base_knowledge(llm::ModelProfile::kStarCoder3B);
+  std::size_t kept = 0;
+  for (const eval::TestCase& test_case : eval::semantic_suite()) {
+    llm::SimLM model(weak, 43);
+    const llm::GenerationResult prev =
+        model.generate(test_case.task, llm::GenerationContext{});
+    const llm::GenerationResult next = model.repair(
+        test_case.task, prev, {}, /*semantic_failure=*/true, {}, 1);
+    if (next.source != prev.source) continue;  // replanned
+    ++kept;
+    EXPECT_EQ(next.ast.get(), prev.ast.get()) << test_case.id;
+    EXPECT_EQ(next.intended_ast.get(), prev.intended_ast.get());
+  }
+  EXPECT_GT(kept, 0u);
+}
+
+TEST(SharedArtifacts, GoldProgramsPrintTheSameAfterAMatrix) {
+  // perfbench's eval shape: every third case, eight samples, 272 trials.
+  // The first correct plan of each case is held past the matrix, printed
+  // when first seen and again once every trial has read it.
+  const auto full = eval::semantic_suite();
+  std::vector<eval::TestCase> suite;
+  for (std::size_t i = 0; i < full.size(); i += 3) suite.push_back(full[i]);
+  ASSERT_EQ(suite.size() * 8, 272u);
+  eval::RunnerOptions options;
+  options.seed = 2025;
+  options.threads = 1;
+  std::map<std::size_t, std::pair<std::shared_ptr<const qasm::Program>,
+                                  std::string>>
+      golds;
+  std::size_t untouched = 0;
+  eval::run_trial_matrix(
+      rag_multipass(), suite, 8, options, [&](const eval::Trial& trial) {
+        ASSERT_EQ(trial.failure, nullptr);
+        const llm::GenerationResult& generation = trial.result->generation;
+        if (generation.ast == generation.intended_ast) ++untouched;
+        const bool wrong_plan = std::any_of(
+            generation.faults.begin(), generation.faults.end(),
+            [](const llm::Fault& f) {
+              return f.kind == llm::FaultKind::kWrongPlan;
+            });
+        if (!wrong_plan && golds.count(trial.case_idx) == 0) {
+          golds[trial.case_idx] = {generation.intended_ast,
+                                   printed(*generation.intended_ast)};
+        }
+      });
+  EXPECT_GT(untouched, 0u);
+  EXPECT_GE(golds.size(), suite.size() / 2);
+  for (const auto& [case_idx, gold] : golds) {
+    EXPECT_EQ(printed(*gold.first), gold.second) << suite[case_idx].id;
+    EXPECT_EQ(gold.second, printed(llm::gold_program(suite[case_idx].task)));
+  }
 }
 
 TEST(SharedArtifacts, AnalysisHitIsTheMissObject) {

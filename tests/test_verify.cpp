@@ -10,11 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
+#include "common/trace.hpp"
+#include "eval/suite.hpp"
+#include "fuzz_sources.hpp"
+#include "llm/templates.hpp"
 #include "qasm/analyzer.hpp"
+#include "qasm/builder.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/verify/certify.hpp"
 #include "qasm/verify/equivalence.hpp"
@@ -408,6 +416,90 @@ TEST(CertifyRewrite, StageLabelsNonEqualVerdicts) {
   const std::string summary = certificate_summary(cert);
   EXPECT_NE(summary.find("proved-different"), std::string::npos);
   EXPECT_NE(summary.find(cert.counterexample), std::string::npos);
+}
+
+/// certify_rewrite(c, c) on one object certifies without normalizing;
+/// it must read exactly as certifying `c` against a copy of itself:
+/// verdict, method, contract, rendering, and the trace it records.
+void expect_identity_matches_copy(const Circuit& circuit,
+                                  const std::string& label) {
+  const Circuit copy = circuit;
+  trace::TraceSink same_sink;
+  trace::TraceSink copy_sink;
+  Certificate same;
+  Certificate copied;
+  {
+    const trace::SinkScope scope(&same_sink);
+    same = certify_rewrite(circuit, circuit, "repair");
+  }
+  {
+    const trace::SinkScope scope(&copy_sink);
+    copied = certify_rewrite(circuit, copy, "repair");
+  }
+  EXPECT_EQ(same.verdict, copied.verdict) << label;
+  EXPECT_EQ(same.method, copied.method) << label;
+  EXPECT_EQ(same.contract, copied.contract) << label;
+  EXPECT_EQ(certificate_summary(same), certificate_summary(copied)) << label;
+  EXPECT_EQ(same_sink.summary(), copy_sink.summary()) << label;
+}
+
+/// The entry circuit of a source that parses, analyzes clean and lowers.
+std::optional<Circuit> lowered(const std::string& source) {
+  try {
+    const ParseResult parsed = parse(source);
+    if (!parsed.ok() || !analyze(*parsed.program).ok()) return std::nullopt;
+    return build_circuit(*parsed.program);
+  } catch (const QcgenError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(CertifyRewrite, SameObjectMatchesACopyOnGoldCircuits) {
+  for (const eval::TestCase& test_case : eval::semantic_suite()) {
+    const Circuit circuit = build_circuit(llm::gold_program(test_case.task));
+    expect_identity_matches_copy(circuit, test_case.id);
+  }
+  // Both contracts and a conditioned measurement (which normalize() does
+  // not count as one) are covered.
+  Circuit unitary(2, 0);
+  unitary.h(0);
+  unitary.cx(0, 1);
+  unitary.rz(0.3, 1);
+  expect_identity_matches_copy(unitary, "measurement-free");
+  Circuit conditioned(2, 2);
+  conditioned.h(0);
+  sim::Operation guarded;
+  guarded.kind = sim::GateKind::kMeasure;
+  guarded.qubits = {1};
+  guarded.clbit = 1;
+  guarded.condition = sim::Condition{0, true};
+  conditioned.append(guarded);
+  expect_identity_matches_copy(conditioned, "conditioned measurement only");
+}
+
+TEST(CertifyRewrite, SameObjectMatchesACopyOnFuzzCorpus) {
+  // Most mutated sources no longer lower; 64 sweep seeds leave a few
+  // dozen that do.
+  std::size_t checked = 0;
+  for (int seed = 1; seed <= 64; ++seed) {
+    for (const std::string& source :
+         testing_support::mutated_gold_sources(seed)) {
+      const std::optional<Circuit> circuit = lowered(source);
+      if (!circuit.has_value()) continue;
+      expect_identity_matches_copy(*circuit, source);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20u);
+}
+
+TEST(CertifyRewrite, SameObjectWithNanAngleTakesTheFullPath) {
+  // NaN != NaN, so two copies are not structurally equal; one object on
+  // both sides must not be either.
+  Circuit circuit(1, 1);
+  circuit.rz(std::nan(""), 0);
+  circuit.measure(0, 0);
+  expect_identity_matches_copy(circuit, "nan angle");
 }
 
 }  // namespace
