@@ -55,9 +55,10 @@ struct WorkloadRow {
 
 /// Runs one open-loop workload against a fresh server and returns the
 /// wall-clock seconds from the first submit to the drained last result
-/// (Server construction — resource build and oracle prewarm — is not
-/// timed); `reports` (optional) receives the post-drain cache layer
-/// reports.
+/// (Server construction — its cache and resource handles, oracle prewarm
+/// and analyzer kit — is not timed; the knowledge, stores and gold
+/// references are process-wide, built by whichever server came first);
+/// `reports` (optional) receives the post-drain cache layer reports.
 double run_cache_workload(const serve::Server::Options& options,
                           const std::vector<eval::TestCase>& catalog,
                           const std::vector<serve::Arrival>& arrivals,

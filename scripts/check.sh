@@ -251,6 +251,13 @@ ctest --test-dir build-check --output-on-failure -L cache
 # share at any thread count.
 ./build-check/tests/test_shared_artifacts --gtest_brief=1 \
   --gtest_filter='SharedArtifacts.*ThreadCount*' --gtest_repeat=300
+# The process-wide knowledge, store and gold tables fill once per
+# process, so a repeat cannot race a first use again: the first-use race
+# runs in 20 fresh processes instead.
+for run in $(seq 1 20); do
+  ./build-check/tests/test_shared_artifacts --gtest_brief=1 \
+    --gtest_filter='ProcessTables.FirstUseRace*'
+done
 ./build-check/bench/bench_serving --quick --seed 7 --threads 1 \
   --json build-check/BENCH_serving_t1.json >/dev/null
 ./build-check/bench/bench_serving --quick --seed 7 --threads 8 \

@@ -121,10 +121,11 @@ void corrupt_source(std::string& source, std::uint64_t seed) {
 
 llm::GenerationContext CodeGenAgent::make_context(
     std::size_t prompt_index, bool use_rag,
-    const std::shared_ptr<const qasm::Program>& gold) const {
+    const std::shared_ptr<const llm::GoldProgram>& gold) const {
   llm::GenerationContext ctx;
   ctx.api_store = use_rag ? resources_->api_store() : nullptr;
   ctx.guide_store = use_rag ? resources_->guide_store() : nullptr;
+  ctx.retrieval_cache = resources_->retrieval_cache();
   ctx.rag_top_k = config_.rag_top_k;
   ctx.cot = config_.cot;
   ctx.cot_hand_written = prompt_index < config_.cot_hand_written;
@@ -156,7 +157,8 @@ std::uint64_t CodeGenAgent::generation_key(const llm::TaskSpec& task,
 
 llm::GenerationResult CodeGenAgent::generate_content(
     const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
-    const std::shared_ptr<const qasm::Program>& gold, std::uint64_t key) const {
+    const std::shared_ptr<const llm::GoldProgram>& gold,
+    std::uint64_t key) const {
   // The drawing model is seeded from the content key, never from the
   // agent's per-request stream: whichever request computes this entry,
   // the sample comes out byte-identical.
@@ -167,7 +169,7 @@ llm::GenerationResult CodeGenAgent::generate_content(
 
 llm::GenerationResult CodeGenAgent::generate(
     const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
-    const std::shared_ptr<const qasm::Program>& gold) {
+    const std::shared_ptr<const llm::GoldProgram>& gold) {
   // Trip before the model draws, so an injected error leaves the model's
   // RNG stream untouched and a retry regenerates identically. In
   // content-addressed mode the corrupt action mutates this request's
@@ -196,7 +198,7 @@ llm::GenerationResult CodeGenAgent::repair(
     const llm::TaskSpec& task, const llm::GenerationResult& previous,
     const std::vector<qasm::Diagnostic>& diagnostics, bool semantic_failure,
     std::size_t prompt_index, int pass_number, bool use_rag,
-    const std::shared_ptr<const qasm::Program>& gold) {
+    const std::shared_ptr<const llm::GoldProgram>& gold) {
   const auto hit = failpoint::trip("llm.generate", pass_number);
   llm::GenerationResult result =
       model_.repair(task, previous, diagnostics, semantic_failure,

@@ -60,15 +60,16 @@ std::uint64_t technique_digest(const TechniqueConfig& config) noexcept;
 /// CodeGenAgent::set_content_addressed.
 using GenerationCache = cache::Cache<llm::GenerationResult>;
 
-/// The agent: owns the model instance; retrieval indexes are either
-/// owned (standalone construction) or shared with sibling agents.
+/// The agent: owns the model instance and reads the technique's shared
+/// knowledge and retrieval indexes through a TechniqueResources handle.
 class CodeGenAgent {
  public:
-  /// Standalone: builds a private TechniqueResources for `config`.
+  /// Standalone: a TechniqueResources handle of its own for `config`,
+  /// over the process-wide knowledge and stores, with no retrieval cache.
   CodeGenAgent(const TechniqueConfig& config, std::uint64_t seed);
 
-  /// Shares an immutable resource bundle built once for the technique;
-  /// only the SimLM (its RNG stream) is per-agent, which is
+  /// Shares a run's resource handle with its sibling agents; only the
+  /// SimLM (its RNG stream) is per-agent, which is
   /// what makes per-trial agents cheap enough to construct inside a
   /// parallel trial scheduler. Generates identically to a standalone
   /// agent with the same config and seed.
@@ -98,27 +99,27 @@ class CodeGenAgent {
   /// Generates one program sample. `prompt_index` selects hand-written
   /// vs. generated CoT scaffolds. `use_rag = false` bypasses the vector
   /// stores — the pipeline's degraded rung when retrieval is down.
-  /// `gold`, when given, is the task's prebuilt gold program
+  /// `gold`, when given, is the task's gold entry
   /// (GenerationContext::gold); output is identical either way.
   llm::GenerationResult generate(
       const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag = true,
-      const std::shared_ptr<const qasm::Program>& gold = nullptr);
+      const std::shared_ptr<const llm::GoldProgram>& gold = nullptr);
 
   /// Repair pass (multi-pass inference).
   llm::GenerationResult repair(
       const llm::TaskSpec& task, const llm::GenerationResult& previous,
       const std::vector<qasm::Diagnostic>& diagnostics, bool semantic_failure,
       std::size_t prompt_index, int pass_number, bool use_rag = true,
-      const std::shared_ptr<const qasm::Program>& gold = nullptr);
+      const std::shared_ptr<const llm::GoldProgram>& gold = nullptr);
 
  private:
   llm::GenerationContext make_context(
       std::size_t prompt_index, bool use_rag,
-      const std::shared_ptr<const qasm::Program>& gold) const;
+      const std::shared_ptr<const llm::GoldProgram>& gold) const;
   /// The pure content-addressed computation behind a cache miss.
   llm::GenerationResult generate_content(
       const llm::TaskSpec& task, std::size_t prompt_index, bool use_rag,
-      const std::shared_ptr<const qasm::Program>& gold,
+      const std::shared_ptr<const llm::GoldProgram>& gold,
       std::uint64_t key) const;
 
   TechniqueConfig config_;

@@ -242,7 +242,8 @@ void MultiAgentPipeline::set_caches(PipelineCaches caches) {
 
 PipelineResult MultiAgentPipeline::run(
     const llm::TaskSpec& task, const sim::Distribution& reference,
-    std::size_t prompt_index, const std::shared_ptr<const qasm::Program>& gold,
+    std::size_t prompt_index,
+    const std::shared_ptr<const llm::GoldProgram>& gold,
     Rungs start) {
   last_degradations_.clear();
   PipelineResult result;
@@ -261,7 +262,7 @@ PipelineResult MultiAgentPipeline::run(
 void MultiAgentPipeline::run_into(
     PipelineResult& result, const llm::TaskSpec& task,
     const sim::Distribution& reference, std::size_t prompt_index,
-    const std::shared_ptr<const qasm::Program>& gold, Rungs rungs) {
+    const std::shared_ptr<const llm::GoldProgram>& gold, Rungs rungs) {
   qtrace::TraceSpan run_span("pipeline.run");
   const bool rag_technique =
       codegen_.config().rag_api || codegen_.config().rag_guides;

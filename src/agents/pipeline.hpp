@@ -212,10 +212,10 @@ class MultiAgentPipeline {
                      std::optional<DeviceTopology> device,
                      std::uint64_t seed);
 
-  /// Shares an immutable corpora/knowledge bundle built once for the
-  /// technique (see TechniqueResources): the cheap per-pipeline state is
-  /// just the SimLM and the analyzer, so a trial scheduler can construct
-  /// one pipeline per (case, sample) trial without re-indexing corpora.
+  /// Shares a run's TechniqueResources handle (the process-wide corpora
+  /// and knowledge plus the run's retrieval cache): the cheap
+  /// per-pipeline state is just the SimLM and the analyzer, so a trial
+  /// scheduler can construct one pipeline per (case, sample) trial.
   /// Compiles a private AnalyzerKit for `analyzer_options`.
   MultiAgentPipeline(const TechniqueConfig& technique,
                      std::shared_ptr<const TechniqueResources> resources,
@@ -243,7 +243,7 @@ class MultiAgentPipeline {
   }
 
   /// Wires the shared caches through to the agents (the retrieval cache
-  /// rides inside the shared TechniqueResources and needs no per-
+  /// rides inside the run's TechniqueResources handle and needs no per-
   /// pipeline hookup). The degraded analyzer rung shares the analysis
   /// cache too; its different lint configuration keys it apart.
   void set_caches(PipelineCaches caches);
@@ -252,16 +252,17 @@ class MultiAgentPipeline {
   /// max_passes) on one task. `reference` enables the behavioural check;
   /// pass an empty distribution to restrict to static verification.
   /// `prompt_index` feeds the CoT hand-written-scaffold rule. `gold`, when
-  /// given, is the task's prebuilt gold program (the one its reference
-  /// was simulated from); generation reads it instead of rebuilding it,
-  /// with identical results. A rung `start` takes away starts that
+  /// given, is the task's gold entry (the one its reference was
+  /// simulated from); generation reads it instead of looking it up, with
+  /// identical results. A rung `start` takes away starts that
   /// ladder below it, where a failure there would degrade to.
   /// Throws PipelineStageError when a mandatory stage stays down after
   /// the resilience policy (retries + ladders) is exhausted.
   PipelineResult run(const llm::TaskSpec& task,
                      const sim::Distribution& reference,
                      std::size_t prompt_index,
-                     const std::shared_ptr<const qasm::Program>& gold = nullptr,
+                     const std::shared_ptr<const llm::GoldProgram>& gold =
+                         nullptr,
                      Rungs start = {});
 
   /// Degradation events of the most recent run() if it threw
@@ -278,7 +279,7 @@ class MultiAgentPipeline {
   /// (degradations in particular) survives a mid-run throw.
   void run_into(PipelineResult& result, const llm::TaskSpec& task,
                 const sim::Distribution& reference, std::size_t prompt_index,
-                const std::shared_ptr<const qasm::Program>& gold,
+                const std::shared_ptr<const llm::GoldProgram>& gold,
                 Rungs rungs);
 
   struct Ladder;  ///< one stage invocation's ladder (pipeline.cpp)

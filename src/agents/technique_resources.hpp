@@ -1,17 +1,16 @@
 #pragma once
-// Immutable, shareable per-technique state: the fine-tuned knowledge
-// profile and the RAG vector stores.
+// Per-technique state every trial or request of a run reads: the
+// fine-tuned knowledge profile, the RAG vector stores and the run's
+// retrieval memo.
 //
-// Building these is the expensive part of standing up a CodeGenAgent
-// (corpus synthesis, chunking, BM25 indexing); everything in here is
-// read-only after construction, so one build can back any number of
-// per-trial agents across worker threads (VectorStore::retrieve is
-// const, and every SimLM reads the one KnowledgeState through a shared
-// pointer instead of copying it). The one
-// post-construction hook is enable_retrieval_cache — the serving layer
-// and eval::run_trial_matrix call it before sharing the bundle as const,
-// attaching a thread-safe memoization layer that does not change
-// retrieval results.
+// The knowledge state and the stores are immutable and depend on the
+// configuration alone, so they come from process-wide tables
+// (technique_resources.cpp): each distinct (profile, fine-tuning) state
+// and each distinct (corpus, chunking, staleness) store is built once per
+// process, on first use, and shared by every handle after that. A handle
+// is therefore cheap to construct; what it owns is the retrieval memo of
+// the one run it serves (an eval matrix or a server), handed to each
+// query through llm::GenerationContext, so memo counters stay per run.
 
 #include <cstdint>
 #include <memory>
@@ -25,9 +24,12 @@ struct TechniqueConfig;
 
 class TechniqueResources {
  public:
-  /// Builds knowledge + stores for `config` exactly as a standalone
-  /// CodeGenAgent would; stores are only built for enabled RAG corpora.
-  explicit TechniqueResources(const TechniqueConfig& config);
+  /// Knowledge and stores for `config` exactly as a standalone
+  /// CodeGenAgent would read them; stores only for enabled RAG corpora.
+  /// `retrieval_cache`, when given, memoizes this run's BM25 queries.
+  explicit TechniqueResources(
+      const TechniqueConfig& config,
+      std::shared_ptr<llm::RetrievalCache> retrieval_cache = nullptr);
 
   const llm::KnowledgeState& knowledge() const noexcept { return *knowledge_; }
   /// The same state as a shared handle, for SimLMs that read it in place.
@@ -47,18 +49,17 @@ class TechniqueResources {
   const llm::VectorStore* guide_store() const noexcept {
     return guide_store_.get();
   }
-
-  /// Attaches one shared retrieval cache to both stores (keys carry each
-  /// store's corpus version, so sharing is collision-safe). Call before
-  /// the bundle is shared across threads; memoization never changes
-  /// retrieval results, only the work done to produce them.
-  void enable_retrieval_cache(std::shared_ptr<llm::RetrievalCache> cache);
+  /// The run's retrieval memo; nullptr queries the stores uncached.
+  llm::RetrievalCache* retrieval_cache() const noexcept {
+    return retrieval_cache_.get();
+  }
 
  private:
   std::shared_ptr<const llm::KnowledgeState> knowledge_;
   std::uint64_t knowledge_version_ = 0;
-  std::unique_ptr<llm::VectorStore> api_store_;
-  std::unique_ptr<llm::VectorStore> guide_store_;
+  std::shared_ptr<const llm::VectorStore> api_store_;
+  std::shared_ptr<const llm::VectorStore> guide_store_;
+  std::shared_ptr<llm::RetrievalCache> retrieval_cache_;
 };
 
 }  // namespace qcgen::agents

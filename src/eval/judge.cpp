@@ -2,26 +2,36 @@
 
 #include <algorithm>
 
+#include "common/cache/cache.hpp"
 #include "common/failpoint.hpp"
-#include "llm/templates.hpp"
 #include "qasm/builder.hpp"
-#include "qasm/printer.hpp"
 #include "sim/statevector.hpp"
 
 namespace qcgen::eval {
 
+namespace {
+
+/// The process-wide table behind every oracle, keyed like shared_gold.
+std::shared_ptr<const GoldReference> shared_reference(
+    const llm::TaskSpec& task) {
+  static cache::Cache<GoldReference> table(cache::CacheOptions{});
+  return table.get_or_compute(llm::task_digest(task), [&] {
+    std::shared_ptr<const llm::GoldProgram> gold = llm::shared_gold(task);
+    sim::Distribution reference =
+        sim::exact_distribution(qasm::build_circuit(gold->program));
+    return GoldReference{std::move(gold), std::move(reference)};
+  });
+}
+
+}  // namespace
+
 const sim::Distribution& ReferenceOracle::reference_for(
     const TestCase& test_case) {
   auto it = cache_.find(test_case.id);
-  if (it != cache_.end()) return it->second.reference;
+  if (it != cache_.end()) return it->second->reference;
   failpoint::trip("oracle.reference");
-  auto gold =
-      std::make_shared<const qasm::Program>(llm::gold_program(test_case.task));
-  const sim::Circuit circuit = qasm::build_circuit(*gold);
-  sim::Distribution reference = sim::exact_distribution(circuit);
-  return cache_
-      .emplace(test_case.id, Entry{std::move(reference), std::move(gold)})
-      .first->second.reference;
+  return cache_.emplace(test_case.id, shared_reference(test_case.task))
+      .first->second->reference;
 }
 
 void ReferenceOracle::prewarm(const std::vector<TestCase>& suite) {
@@ -31,13 +41,13 @@ void ReferenceOracle::prewarm(const std::vector<TestCase>& suite) {
 const sim::Distribution* ReferenceOracle::find(
     const std::string& case_id) const {
   const auto it = cache_.find(case_id);
-  return it != cache_.end() ? &it->second.reference : nullptr;
+  return it != cache_.end() ? &it->second->reference : nullptr;
 }
 
-std::shared_ptr<const qasm::Program> ReferenceOracle::gold(
+std::shared_ptr<const llm::GoldProgram> ReferenceOracle::gold(
     const std::string& case_id) const {
   const auto it = cache_.find(case_id);
-  return it != cache_.end() ? it->second.gold : nullptr;
+  return it != cache_.end() ? it->second->gold : nullptr;
 }
 
 Verdict judge_source(const std::string& source,

@@ -13,16 +13,27 @@
 #include "agents/semantic_agent.hpp"
 #include "common/stats.hpp"
 #include "eval/suite.hpp"
+#include "llm/templates.hpp"
 
 namespace qcgen::eval {
 
-/// Caches reference counts per test case id (gold programs compiled and
-/// simulated once). The gold program each reference was simulated from
-/// is kept too, shared and immutable, so generation can plan from it
-/// instead of rebuilding it per trial.
+/// A case's gold program and the exact distribution simulated from it.
+struct GoldReference {
+  std::shared_ptr<const llm::GoldProgram> gold;
+  sim::Distribution reference;
+};
+
+/// Reference distributions per test case id. Each case's gold program and
+/// reference come from a process-wide table keyed by the exact digest of
+/// its task (llm::task_digest): compiled and simulated once per process,
+/// then shared, immutable, by every oracle. An oracle keeps the entries
+/// it has looked up, so generation can plan from the gold a reference
+/// was simulated from instead of rebuilding it per trial.
 class ReferenceOracle {
  public:
-  /// Exact reference distribution for a case (cached on first use).
+  /// Exact reference distribution for a case. The first lookup of a case
+  /// in this oracle trips the `oracle.reference` fail point, also when
+  /// the process-wide table already holds it.
   const sim::Distribution& reference_for(const TestCase& test_case);
 
   /// Fills the cache for every case up front. After prewarming a suite,
@@ -31,21 +42,18 @@ class ReferenceOracle {
   void prewarm(const std::vector<TestCase>& suite);
 
   /// Read-only cache lookup by case id (nullptr when the case was never
-  /// prewarmed or requested). Unlike reference_for it can never compile
-  /// a gold program, so concurrent workers may call it freely as long
-  /// as no thread is mutating the cache — the serving layer's contract.
+  /// prewarmed or requested). Unlike reference_for it never looks a case
+  /// up, so concurrent workers may call it freely as long as no thread
+  /// is mutating the cache — the serving layer's contract.
   const sim::Distribution* find(const std::string& case_id) const;
 
   /// The gold program behind a cached reference (null when the case was
   /// never prewarmed or requested). Read-only like find().
-  std::shared_ptr<const qasm::Program> gold(const std::string& case_id) const;
+  std::shared_ptr<const llm::GoldProgram> gold(
+      const std::string& case_id) const;
 
  private:
-  struct Entry {
-    sim::Distribution reference;
-    std::shared_ptr<const qasm::Program> gold;
-  };
-  std::map<std::string, Entry> cache_;
+  std::map<std::string, std::shared_ptr<const GoldReference>> cache_;
 };
 
 /// Final verdict on one generated source.

@@ -105,26 +105,24 @@ TrialMatrix run_trial_matrix(const agents::TechniqueConfig& technique,
 
   TrialMatrix matrix;
 
-  // Suite-wide immutable state, built exactly once: the RAG indexes and
-  // knowledge profile (shared by every per-trial pipeline) and the gold
-  // reference distributions (prewarmed so workers only read the cache).
-  // The oracle runs serially on this thread under its own matrix-level
-  // injector; a case whose oracle stays down degrades to static-only
-  // verification (empty reference) instead of poisoning its trials.
-  const std::shared_ptr<const agents::TechniqueResources> resources = [&] {
-    auto built = std::make_shared<agents::TechniqueResources>(technique);
-    // Retrieval is memoized for the matrix's life, like analysis below.
-    built->enable_retrieval_cache(
-        std::make_shared<llm::RetrievalCache>(cache::CacheOptions{}));
-    return built;
-  }();
+  // Suite-wide immutable state, shared read-only by every per-trial
+  // pipeline: the RAG indexes and knowledge profile and the gold reference
+  // distributions (prewarmed so workers only read the cache). Both come
+  // from process-wide tables, so only the first matrix of a configuration
+  // builds them. The oracle runs serially on this thread under its own
+  // matrix-level injector; a case whose oracle stays down degrades to
+  // static-only verification (empty reference) instead of poisoning its
+  // trials. Retrieval is memoized for the matrix's life, like analysis
+  // below.
+  const auto resources = std::make_shared<const agents::TechniqueResources>(
+      technique, std::make_shared<llm::RetrievalCache>(cache::CacheOptions{}));
   ReferenceOracle oracle;
   static const sim::Distribution kEmptyReference;
   std::vector<const sim::Distribution*> references;
   references.reserve(suite.size());
   // Each case's gold program, from the oracle's build of its reference
   // (null when the oracle is down: generation then builds its own).
-  std::vector<std::shared_ptr<const qasm::Program>> golds(suite.size());
+  std::vector<std::shared_ptr<const llm::GoldProgram>> golds(suite.size());
   {
     const failpoint::ScenarioScope chaos(scenario,
                                          options.seed ^ kOracleChaosSalt);

@@ -6,10 +6,10 @@
 // stream derived by trial_seed(seed, case_idx, sample_idx), while the
 // expensive immutable state — RAG corpora/indexes, the fine-tuned
 // knowledge profile, the reference distributions — is built once per
-// suite and shared read-only across workers. Because no trial observes
-// another trial's RNG stream, the per-trial results (and anything a
-// visitor folds from them, since visits come in index order) are
-// bit-identical at any thread count, including --threads 1.
+// process and shared read-only across workers and matrices. Because no
+// trial observes another trial's RNG stream, the per-trial results (and
+// anything a visitor folds from them, since visits come in index order)
+// are bit-identical at any thread count, including --threads 1.
 //
 // Trials are also the containment boundary: a trial that throws (an
 // injected fault, a PipelineStageError after the resilience policy is
@@ -102,8 +102,8 @@ struct TrialMatrix {
 /// order, so the aggregate summary is bit-identical at any thread count.
 ///
 /// The matrix owns an unbounded analysis cache (PipelineCaches::analysis)
-/// and retrieval cache (TechniqueResources::enable_retrieval_cache) for
-/// its whole run, next to the QEC lifetime memo. Each memoizes a pure
+/// and retrieval cache (TechniqueResources::retrieval_cache) for its
+/// whole run, next to the QEC lifetime memo. Each memoizes a pure
 /// function, a hit replays the trace its compute recorded, and every
 /// fail point fires per call, so results, failures and per-trial trace
 /// summaries equal those of uncached pipelines.

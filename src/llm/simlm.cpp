@@ -140,7 +140,8 @@ KnowledgeState SimLM::effective_knowledge(const TaskSpec& task,
 
   if (context.api_store != nullptr) {
     const auto hits = context.api_store->retrieve(
-        query + " import module library version", context.rag_top_k);
+        query + " import module library version", context.rag_top_k,
+        context.retrieval_cache);
     trace.api_hits = hits.size();
     // Only hits whose actionable snippet (the import statement) survived
     // chunking can teach the model anything about the API surface — the
@@ -165,7 +166,8 @@ KnowledgeState SimLM::effective_knowledge(const TaskSpec& task,
     }
   }
   if (context.guide_store != nullptr) {
-    const auto hits = context.guide_store->retrieve(query, context.rag_top_k);
+    const auto hits = context.guide_store->retrieve(query, context.rag_top_k,
+                                                    context.retrieval_cache);
     for (const Retrieved& r : hits) {
       if (r.chunk->algorithm == task.algorithm) {
         trace.guide_matched_algorithm = true;
@@ -345,6 +347,13 @@ std::string apply_slip(CowProgram& program, Rng& rng) {
   return "replaced-gate:" + original + "->" + g.name;
 }
 
+/// `program` printed: the gold entry's source when `program` is that
+/// entry's own object (a plan nothing wrote to), else a fresh print.
+std::string print_source(const Program& program, const GoldProgram* entry) {
+  if (entry != nullptr && &program == &entry->program) return entry->source;
+  return qasm::print_program(program);
+}
+
 const char* kBogusGateNames[] = {"u2", "mcx", "crx", "hadamard", "not"};
 const char* kBogusImports[] = {"quantum_utils", "qiskit_terra.tools",
                                "qclib.runtime"};
@@ -353,11 +362,12 @@ const char* kBogusImports[] = {"quantum_utils", "qiskit_terra.tools",
 
 std::shared_ptr<const Program> SimLM::plan(
     const TaskSpec& task, const KnowledgeState& knowledge,
-    const std::shared_ptr<const Program>& gold, std::vector<Fault>& faults) {
+    const std::shared_ptr<const GoldProgram>& gold, std::vector<Fault>& faults,
+    std::shared_ptr<const GoldProgram>& entry) {
   const double sem = knowledge.semantic_for(task.algorithm);
   if (rng_.bernoulli(sem)) {
-    return gold != nullptr ? gold
-                           : std::make_shared<const Program>(gold_program(task));
+    entry = gold != nullptr ? gold : shared_gold(task);
+    return {entry, &entry->program};
   }
   // Wrong plan: either the wrong algorithm entirely or a structurally
   // broken rendition of the right one.
@@ -367,10 +377,14 @@ std::shared_ptr<const Program> SimLM::plan(
                            "wrong-algorithm:" +
                                std::string(algorithm_name(wrong)),
                            0});
-    return default_gold_program(wrong);  // default parameters
+    TaskSpec defaults;  // default parameters
+    defaults.algorithm = wrong;
+    entry = shared_gold(defaults);
+    return {entry, &entry->program};
   }
   // The one mutating plan works on its own copy of the gold program.
-  Program program = gold != nullptr ? *gold : gold_program(task);
+  entry = nullptr;
+  Program program = (gold != nullptr ? gold : shared_gold(task))->program;
   const std::string detail = corrupt_structure(program, rng_);
   faults.push_back(Fault{FaultKind::kWrongPlan, detail, 0});
   return std::make_shared<const Program>(std::move(program));
@@ -460,9 +474,10 @@ void SimLM::inject_surface_faults(CowProgram& program, const FaultRates& rates,
   }
 }
 
-std::string SimLM::realise(const Program& program, const FaultRates& rates,
+std::string SimLM::realise(const Program& program, const GoldProgram* entry,
+                           const FaultRates& rates,
                            std::vector<Fault>& faults) {
-  std::string source = qasm::print_program(program);
+  std::string source = print_source(program, entry);
   if (rng_.bernoulli(rates.parse_corruption)) {
     // Delete a random semicolon or brace: the classic truncation /
     // malformed-line failure of autoregressive code models.
@@ -494,7 +509,8 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
   }
   result.scaffold = std::move(scaffold);
 
-  result.intended_ast = plan(task, k, context.gold, result.faults);
+  std::shared_ptr<const GoldProgram> entry;
+  result.intended_ast = plan(task, k, context.gold, result.faults, entry);
   // The emitted program is the plan until a fault writes to it.
   CowProgram emitted(result.intended_ast);
 
@@ -510,7 +526,7 @@ GenerationResult SimLM::generate_with(const TaskSpec& task,
   }
   inject_surface_faults(emitted, rates, result.faults);
   result.ast = emitted.share();
-  result.source = realise(*result.ast, rates, result.faults);
+  result.source = realise(*result.ast, entry.get(), rates, result.faults);
   result.effective = std::move(k);
   return result;
 }
@@ -559,19 +575,30 @@ GenerationResult SimLM::repair(const TaskSpec& task,
 
   // Everything but the source and the fault list carries over; those two
   // are rebuilt below, so they are not copied from `prev` (which stays
-  // untouched: a retried repair sees the same input).
+  // untouched: a retried repair sees the same input). The AST is shared
+  // until an edit first writes to it, so a repair whose every draw fails
+  // hands `prev.ast` on.
   GenerationResult next;
-  Program ast = *prev.ast;
+  require(!prev.ast->circuits.empty(), "SimLM: program has no circuit");
+  CowProgram ast(prev.ast);
   next.intended_ast = prev.intended_ast;
   next.scaffold = prev.scaffold;
   next.retrieval = prev.retrieval;
   next.effective = prev.effective;
   const auto& registry = qasm::LanguageRegistry::current();
-  auto& body = entry_body(ast);
-  const auto& intended_body =
+  // Reads see the current version; an edit copies the shared one first.
+  const auto body = [&]() -> const std::vector<Stmt>& {
+    return entry_body(ast.read());
+  };
+  const auto edit = [&]() -> std::vector<Stmt>& {
+    return entry_body(ast.write());
+  };
+  // Null when the artifact carries no intent: restoring a statement from
+  // it would then copy the statement onto itself, so nothing is restored.
+  const std::vector<Stmt>* intended_body =
       prev.intended_ast == nullptr || prev.intended_ast->circuits.empty()
-          ? body
-          : prev.intended_ast->circuits.front().body;
+          ? nullptr
+          : &prev.intended_ast->circuits.front().body;
 
   // Track which fault records were resolved so the artifact stays honest.
   std::vector<Fault> remaining;
@@ -599,35 +626,41 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         fixed.push_back(FaultKind::kParseCorruption);
         break;
       case DiagCode::kDeprecatedImport: {
-        for (Import& imp : ast.imports) {
-          if (registry.import_status(imp.path) == qasm::ImportStatus::kDeprecated) {
-            if (auto repl = registry.import_replacement(imp.path)) {
-              imp.path = *repl;
-            } else {
-              imp.path = std::string(registry.required_import());
-            }
+        for (std::size_t i = 0; i < ast.read().imports.size(); ++i) {
+          const std::string& path = ast.read().imports[i].path;
+          if (registry.import_status(path) != qasm::ImportStatus::kDeprecated) {
+            continue;
           }
+          const auto repl = registry.import_replacement(path);
+          ast.write().imports[i].path =
+              repl ? *repl : std::string(registry.required_import());
         }
         fixed.push_back(FaultKind::kDeprecatedImport);
         break;
       }
       case DiagCode::kUnknownImport: {
-        std::erase_if(ast.imports, [&](const Import& imp) {
+        const auto unknown = [&](const Import& imp) {
           return registry.import_status(imp.path) == qasm::ImportStatus::kUnknown;
-        });
+        };
+        if (std::any_of(ast.read().imports.begin(), ast.read().imports.end(),
+                        unknown)) {
+          std::erase_if(ast.write().imports, unknown);
+        }
         fixed.push_back(FaultKind::kUnknownImport);
         break;
       }
       case DiagCode::kMissingQiskitImport:
-        ast.imports.insert(ast.imports.begin(),
-                                Import{"qiskit", 1});
+        ast.write().imports.insert(ast.write().imports.begin(),
+                                   Import{"qiskit", 1});
         break;
       case DiagCode::kUnknownGate: {
         const Fault* record = fault_matching(FaultKind::kUnknownGate);
-        for (std::size_t i = 0; i < body.size(); ++i) {
-          if (!is_gate(body[i])) continue;
-          auto& g = std::get<GateStmt>(body[i]);
-          if (registry.is_known_gate(g.name)) continue;
+        for (std::size_t i = 0; i < body().size(); ++i) {
+          if (!is_gate(body()[i]) ||
+              registry.is_known_gate(std::get<GateStmt>(body()[i]).name)) {
+            continue;
+          }
+          auto& g = std::get<GateStmt>(edit()[i]);
           if (record != nullptr && record->stmt_index == i &&
               rng_.bernoulli(0.75)) {
             // The model "remembers its intent" and restores the original.
@@ -657,20 +690,23 @@ GenerationResult SimLM::repair(const TaskSpec& task,
                                    ? FaultKind::kWrongArity
                                    : FaultKind::kWrongParamCount;
         const Fault* record = fault_matching(kind);
-        if (record != nullptr && record->stmt_index < body.size() &&
-            record->stmt_index < intended_body.size()) {
-          body[record->stmt_index] = intended_body[record->stmt_index];
+        if (record != nullptr && intended_body != nullptr &&
+            record->stmt_index < body().size() &&
+            record->stmt_index < intended_body->size()) {
+          edit()[record->stmt_index] = (*intended_body)[record->stmt_index];
         }
         fixed.push_back(kind);
         break;
       }
       case DiagCode::kQubitOutOfRange:
       case DiagCode::kClbitOutOfRange: {
-        const std::size_t limit = ast.circuits.front().num_qubits;
-        for (Stmt& stmt : body) {
-          if (!is_gate(stmt)) continue;
-          for (auto& ref : std::get<GateStmt>(stmt).operands) {
-            if (ref.index >= limit) ref.index = limit - 1;
+        const std::size_t limit = ast.read().circuits.front().num_qubits;
+        for (std::size_t i = 0; i < body().size(); ++i) {
+          if (!is_gate(body()[i])) continue;
+          const auto& operands = std::get<GateStmt>(body()[i]).operands;
+          for (std::size_t j = 0; j < operands.size(); ++j) {
+            if (operands[j].index < limit) continue;
+            std::get<GateStmt>(edit()[i]).operands[j].index = limit - 1;
           }
         }
         fixed.push_back(FaultKind::kIndexError);
@@ -679,12 +715,14 @@ GenerationResult SimLM::repair(const TaskSpec& task,
       case DiagCode::kNoMeasurement: {
         const Fault* record = fault_matching(FaultKind::kMissingMeasure);
         if (record != nullptr) {
-          for (std::size_t i = 0;
-               i < body.size() && i < intended_body.size(); ++i) {
-            if (std::holds_alternative<qasm::MeasureStmt>(intended_body[i]) ||
-                std::holds_alternative<qasm::MeasureAllStmt>(
-                    intended_body[i])) {
-              body[i] = intended_body[i];
+          for (std::size_t i = 0; intended_body != nullptr &&
+                                  i < body().size() &&
+                                  i < intended_body->size();
+               ++i) {
+            const Stmt& intended = (*intended_body)[i];
+            if (std::holds_alternative<qasm::MeasureStmt>(intended) ||
+                std::holds_alternative<qasm::MeasureAllStmt>(intended)) {
+              edit()[i] = intended;
             }
           }
           fixed.push_back(FaultKind::kMissingMeasure);
@@ -692,11 +730,13 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         break;
       }
       case DiagCode::kDeprecatedGateAlias: {
-        for (Stmt& stmt : body) {
-          if (!is_gate(stmt)) continue;
-          auto& g = std::get<GateStmt>(stmt);
-          if (registry.is_deprecated_gate_alias(g.name)) {
-            g.name = std::string(sim::gate_name(*registry.resolve_gate(g.name)));
+        for (std::size_t i = 0; i < body().size(); ++i) {
+          if (!is_gate(body()[i])) continue;
+          const std::string& name = std::get<GateStmt>(body()[i]).name;
+          if (registry.is_deprecated_gate_alias(name)) {
+            const std::string canonical(
+                sim::gate_name(*registry.resolve_gate(name)));
+            std::get<GateStmt>(edit()[i]).name = canonical;
           }
         }
         break;
@@ -704,10 +744,11 @@ GenerationResult SimLM::repair(const TaskSpec& task,
       case DiagCode::kRedundantGatePair: {
         // The fix-it names the gate; drop the first adjacent identical
         // pair (removal of a self-inverse pair is behaviour-preserving).
-        for (std::size_t i = 0; i + 1 < body.size(); ++i) {
-          if (!is_gate(body[i]) || !is_gate(body[i + 1])) continue;
-          const auto& a = std::get<GateStmt>(body[i]);
-          const auto& b = std::get<GateStmt>(body[i + 1]);
+        const std::vector<Stmt>& stmts = body();
+        for (std::size_t i = 0; i + 1 < stmts.size(); ++i) {
+          if (!is_gate(stmts[i]) || !is_gate(stmts[i + 1])) continue;
+          const auto& a = std::get<GateStmt>(stmts[i]);
+          const auto& b = std::get<GateStmt>(stmts[i + 1]);
           if (a.name != b.name || a.operands.size() != b.operands.size()) {
             continue;
           }
@@ -717,21 +758,24 @@ GenerationResult SimLM::repair(const TaskSpec& task,
                 return x.index == y.index;
               });
           if (!same_operands) continue;
-          body.erase(body.begin() + static_cast<std::ptrdiff_t>(i),
-                     body.begin() + static_cast<std::ptrdiff_t>(i + 2));
+          std::vector<Stmt>& out = edit();
+          out.erase(out.begin() + static_cast<std::ptrdiff_t>(i),
+                    out.begin() + static_cast<std::ptrdiff_t>(i + 2));
           break;
         }
         break;
       }
       case DiagCode::kDoubleMeasurement: {
-        for (std::size_t i = 0; i + 1 < body.size(); ++i) {
-          const auto* a = std::get_if<qasm::MeasureStmt>(&body[i]);
-          const auto* b = std::get_if<qasm::MeasureStmt>(&body[i + 1]);
+        const std::vector<Stmt>& stmts = body();
+        for (std::size_t i = 0; i + 1 < stmts.size(); ++i) {
+          const auto* a = std::get_if<qasm::MeasureStmt>(&stmts[i]);
+          const auto* b = std::get_if<qasm::MeasureStmt>(&stmts[i + 1]);
           if (a == nullptr || b == nullptr ||
               a->qubit.index != b->qubit.index) {
             continue;
           }
-          body.erase(body.begin() + static_cast<std::ptrdiff_t>(i + 1));
+          std::vector<Stmt>& out = edit();
+          out.erase(out.begin() + static_cast<std::ptrdiff_t>(i + 1));
           break;
         }
         break;
@@ -756,25 +800,30 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   // Proof-backed deletions, applied after the indexed repairs above so
   // those saw unshifted statement positions. Each deletes one statement
   // the abstract interpreter proved to be a no-op.
+  const auto erase_at = [&](std::size_t i) {
+    std::vector<Stmt>& out = edit();
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(i));
+  };
   const auto delete_first_unreachable = [&]() -> bool {
     // First conditional whose clbit is tested true but never written
     // before it (the statement the fix-it span covers).
-    std::vector<bool> written(ast.circuits.front().num_clbits, false);
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      if (const auto* m = std::get_if<qasm::MeasureStmt>(&body[i])) {
+    const std::vector<Stmt>& stmts = body();
+    std::vector<bool> written(ast.read().circuits.front().num_clbits, false);
+    for (std::size_t i = 0; i < stmts.size(); ++i) {
+      if (const auto* m = std::get_if<qasm::MeasureStmt>(&stmts[i])) {
         if (m->clbit.index < written.size()) written[m->clbit.index] = true;
         continue;
       }
-      if (std::holds_alternative<qasm::MeasureAllStmt>(body[i])) {
+      if (std::holds_alternative<qasm::MeasureAllStmt>(stmts[i])) {
         written.assign(written.size(), true);
         continue;
       }
-      const auto* cond = std::get_if<std::shared_ptr<qasm::IfStmt>>(&body[i]);
+      const auto* cond = std::get_if<std::shared_ptr<qasm::IfStmt>>(&stmts[i]);
       if (cond == nullptr || *cond == nullptr) continue;
       const qasm::IfStmt& guard = **cond;
       if (guard.value && guard.clbit.index < written.size() &&
           !written[guard.clbit.index]) {
-        body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
+        erase_at(i);
         return true;
       }
     }
@@ -782,27 +831,28 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   };
   const auto delete_first_redundant_reset = [&]() -> bool {
     // First reset on a qubit that nothing has touched yet.
-    std::vector<bool> touched(ast.circuits.front().num_qubits, false);
+    const std::vector<Stmt>& stmts = body();
+    std::vector<bool> touched(ast.read().circuits.front().num_qubits, false);
     const auto touch = [&](const RegRef& ref) {
       if (ref.index < touched.size()) touched[ref.index] = true;
     };
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      if (const auto* r = std::get_if<qasm::ResetStmt>(&body[i])) {
+    for (std::size_t i = 0; i < stmts.size(); ++i) {
+      if (const auto* r = std::get_if<qasm::ResetStmt>(&stmts[i])) {
         if (r->qubit.index < touched.size() && !touched[r->qubit.index]) {
-          body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
+          erase_at(i);
           return true;
         }
         touch(r->qubit);
-      } else if (is_gate(body[i])) {
-        for (const RegRef& ref : std::get<GateStmt>(body[i]).operands) {
+      } else if (is_gate(stmts[i])) {
+        for (const RegRef& ref : std::get<GateStmt>(stmts[i]).operands) {
           touch(ref);
         }
-      } else if (const auto* m = std::get_if<qasm::MeasureStmt>(&body[i])) {
+      } else if (const auto* m = std::get_if<qasm::MeasureStmt>(&stmts[i])) {
         touch(m->qubit);
-      } else if (std::holds_alternative<qasm::MeasureAllStmt>(body[i])) {
+      } else if (std::holds_alternative<qasm::MeasureAllStmt>(stmts[i])) {
         touched.assign(touched.size(), true);
       } else if (std::holds_alternative<std::shared_ptr<qasm::IfStmt>>(
-                     body[i])) {
+                     stmts[i])) {
         // Conservative: a guarded statement may touch anything.
         touched.assign(touched.size(), true);
       }
@@ -812,13 +862,14 @@ GenerationResult SimLM::repair(const TaskSpec& task,
   const auto delete_first_trivial_control = [&]() -> bool {
     // First controlled gate whose control qubit is still in |0> —
     // untouched since preparation, so the gate is a provable identity.
-    std::vector<bool> touched(ast.circuits.front().num_qubits, false);
+    const std::vector<Stmt>& stmts = body();
+    std::vector<bool> touched(ast.read().circuits.front().num_qubits, false);
     const auto touch = [&](const RegRef& ref) {
       if (ref.index < touched.size()) touched[ref.index] = true;
     };
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      if (is_gate(body[i])) {
-        const auto& g = std::get<GateStmt>(body[i]);
+    for (std::size_t i = 0; i < stmts.size(); ++i) {
+      if (is_gate(stmts[i])) {
+        const auto& g = std::get<GateStmt>(stmts[i]);
         const auto kind = registry.resolve_gate(g.name);
         const bool controlled =
             kind.has_value() &&
@@ -828,18 +879,18 @@ GenerationResult SimLM::repair(const TaskSpec& task,
         if (controlled && !g.operands.empty() &&
             g.operands.front().index < touched.size() &&
             !touched[g.operands.front().index]) {
-          body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
+          erase_at(i);
           return true;
         }
         for (const RegRef& ref : g.operands) touch(ref);
-      } else if (const auto* m = std::get_if<qasm::MeasureStmt>(&body[i])) {
+      } else if (const auto* m = std::get_if<qasm::MeasureStmt>(&stmts[i])) {
         touch(m->qubit);
-      } else if (const auto* r = std::get_if<qasm::ResetStmt>(&body[i])) {
+      } else if (const auto* r = std::get_if<qasm::ResetStmt>(&stmts[i])) {
         touch(r->qubit);
-      } else if (std::holds_alternative<qasm::MeasureAllStmt>(body[i])) {
+      } else if (std::holds_alternative<qasm::MeasureAllStmt>(stmts[i])) {
         touched.assign(touched.size(), true);
       } else if (std::holds_alternative<std::shared_ptr<qasm::IfStmt>>(
-                     body[i])) {
+                     stmts[i])) {
         touched.assign(touched.size(), true);
       }
     }
@@ -877,8 +928,8 @@ GenerationResult SimLM::repair(const TaskSpec& task,
 
   // Realise the repaired program. A parse corruption that was not fixed
   // re-applies itself (the model reproduces its own malformed line).
-  next.source = qasm::print_program(ast);
-  next.ast = std::make_shared<const Program>(std::move(ast));
+  next.ast = ast.share();
+  next.source = print_source(*next.ast, context.gold.get());
   const bool parse_fault_remains = std::any_of(
       next.faults.begin(), next.faults.end(), [](const Fault& f) {
         return f.kind == FaultKind::kParseCorruption;

@@ -20,6 +20,7 @@
 #include "llm/cot.hpp"
 #include "llm/knowledge.hpp"
 #include "llm/tasks.hpp"
+#include "llm/templates.hpp"
 #include "llm/vectorstore.hpp"
 #include "qasm/ast.hpp"
 #include "qasm/diagnostics.hpp"
@@ -54,15 +55,18 @@ struct Fault {
 struct GenerationContext {
   const VectorStore* api_store = nullptr;    ///< RAG over API docs
   const VectorStore* guide_store = nullptr;  ///< RAG over algorithm guides
+  /// The run's memo of both stores' queries (one per eval matrix or
+  /// server); null queries the stores uncached.
+  RetrievalCache* retrieval_cache = nullptr;
   std::size_t rag_top_k = 4;
   std::optional<CotStyle> cot;
   bool cot_hand_written = false;
   /// Syntactic stress of the benchmark (QHE > semantic suite).
   double syntax_difficulty = 1.0;
-  /// The task's gold program, prebuilt and shared (eval and serving hand
-  /// in the one their reference oracle simulated). Null: SimLM builds it
-  /// with gold_program(task). Never mutated.
-  std::shared_ptr<const qasm::Program> gold;
+  /// The task's gold program and its printed source, shared (eval and
+  /// serving hand in the one their reference oracle simulated). Null:
+  /// SimLM takes it from shared_gold(task). Never mutated.
+  std::shared_ptr<const GoldProgram> gold;
 };
 
 /// Summary of RAG retrieval during one generation.
@@ -125,14 +129,18 @@ class SimLM {
                                      const GenerationContext& context,
                                      RetrievalTrace& trace,
                                      std::optional<CotScaffold>& scaffold);
+  /// The planned program. `entry` is set to the gold entry whose program
+  /// it is, or to null for a structurally corrupted plan.
   std::shared_ptr<const qasm::Program> plan(
       const TaskSpec& task, const KnowledgeState& knowledge,
-      const std::shared_ptr<const qasm::Program>& gold,
-      std::vector<Fault>& faults);
+      const std::shared_ptr<const GoldProgram>& gold,
+      std::vector<Fault>& faults, std::shared_ptr<const GoldProgram>& entry);
   void inject_surface_faults(CowProgram& program, const FaultRates& rates,
                              std::vector<Fault>& faults);
-  std::string realise(const qasm::Program& program, const FaultRates& rates,
-                      std::vector<Fault>& faults);
+  /// Prints `program`, reusing `entry`'s source when `program` is the
+  /// entry's own object, then applies text-level faults.
+  std::string realise(const qasm::Program& program, const GoldProgram* entry,
+                      const FaultRates& rates, std::vector<Fault>& faults);
 
   std::shared_ptr<const KnowledgeState> knowledge_;
   Rng rng_;

@@ -1,8 +1,11 @@
 #include "llm/templates.hpp"
 
+#include <bit>
 #include <cmath>
 
+#include "common/cache/cache.hpp"
 #include "common/error.hpp"
+#include "qasm/printer.hpp"
 
 namespace qcgen::llm {
 
@@ -435,23 +438,24 @@ Program gold_program(const TaskSpec& task) {
   throw InvalidArgumentError("gold_program: unknown algorithm");
 }
 
-std::shared_ptr<const qasm::Program> default_gold_program(AlgorithmId id) {
-  using Table = std::vector<std::shared_ptr<const Program>>;
-  static const Table table = [] {
-    const std::vector<AlgorithmId> ids = all_algorithms();
-    Table out(ids.size());
-    for (const AlgorithmId algorithm : ids) {
-      TaskSpec task;
-      task.algorithm = algorithm;
-      const auto index = static_cast<std::size_t>(algorithm);
-      require(index < out.size(), "default_gold_program: sparse AlgorithmId");
-      out[index] = std::make_shared<const Program>(gold_program(task));
-    }
-    return out;
-  }();
-  const auto index = static_cast<std::size_t>(id);
-  require(index < table.size(), "default_gold_program: unknown algorithm");
-  return table[index];
+std::uint64_t task_digest(const TaskSpec& task) noexcept {
+  cache::KeyHasher hasher;
+  hasher.mix(static_cast<std::uint64_t>(task.algorithm));
+  hasher.mix(static_cast<std::uint64_t>(task.params.size()));
+  for (const auto& [name, value] : task.params) {
+    // The raw bit pattern: KeyHasher::mix(double) folds -0.0 into 0.0.
+    hasher.mix(name).mix(std::bit_cast<std::uint64_t>(value));
+  }
+  return hasher.digest();
+}
+
+std::shared_ptr<const GoldProgram> shared_gold(const TaskSpec& task) {
+  static cache::Cache<GoldProgram> table(cache::CacheOptions{});
+  return table.get_or_compute(task_digest(task), [&] {
+    Program program = gold_program(task);
+    std::string source = qasm::print_program(program);
+    return GoldProgram{std::move(program), std::move(source)};
+  });
 }
 
 }  // namespace qcgen::llm

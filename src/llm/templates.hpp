@@ -4,7 +4,9 @@
 // compiling and simulating these, and the simulated code-generation model
 // emits (possibly perturbed) copies of them.
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "llm/tasks.hpp"
 #include "qasm/ast.hpp"
@@ -15,10 +17,24 @@ namespace qcgen::llm {
 /// out-of-range parameters (e.g. grover with n > 3 in this template set).
 qasm::Program gold_program(const TaskSpec& task);
 
-/// The gold program of `id` at its default parameters, built once per
-/// process (one immutable entry per AlgorithmId) and shared by every
-/// caller — SimLM's wrong-algorithm plans read it instead of rebuilding.
-std::shared_ptr<const qasm::Program> default_gold_program(AlgorithmId id);
+/// Exact digest of a task: its algorithm and every param's name and full
+/// bit pattern. TaskSpec::id() rounds non-integer params to 3 digits, so
+/// two different tasks can share an id; they never share this digest
+/// (short of a 64-bit hash collision).
+std::uint64_t task_digest(const TaskSpec& task) noexcept;
+
+/// A gold program and its printed source; immutable once built.
+struct GoldProgram {
+  qasm::Program program;
+  std::string source;  ///< qasm::print_program(program)
+};
+
+/// The gold program of `task` from a process-wide table keyed by
+/// task_digest(task): built and printed on first use, then shared by
+/// every caller for the life of the process. Throws like gold_program
+/// for invalid params, and caches nothing then. SimLM's wrong-algorithm
+/// plans read the parameterless task's entry.
+std::shared_ptr<const GoldProgram> shared_gold(const TaskSpec& task);
 
 // AST construction helpers shared with the fault injector.
 qasm::Stmt make_gate(std::string name, const std::vector<std::size_t>& qubits,

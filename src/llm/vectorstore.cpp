@@ -153,17 +153,18 @@ std::vector<ScoredIndex> VectorStore::retrieve_uncached(
 }
 
 std::vector<Retrieved> VectorStore::retrieve(const std::string& query,
-                                             std::size_t k) const {
+                                             std::size_t k,
+                                             RetrievalCache* cache) const {
   failpoint::trip("retrieval.query");
   trace::TraceSpan span("bm25.query");
   std::vector<ScoredIndex> scored;
-  if (cache_ != nullptr) {
+  if (cache != nullptr) {
     const std::uint64_t key = cache::KeyHasher()
                                   .mix(content_version_)
                                   .mix(query)
                                   .mix(static_cast<std::uint64_t>(k))
                                   .digest();
-    scored = *cache_->get_or_compute(
+    scored = *cache->get_or_compute(
         key, [&] { return retrieve_uncached(query, k); });
   } else {
     scored = retrieve_uncached(query, k);

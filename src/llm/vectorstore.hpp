@@ -66,11 +66,13 @@ struct ScoredIndex {
   friend bool operator==(const ScoredIndex&, const ScoredIndex&) = default;
 };
 
-/// Shared memoization layer for BM25 queries, keyed on
-/// hash(corpus version, query, k); see VectorStore::attach_cache.
+/// Memoization layer for BM25 queries, keyed on
+/// hash(corpus version, query, k); see VectorStore::retrieve.
 using RetrievalCache = cache::Cache<std::vector<ScoredIndex>>;
 
-/// BM25 index over chunks.
+/// BM25 index over chunks. Immutable once built, so one store can serve
+/// any number of threads and runs; a run's retrieval memo is handed to
+/// each query instead of being held here.
 class VectorStore {
  public:
   explicit VectorStore(std::vector<Chunk> chunks);
@@ -84,19 +86,15 @@ class VectorStore {
   /// corpus can never be returned for the new one.
   std::uint64_t content_version() const noexcept { return content_version_; }
 
-  /// Attaches a shared retrieval cache (null detaches). Retrieval is a
-  /// pure function of (corpus, query, k), so memoization is invisible to
-  /// callers; the cache may be shared across stores because keys carry
-  /// each store's content_version().
-  void attach_cache(std::shared_ptr<RetrievalCache> cache) noexcept {
-    cache_ = std::move(cache);
-  }
-
   /// Top-k chunks for a query, highest score first. Scores <= 0 are
   /// dropped, so the result may be shorter than k. Equal-score hits are
   /// ordered by chunk index — a stable, deterministic tie-break.
-  std::vector<Retrieved> retrieve(const std::string& query,
-                                  std::size_t k) const;
+  /// `cache`, when given, memoizes the scoring. Retrieval is a pure
+  /// function of (corpus, query, k), so memoization is invisible to
+  /// callers; one cache may serve several stores because keys carry each
+  /// store's content_version().
+  std::vector<Retrieved> retrieve(const std::string& query, std::size_t k,
+                                  RetrievalCache* cache = nullptr) const;
 
  private:
   /// One chunk containing a term, with the term's count in it.
@@ -117,7 +115,6 @@ class VectorStore {
   std::vector<Term> terms_;   ///< indexed by term id
   std::vector<double> norm_;  ///< per chunk: k1 * (1 - b + b * len / avg)
   std::uint64_t content_version_ = 0;
-  std::shared_ptr<RetrievalCache> cache_;
 };
 
 }  // namespace qcgen::llm

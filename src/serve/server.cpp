@@ -131,11 +131,6 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
   require(options_.chaos_scenario.empty() || !options_.cache.enabled,
           "Server: chaos_scenario and cache.enabled are mutually exclusive "
           "(injected faults are per-request; memoized computes are shared)");
-  // Resources are built mutable so the retrieval cache can be attached
-  // to the BM25 stores, then frozen behind the const shared_ptr every
-  // worker reads through.
-  auto resources =
-      std::make_shared<agents::TechniqueResources>(options_.technique);
   if (options_.cache.enabled && !options_.cache.bypass) {
     const cache::CacheOptions cache_options{
         .capacity = options_.cache.capacity, .shards = kCacheShards};
@@ -143,9 +138,11 @@ Server::Server(Options options, const std::vector<eval::TestCase>& catalog)
         std::make_shared<agents::GenerationCache>(cache_options);
     retrieval_cache_ = std::make_shared<llm::RetrievalCache>(cache_options);
     analysis_cache_ = std::make_shared<agents::AnalysisCache>(cache_options);
-    resources->enable_retrieval_cache(retrieval_cache_);
   }
-  resources_ = std::move(resources);
+  // The knowledge state and stores are the process's shared ones; the
+  // handle carries this server's retrieval cache (null when off).
+  resources_ = std::make_shared<const agents::TechniqueResources>(
+      options_.technique, retrieval_cache_);
   scenario_ = failpoint::ScenarioScope::arm(options_.chaos_scenario);
   if (options_.breaker.enabled) {
     BreakerOptions breaker_options = options_.breaker;
@@ -345,7 +342,7 @@ RequestResult Server::run_request(const Request& request,
     // Catalog cases also hand generation the gold program the prewarm
     // built; any other case builds its own.
     const sim::Distribution* reference = &kEmptyReference;
-    std::shared_ptr<const qasm::Program> gold;
+    std::shared_ptr<const llm::GoldProgram> gold;
     std::size_t prompt_index = prompt_index_.size();
     if (const auto found = prompt_index_.find(request.test_case.id);
         found != prompt_index_.end()) {

@@ -3,10 +3,11 @@
 // thread pool.
 //
 // One Server owns, for its lifetime:
-//   * the expensive immutable state built once and shared read-only by
-//     every request — agents::TechniqueResources (knowledge + BM25
-//     stores) and a prewarmed eval::ReferenceOracle over the catalog of
-//     gold cases it serves;
+//   * the handles every request reads through: an
+//     agents::TechniqueResources over the process-wide knowledge state
+//     and BM25 stores (carrying this server's retrieval cache), and an
+//     eval::ReferenceOracle prewarmed over the catalog of gold cases it
+//     serves, whose golds and references are the process-wide ones;
 //   * an AdmissionController making deterministic virtual-time
 //     admission/shedding decisions at enqueue time;
 //   * a ThreadPool whose FIFO task queue holds the admitted requests:

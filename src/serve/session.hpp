@@ -1,7 +1,7 @@
 #pragma once
 // Session: a client-side handle multiplexing many concurrent requests
-// over one Server (and therefore over its shared read-only
-// TechniqueResources and prewarmed reference oracle).
+// over one Server (and therefore over its read-only TechniqueResources
+// and prewarmed reference oracle).
 //
 // A session owns nothing heavyweight — it carries a session id, default
 // RequestOptions, and a monotonic counter. Its job is id discipline:

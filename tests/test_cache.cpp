@@ -266,13 +266,12 @@ TEST(RetrievalLayer, CachedHitsMatchUncachedRetrieval) {
   llm::VectorStore cached(chunks);
   const auto cache = std::make_shared<llm::RetrievalCache>(
       cache::CacheOptions{});
-  cached.attach_cache(cache);
   EXPECT_EQ(uncached.content_version(), cached.content_version());
 
   const std::string query = "grover search oracle diffusion";
   const auto expect_same = [&] {
     const auto a = uncached.retrieve(query, 3);
-    const auto b = cached.retrieve(query, 3);
+    const auto b = cached.retrieve(query, 3, cache.get());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].chunk->doc_id, b[i].chunk->doc_id);
@@ -294,13 +293,11 @@ TEST(RetrievalLayer, CorpusVersionKeepsSharedCacheCollisionFree) {
       llm::algorithm_guide_corpus(), llm::ChunkStrategy::kBasic, 48));
   llm::VectorStore api(llm::chunk_documents(llm::qiskit_api_corpus(0.0),
                                             llm::ChunkStrategy::kBasic, 48));
-  guides.attach_cache(cache);
-  api.attach_cache(cache);
   ASSERT_NE(guides.content_version(), api.content_version());
 
   const std::string query = "measure qubit circuit";
-  const auto from_guides = guides.retrieve(query, 4);
-  const auto from_api = api.retrieve(query, 4);
+  const auto from_guides = guides.retrieve(query, 4, cache.get());
+  const auto from_api = api.retrieve(query, 4, cache.get());
   // Same query, same k, same shared cache — but the corpus version in
   // the key keeps the entries separate: each store's answer points into
   // its own chunk vector.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "llm/cot.hpp"
 #include "llm/finetune.hpp"
@@ -350,6 +352,62 @@ TEST(SimLM, StubbornOnSemanticFailure) {
     if (repaired.source == first.source) ++unchanged;
   }
   EXPECT_GT(unchanged, trials / 2);
+}
+
+TEST(SimLM, ReusedGoldSourcesAreByteIdenticalToFreshPrints) {
+  // Generation and repair reuse the shared gold entry's printed source
+  // whenever they emit the entry's own program object. Every such source
+  // must be exactly what printing the emitted AST gives.
+  std::size_t reused = 0;
+  std::size_t repairs = 0;
+  for (const AlgorithmId id : all_algorithms()) {
+    TaskSpec task;
+    task.algorithm = id;
+    GenerationContext context;
+    context.gold = shared_gold(task);
+    SimLM model(base_knowledge(ModelProfile::kStarCoder3B), 61);
+    for (int sample = 0; sample < 12; ++sample) {
+      const GenerationResult result = model.generate(task, context);
+      const bool corrupted = std::any_of(
+          result.faults.begin(), result.faults.end(), [](const Fault& f) {
+            return f.kind == FaultKind::kParseCorruption;
+          });
+      if (corrupted) continue;
+      EXPECT_EQ(result.source, qasm::print_program(*result.ast))
+          << algorithm_name(id);
+      if (result.ast.get() == &context.gold->program) ++reused;
+      const auto parsed = qasm::parse(result.source);
+      ASSERT_TRUE(parsed.ok());
+      const GenerationResult next =
+          model.repair(task, result, qasm::analyze(*parsed.program).diagnostics,
+                       false, context, 1);
+      if (std::none_of(next.faults.begin(), next.faults.end(),
+                       [](const Fault& f) {
+                         return f.kind == FaultKind::kParseCorruption;
+                       })) {
+        ++repairs;
+        EXPECT_EQ(next.source, qasm::print_program(*next.ast))
+            << algorithm_name(id);
+      }
+    }
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(repairs, 0u);
+}
+
+TEST(SimLM, UntouchedPlanEmitsTheEntrySource) {
+  // The reuse is by object identity: a plan no fault wrote to is emitted
+  // with its entry's source as given, without printing the program.
+  TaskSpec task;
+  task.algorithm = AlgorithmId::kBellPair;
+  GenerationContext context;
+  context.gold = std::make_shared<const GoldProgram>(
+      GoldProgram{gold_program(task), "the entry's source"});
+  SimLM model(perfect_knowledge(), 42);
+  const GenerationResult result = model.generate(task, context);
+  ASSERT_TRUE(result.faults.empty());
+  EXPECT_EQ(result.ast.get(), &context.gold->program);
+  EXPECT_EQ(result.source, "the entry's source");
 }
 
 TEST(SimLM, RepairProbabilitiesReflectPaperFindings) {

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,11 +23,15 @@
 #include "eval/parallel.hpp"
 #include "eval/runner.hpp"
 #include "eval/suite.hpp"
+#include "llm/corpus.hpp"
+#include "llm/finetune.hpp"
 #include "llm/simlm.hpp"
 #include "llm/templates.hpp"
+#include "qasm/builder.hpp"
 #include "qasm/printer.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "sim/statevector.hpp"
 
 using namespace qcgen;
 
@@ -35,10 +41,27 @@ std::string printed(const qasm::Program& program) {
   return qasm::print_program(program);
 }
 
-std::string fresh_default_gold(llm::AlgorithmId id) {
+/// A gold entry built for the caller alone, outside the shared table.
+std::shared_ptr<const llm::GoldProgram> fresh_gold(const llm::TaskSpec& task) {
+  qasm::Program program = llm::gold_program(task);
+  std::string source = printed(program);
+  return std::make_shared<const llm::GoldProgram>(
+      llm::GoldProgram{std::move(program), std::move(source)});
+}
+
+llm::TaskSpec default_task(llm::AlgorithmId id) {
   llm::TaskSpec task;
   task.algorithm = id;
-  return printed(llm::gold_program(task));
+  return task;
+}
+
+/// The process-wide gold entry of `id` at its default parameters.
+std::shared_ptr<const llm::GoldProgram> default_gold(llm::AlgorithmId id) {
+  return llm::shared_gold(default_task(id));
+}
+
+std::string fresh_default_gold(llm::AlgorithmId id) {
+  return printed(llm::gold_program(default_task(id)));
 }
 
 std::optional<llm::AlgorithmId> algorithm_named(const std::string& name) {
@@ -106,7 +129,7 @@ void expect_golds_intact(const std::vector<eval::TestCase>& suite,
           const auto id = algorithm_named(wrong_plan->substr(prefix.size()));
           ASSERT_TRUE(id.has_value()) << *wrong_plan;
           EXPECT_EQ(generation.intended_ast.get(),
-                    llm::default_gold_program(*id).get());
+                    &default_gold(*id)->program);
           ++wrong_algorithm_plans;
         } else {
           // A structurally corrupted plan owns its copy; the case's
@@ -122,7 +145,7 @@ void expect_golds_intact(const std::vector<eval::TestCase>& suite,
   // that did was checked above against a fresh build.
   EXPECT_GE(case_gold.size(), suite.size() / 2);
   for (const llm::AlgorithmId id : llm::all_algorithms()) {
-    EXPECT_EQ(printed(*llm::default_gold_program(id)), fresh_default_gold(id))
+    EXPECT_EQ(printed(default_gold(id)->program), fresh_default_gold(id))
         << llm::algorithm_name(id);
   }
 }
@@ -139,10 +162,11 @@ TEST(SharedArtifacts, GoldProgramsStayIntactAtAnyThreadCount) {
 
 TEST(SharedArtifacts, DefaultGoldTableIsBuiltOnce) {
   for (const llm::AlgorithmId id : llm::all_algorithms()) {
-    const auto first = llm::default_gold_program(id);
+    const auto first = default_gold(id);
     ASSERT_NE(first, nullptr);
-    EXPECT_EQ(first.get(), llm::default_gold_program(id).get());
-    EXPECT_EQ(printed(*first), fresh_default_gold(id));
+    EXPECT_EQ(first, default_gold(id));
+    EXPECT_EQ(printed(first->program), fresh_default_gold(id));
+    EXPECT_EQ(first->source, fresh_default_gold(id));
   }
 }
 
@@ -153,7 +177,9 @@ TEST(SharedArtifacts, OracleKeepsTheGoldItSimulated) {
   for (const eval::TestCase& test_case : suite) {
     const auto gold = oracle.gold(test_case.id);
     ASSERT_NE(gold, nullptr) << test_case.id;
-    EXPECT_EQ(printed(*gold), printed(llm::gold_program(test_case.task)));
+    EXPECT_EQ(printed(gold->program),
+              printed(llm::gold_program(test_case.task)));
+    EXPECT_EQ(gold->source, printed(gold->program));
   }
   EXPECT_EQ(oracle.gold("no-such-case"), nullptr);
 }
@@ -168,15 +194,14 @@ TEST(SharedArtifacts, PrebuiltGoldGeneratesIdentically) {
     llm::SimLM shared(knowledge, 31);
     llm::GenerationContext context;
     llm::GenerationContext with_gold;
-    with_gold.gold = std::make_shared<const qasm::Program>(
-        llm::gold_program(test_case.task));
+    with_gold.gold = fresh_gold(test_case.task);
     for (int sample = 0; sample < 4; ++sample) {
       const auto a = own.generate(test_case.task, context);
       const auto b = shared.generate(test_case.task, with_gold);
       EXPECT_EQ(a.source, b.source) << test_case.id;
       EXPECT_EQ(printed(*a.intended_ast), printed(*b.intended_ast));
     }
-    EXPECT_EQ(printed(*with_gold.gold),
+    EXPECT_EQ(printed(with_gold.gold->program),
               printed(llm::gold_program(test_case.task)));
   }
 }
@@ -222,14 +247,13 @@ TEST(SharedArtifacts, UntouchedPlanIsEmittedWithoutACopy) {
   for (const eval::TestCase& test_case : eval::semantic_suite()) {
     llm::SimLM model(perfect, 13);
     llm::GenerationContext context;
-    context.gold = std::make_shared<const qasm::Program>(
-        llm::gold_program(test_case.task));
+    context.gold = fresh_gold(test_case.task);
     const llm::GenerationResult result =
         model.generate(test_case.task, context);
     ASSERT_TRUE(result.faults.empty()) << test_case.id;
-    EXPECT_EQ(result.intended_ast.get(), context.gold.get());
+    EXPECT_EQ(result.intended_ast.get(), &context.gold->program);
     EXPECT_EQ(result.ast.get(), result.intended_ast.get()) << test_case.id;
-    EXPECT_EQ(result.source, printed(*context.gold));
+    EXPECT_EQ(result.source, printed(context.gold->program));
   }
 }
 
@@ -243,9 +267,8 @@ TEST(SharedArtifacts, FaultedGenerationOwnsItsCopy) {
   for (const eval::TestCase& test_case : eval::semantic_suite()) {
     llm::SimLM model(weak, 29);
     llm::GenerationContext context;
-    context.gold = std::make_shared<const qasm::Program>(
-        llm::gold_program(test_case.task));
-    const std::string gold = printed(*context.gold);
+    context.gold = fresh_gold(test_case.task);
+    const std::string gold = printed(context.gold->program);
     for (int sample = 0; sample < 4; ++sample) {
       const llm::GenerationResult result =
           model.generate(test_case.task, context);
@@ -263,7 +286,7 @@ TEST(SharedArtifacts, FaultedGenerationOwnsItsCopy) {
         ++shared;
         EXPECT_EQ(result.ast.get(), result.intended_ast.get());
       }
-      EXPECT_EQ(printed(*context.gold), gold) << test_case.id;
+      EXPECT_EQ(printed(context.gold->program), gold) << test_case.id;
     }
   }
   EXPECT_GT(owned, 0u);
@@ -441,4 +464,220 @@ TEST(SharedArtifacts, LastDegradationsHoldOnlyAThrowingRun) {
   const agents::PipelineResult result = pipeline.run(suite[0].task, {}, 0);
   EXPECT_TRUE(pipeline.last_degradations().empty());
   (void)result;
+}
+
+// ---------------------------------------------------------------------------
+// Process-wide tables: knowledge states, BM25 stores, gold programs and
+// reference distributions are built once per process and shared by every
+// matrix, server and standalone agent after that.
+
+namespace {
+
+void expect_same_hits(const std::vector<llm::Retrieved>& a,
+                      const std::vector<llm::Retrieved>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].chunk->doc_id, b[i].chunk->doc_id);
+    EXPECT_EQ(a[i].chunk->text, b[i].chunk->text);
+    EXPECT_EQ(a[i].score, b[i].score);  // bitwise
+  }
+}
+
+/// The exact distribution of `task`'s gold program, built from scratch.
+sim::Distribution fresh_reference(const llm::TaskSpec& task) {
+  return sim::exact_distribution(
+      qasm::build_circuit(llm::gold_program(task)));
+}
+
+}  // namespace
+
+TEST(ProcessTables, MemoizedArtifactsEqualAFreshBuild) {
+  auto technique = rag_multipass();
+  technique.chunking = llm::ChunkStrategy::kStructureAware;
+  const agents::TechniqueResources first(technique);
+  const agents::TechniqueResources second(technique);
+  // One entry per configuration, whichever handle asks.
+  EXPECT_EQ(first.api_store(), second.api_store());
+  EXPECT_EQ(first.guide_store(), second.guide_store());
+  EXPECT_EQ(&first.knowledge(), &second.knowledge());
+
+  const llm::KnowledgeState fresh_knowledge = llm::apply_finetuning(
+      llm::base_knowledge(technique.profile), technique.finetune);
+  EXPECT_EQ(first.knowledge_version(),
+            llm::knowledge_digest(fresh_knowledge));
+  EXPECT_EQ(llm::knowledge_digest(first.knowledge()),
+            llm::knowledge_digest(fresh_knowledge));
+
+  const llm::VectorStore api(llm::chunk_documents(
+      llm::qiskit_api_corpus(technique.api_stale_fraction),
+      technique.chunking));
+  const llm::VectorStore guides(llm::chunk_documents(
+      llm::algorithm_guide_corpus(), technique.chunking));
+  EXPECT_EQ(first.api_store()->content_version(), api.content_version());
+  EXPECT_EQ(first.guide_store()->content_version(), guides.content_version());
+  for (const eval::TestCase& test_case : eval::semantic_suite()) {
+    const std::string query = llm::prompt_text(test_case.task);
+    expect_same_hits(first.api_store()->retrieve(query, 4),
+                     api.retrieve(query, 4));
+    expect_same_hits(first.guide_store()->retrieve(query, 4),
+                     guides.retrieve(query, 4));
+  }
+
+  eval::ReferenceOracle oracle;
+  for (const eval::TestCase& test_case : eval::qhe_suite()) {
+    const auto gold = llm::shared_gold(test_case.task);
+    EXPECT_EQ(gold, llm::shared_gold(test_case.task));
+    EXPECT_EQ(gold->source, printed(llm::gold_program(test_case.task)));
+    EXPECT_EQ(gold->source, printed(gold->program));
+    EXPECT_EQ(oracle.reference_for(test_case),
+              fresh_reference(test_case.task))
+        << test_case.id;
+    EXPECT_EQ(oracle.gold(test_case.id), gold);
+  }
+}
+
+TEST(ProcessTables, ParamsDifferingInTheFourthDecimalGetDistinctGolds) {
+  eval::TestCase a;
+  a.task.algorithm = llm::AlgorithmId::kSingleQubitRotation;
+  a.task.params = {{"theta", 0.7001}};
+  eval::TestCase b = a;
+  b.task.params = {{"theta", 0.7002}};
+  a.id = a.task.id();
+  b.id = b.task.id();
+  ASSERT_EQ(a.id, b.id);  // the id rounds both to theta=0.700
+  EXPECT_NE(llm::task_digest(a.task), llm::task_digest(b.task));
+  const auto gold_a = llm::shared_gold(a.task);
+  const auto gold_b = llm::shared_gold(b.task);
+  EXPECT_NE(gold_a, gold_b);
+  eval::ReferenceOracle oracle_a;
+  eval::ReferenceOracle oracle_b;
+  const sim::Distribution& ref_a = oracle_a.reference_for(a);
+  const sim::Distribution& ref_b = oracle_b.reference_for(b);
+  EXPECT_NE(ref_a, ref_b);
+  EXPECT_EQ(ref_a, fresh_reference(a.task));
+  EXPECT_EQ(ref_b, fresh_reference(b.task));
+  EXPECT_EQ(oracle_a.gold(a.id), gold_a);
+  EXPECT_EQ(oracle_b.gold(b.id), gold_b);
+}
+
+#if QCGEN_FAILPOINTS_ENABLED
+TEST(ProcessTables, WarmTableStillTripsTheOracleFailPoint) {
+  const auto full = eval::semantic_suite();
+  const std::vector<eval::TestCase> suite(full.begin(), full.begin() + 8);
+  eval::RunnerOptions options;
+  options.seed = 7;
+  options.threads = 2;
+  const eval::TrialMatrix warm = eval::run_trial_matrix(
+      rag_multipass(), suite, 1, options, [](const eval::Trial&) {});
+  EXPECT_TRUE(warm.degradations.empty());
+
+  // Every case's reference is in the process-wide table now; the oracle
+  // of the next matrix still trips per case and degrades each one.
+  options.chaos_scenario = "oracle.reference=error(1.0)";
+  std::size_t visits = 0;
+  const eval::TrialMatrix down = eval::run_trial_matrix(
+      rag_multipass(), suite, 1, options, [&](const eval::Trial& trial) {
+        EXPECT_EQ(trial.failure, nullptr);
+        ++visits;
+      });
+  EXPECT_EQ(visits, suite.size());
+  ASSERT_EQ(down.degradations.size(), suite.size());
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    EXPECT_EQ(down.degradations[i].case_idx, i);
+    EXPECT_EQ(down.degradations[i].event.stage, "oracle");
+    EXPECT_EQ(down.degradations[i].event.to, "static-only");
+  }
+}
+#endif  // QCGEN_FAILPOINTS_ENABLED
+
+TEST(ProcessTables, ServersKeepTheirOwnRetrievalCaches) {
+  const auto full = eval::semantic_suite();
+  const std::vector<eval::TestCase> catalog(full.begin(), full.begin() + 4);
+  serve::Server::Options options;
+  options.technique = rag_multipass();
+  options.threads = 2;
+  options.admission = serve::AdmissionOptions::unlimited();
+  options.cache.enabled = true;
+  const auto retrieval = [](const serve::Server& server) {
+    for (const serve::CacheLayerReport& report : server.cache_reports()) {
+      if (report.layer == "retrieval") return report.stats;
+    }
+    ADD_FAILURE() << "no retrieval layer";
+    return cache::Stats{};
+  };
+  const auto serve_requests = [&](serve::Server& server, std::size_t count) {
+    serve::Session session(server, 1);
+    std::vector<std::future<serve::RequestResult>> futures;
+    for (std::uint64_t id = 0; id < count; ++id) {
+      futures.push_back(session.submit(id, catalog[id % catalog.size()],
+                                       0.25 * static_cast<double>(id)));
+    }
+    server.drain();
+    for (auto& future : futures) {
+      EXPECT_EQ(future.get().outcome, serve::RequestOutcome::kCompleted);
+    }
+  };
+  serve::Server a(options, catalog);
+  serve::Server b(options, catalog);
+  serve_requests(a, 12);
+  const cache::Stats after_a = retrieval(a);
+  EXPECT_GT(after_a.lookups, 0u);
+  EXPECT_EQ(retrieval(b), cache::Stats{});
+  serve_requests(b, 4);
+  EXPECT_EQ(retrieval(a), after_a);
+  const cache::Stats after_b = retrieval(b);
+  EXPECT_GT(after_b.lookups, 0u);
+  // b starts cold: a's entries for the same queries are not its own.
+  EXPECT_GT(after_b.misses, 0u);
+}
+
+TEST(ProcessTables, FirstUseRaceBuildsOneEntryPerKey) {
+  // Configurations no other test uses, so this test is their first use
+  // in the process (scripts/check.sh runs it alone in fresh processes).
+  agents::TechniqueConfig technique =
+      agents::TechniqueConfig::with_rag(llm::ModelProfile::kGranite20B);
+  technique.finetune.steps = 1234;
+  technique.api_stale_fraction = 0.123;
+  technique.chunking = llm::ChunkStrategy::kStructureAware;
+  eval::TestCase test_case;
+  test_case.task.algorithm = llm::AlgorithmId::kSwapTest;
+  test_case.task.params = {{"theta1", 0.4242}, {"theta2", 1.2121}};
+  test_case.id = test_case.task.id();
+
+  constexpr std::size_t kThreads = 8;
+  struct Seen {
+    const llm::KnowledgeState* knowledge = nullptr;
+    const llm::VectorStore* api = nullptr;
+    const llm::VectorStore* guides = nullptr;
+    std::shared_ptr<const llm::GoldProgram> gold;
+    sim::Distribution reference;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const agents::TechniqueResources resources(technique);
+      eval::ReferenceOracle oracle;
+      seen[t] = {&resources.knowledge(), resources.api_store(),
+                 resources.guide_store(), llm::shared_gold(test_case.task),
+                 oracle.reference_for(test_case)};
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.knowledge, seen[0].knowledge);
+    EXPECT_EQ(s.api, seen[0].api);
+    EXPECT_EQ(s.guides, seen[0].guides);
+    EXPECT_EQ(s.gold, seen[0].gold);
+    EXPECT_EQ(s.reference, fresh_reference(test_case.task));
+  }
+  EXPECT_EQ(seen[0].gold->source, printed(llm::gold_program(test_case.task)));
+  EXPECT_EQ(seen[0].api->content_version(),
+            llm::VectorStore(llm::chunk_documents(
+                                 llm::qiskit_api_corpus(0.123),
+                                 llm::ChunkStrategy::kStructureAware))
+                .content_version());
 }
