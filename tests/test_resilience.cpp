@@ -5,6 +5,7 @@
 // topologies, empty suites, empty references).
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -19,13 +20,16 @@
 #include "agents/pipeline.hpp"
 #include "agents/qec_agent.hpp"
 #include "agents/semantic_agent.hpp"
+#include "agents/technique_resources.hpp"
 #include "agents/topology.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/rng.hpp"
 #include "eval/judge.hpp"
 #include "eval/runner.hpp"
 #include "eval/suite.hpp"
+#include "qec/decoder.hpp"
 
 namespace qcgen {
 namespace {
@@ -802,6 +806,188 @@ TEST(ScenarioScope, UnarmedMatrixKeepsAnOuterInjectorAroundTheOraclePrewarm) {
   ASSERT_EQ(report.degradations.size(), suite.size());
   for (const eval::DegradationRecord& record : report.degradations) {
     EXPECT_EQ(record.event.stage, "oracle");
+  }
+}
+
+// ---------------------------------------------------------------------
+// Ladder golden grid: direct pipeline runs over fail-point scenarios x
+// retry policies x stage budgets x budget pressures x starting rungs x
+// QEC ladders x cases, each rendered as one canonical line (events,
+// retries, budget units as hexfloat, verdicts, repair counts, decoder).
+// The digest of all lines pins every ladder decision, RNG draw and
+// deadline charge; a mismatch writes the lines out for diffing.
+
+/// `value` as an exact hexfloat token.
+std::string hexfloat(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%a", value);
+  return buffer;
+}
+
+std::string grid_events(const std::vector<agents::DegradationEvent>& events) {
+  std::string line;
+  for (const std::string& event : event_lines(events)) {
+    line += " {" + event + "}";
+  }
+  return line;
+}
+
+/// One run's canonical rendering: its outcome, then the deadline units
+/// charged against the installed budget.
+std::string grid_line(agents::MultiAgentPipeline& pipeline,
+                      const LadderCase& ladder, agents::Rungs start) {
+  std::string line;
+  try {
+    const agents::PipelineResult result =
+        pipeline.run(ladder.test_case.task, ladder.reference,
+                     ladder.prompt_index, nullptr, start);
+    line = "ok passes=" + std::to_string(result.passes_used) +
+           " syn=" + std::to_string(result.syntactic_ok) +
+           " sem=" + std::to_string(result.semantic_ok) +
+           " retries=" + std::to_string(result.stage_retries) +
+           " budget=" + hexfloat(result.budget_consumed) +
+           " certified=" + std::to_string(result.certified_repairs) +
+           " rejected=" + std::to_string(result.rejected_repairs) + " qec=";
+    if (result.qec.has_value()) {
+      line += std::string(qec::decoder_kind_name(result.qec->decoder)) +
+              (result.qec->feasible ? "" : "(infeasible)");
+    } else {
+      line += "-";
+    }
+    line += " src=" + std::to_string(fnv1a64(result.generation.source));
+    for (const agents::PassTrace& pass : result.trace) {
+      line += " [" + std::to_string(pass.pass) + " " +
+              std::to_string(pass.syntactic_ok) +
+              std::to_string(pass.semantic_ok) + " " + hexfloat(pass.tvd) +
+              " e" + std::to_string(pass.error_count) + " r" +
+              std::to_string(pass.repair_rejected) + " d" +
+              std::to_string(pass.degradations.size()) + "]";
+    }
+    line += grid_events(result.degradations);
+  } catch (const std::exception& error) {
+    const agents::RunFailure failure = agents::read_run_failure(error, "run");
+    line = "threw stage=" + failure.stage + " site=" + failure.site +
+           " retries=" + std::to_string(failure.retries) +
+           " cancelled=" + std::to_string(failure.cancelled.has_value()) +
+           " what=" + failure.what + grid_events(pipeline.last_degradations());
+  }
+  if (const cancel::DeadlineBudget* budget = cancel::current_budget()) {
+    line += " deadline=" + hexfloat(budget->consumed());
+  }
+  return line;
+}
+
+TEST(ResilienceLadder, GridMatchesRecordedDigest) {
+  const std::vector<const char*> scenarios = {
+      "",
+      "retrieval.query=error(1.0)",
+      "retrieval.query=error(1.0)@every=3;llm.generate=error(0.2)",
+      "llm.generate=error(0.35)",
+      "llm.generate=error(1.0)@every=2",
+      "llm.generate=corrupt(0.5);analyzer.simulate=error(0.4)",
+      "llm.generate=delay(3.0)@p=0.5;analyzer.parse=delay(0.5)",
+      "analyzer.abstract=error(0.5);analyzer.parse=error(0.15)",
+      "analyzer.simulate=error(1.0);qec.decode=error(0.5)",
+      "qec.decode=error(1.0)@every=2;retrieval.query=error(0.3)",
+      "llm.generate=error(0.2);retrieval.query=error(0.3);"
+      "analyzer.abstract=error(0.3);analyzer.simulate=error(0.3);"
+      "qec.decode=error(0.4)",
+      "qec.decode=delay(3.0)@p=0.5;analyzer.abstract=delay(3.0)@pass>1",
+  };
+  const std::vector<agents::Rungs> starts = {
+      {},
+      {.rag = false},
+      {.abstract_lints = false, .behavioral = false},
+      {.rag = false, .abstract_lints = false, .qec = false},
+  };
+  // Budget pressure as the pre-charged share of a 100-unit deadline;
+  // negative installs no deadline at all.
+  const std::vector<double> pressures = {-1.0, 0.0, 0.6, 0.85, 0.97};
+  struct GridCase {
+    agents::TechniqueConfig technique;
+    std::size_t index;
+  };
+  auto rag = test_technique();
+  auto multipass = agents::TechniqueConfig::with_rag(
+      llm::ModelProfile::kStarCoder3B);
+  multipass.max_passes = 4;
+  auto bare = agents::TechniqueConfig::base(llm::ModelProfile::kStarCoder3B);
+  bare.max_passes = 3;
+  const std::vector<GridCase> cases = {
+      {rag, 0}, {multipass, 47}, {bare, 5}};
+  // QEC ladders: off, the full mwpm -> union-find -> lookup ladder, a
+  // lookup-first ladder, and a one-rung union-find ladder at distance 5.
+  std::vector<std::optional<agents::QecDecoderAgent::Options>> qecs(4);
+  for (std::size_t i = 1; i < qecs.size(); ++i) {
+    qecs[i].emplace();
+    qecs[i]->trials = 100;
+  }
+  qecs[2]->decoder = qec::DecoderKind::kLookup;
+  qecs[3]->decoder = qec::DecoderKind::kUnionFind;
+  qecs[3]->target_distance = 5;
+  const auto memo = std::make_shared<agents::QecLifetimeMemo>();
+  const agents::AnalyzerKit kit(agents::SemanticAnalyzerAgent::Options{});
+
+  std::string lines;
+  std::size_t runs = 0;
+  for (const GridCase& grid_case : cases) {
+    const LadderCase ladder = ladder_case(grid_case.index);
+    const auto resources = std::make_shared<const agents::TechniqueResources>(
+        grid_case.technique);
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      const auto scenario = failpoint::ScenarioScope::arm(scenarios[s]);
+      for (const int retries : {0, 2}) {
+        for (const double stage_budget : {0.0, 2.5}) {
+          for (const double pressure : pressures) {
+            for (std::size_t k = 0; k < starts.size(); ++k) {
+              for (std::size_t q = 0; q < qecs.size(); ++q) {
+                std::optional<agents::DeviceTopology> device;
+                if (qecs[q].has_value()) {
+                  device = agents::DeviceTopology::grid(5, 5);
+                }
+                agents::MultiAgentPipeline pipeline(
+                    grid_case.technique, resources, kit, qecs[q], device,
+                    4242 + runs);
+                pipeline.set_caches({false, nullptr, nullptr, memo});
+                agents::ResilienceOptions resilience;
+                resilience.max_stage_retries = retries;
+                resilience.stage_budget_units = stage_budget;
+                pipeline.set_resilience(resilience);
+                const failpoint::ScenarioScope armed(scenario, 7 + runs);
+                std::optional<cancel::DeadlineBudget> budget;
+                if (pressure >= 0.0) {
+                  budget.emplace(100.0);
+                  budget->charge(100.0 * pressure);
+                }
+                const cancel::CancelScope cancel_scope(
+                    cancel::CancellationToken{},
+                    budget.has_value() ? &*budget : nullptr);
+                lines += "c" + std::to_string(grid_case.index) + " s" +
+                         std::to_string(s) + " r" + std::to_string(retries) +
+                         " b" + hexfloat(stage_budget) + " p" +
+                         hexfloat(pressure) + " k" + std::to_string(k) +
+                         " q" + std::to_string(q) + " | " +
+                         grid_line(pipeline, ladder, starts[k]) + "\n";
+                ++runs;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(runs, cases.size() * scenarios.size() * 2 * 2 * pressures.size() *
+                      starts.size() * qecs.size());
+  const std::uint64_t digest = fnv1a64(lines);
+  constexpr std::uint64_t kRecorded = 5400581362445552949ULL;
+  if (digest != kRecorded) {
+    const std::string path = testing::TempDir() + "ladder_grid.txt";
+    if (std::FILE* out = std::fopen(path.c_str(), "w")) {
+      std::fwrite(lines.data(), 1, lines.size(), out);
+      std::fclose(out);
+    }
+    ADD_FAILURE() << "ladder grid digest " << digest << " != recorded "
+                  << kRecorded << "; lines written to " << path;
   }
 }
 
