@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
                                       server, results)
             .to_json());
     Json timing_row =
-        serve::serving_timing_json(server, summary.semantic_ok, row_wall);
+        serve::serving_timing_json(results, summary.semantic_ok, row_wall);
     timing_row["workload"] = row.label;
     timing_rows.push_back(std::move(timing_row));
     std::fflush(stdout);

@@ -339,7 +339,7 @@ cmake --build build-nofp -j "$JOBS"
 ctest --test-dir build-nofp --output-on-failure -j "$JOBS" \
   -R 'test_failpoint|test_resilience|test_parallel_eval|test_serve|test_lifecycle|test_breaker'
 
-echo "==> [10/11] ASan+UBSan build, qasm/lint/circuit/fuzz/chaos/serve/lifecycle/retrieval tests"
+echo "==> [10/11] ASan+UBSan build, qasm/lint/circuit/fuzz/chaos/serve/lifecycle/retrieval/ladder/agent tests"
 # Tokens view the parsed source, so the lexer, parser and analyzer-oracle
 # suites here also guard against a token outliving its text.
 cmake -B build-asan -S . \
@@ -350,7 +350,7 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_breaker|test_llm_retrieval|test_shared_artifacts'
+    -R 'test_qasm_lexer|test_qasm_parser|test_qasm_analyzer|test_analyzer_oracle|test_circuit|test_qasm_lint|test_qasm_roundtrip|test_resource_analysis|test_qec_resources|test_verify|test_verify_fuzz|test_fuzz_robustness|test_failpoint|test_bench_harness|test_cache|test_serve|test_lifecycle|test_breaker|test_llm_retrieval|test_shared_artifacts|test_resilience|test_agents'
 
 echo "==> [11/11] TSan build, thread-pool / trace / parallel-eval / chaos / cache / serve / lifecycle tests"
 cmake -B build-tsan -S . \

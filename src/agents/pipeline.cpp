@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string_view>
 
 #include "common/cancel.hpp"
@@ -18,75 +19,158 @@ namespace qtrace = ::qcgen::trace;
 
 namespace {
 
-/// Runs `body` under the resilience policy: retries with seeded,
-/// budget-charged backoff; injected delay units count against the stage
-/// budget; exhausting either retries or budget returns the failure.
-/// Returns nullopt on success. Behaviour-identical to a bare body()
-/// call when nothing throws and no delay fires.
-std::optional<RunFailure> run_guarded(const char* stage,
-                                      const ResilienceOptions& options,
-                                      Rng& rng, PipelineResult& result,
-                                      const std::function<void()>& body) {
-  failpoint::Injector* injector = failpoint::current_injector();
-  cancel::DeadlineBudget* deadline = cancel::current_budget();
-  double budget_used = 0.0;
-  double delay_mark =
-      injector != nullptr ? injector->delay_units_charged() : 0.0;
-  for (int attempt = 0;; ++attempt) {
-    std::optional<RunFailure> failure;
-    try {
-      body();
-    } catch (const cancel::CancelledError&) {
-      // A cancellation/deadline observed mid-stage is not a stage
-      // failure: never retried, never degraded — it must reach the
-      // serving layer as the structured lifecycle outcome.
-      throw;
-    } catch (const std::exception& error) {
-      failure = read_run_failure(error, stage);
-    }
-    if (injector != nullptr) {
-      const double now = injector->delay_units_charged();
-      budget_used += now - delay_mark;
-      result.budget_consumed += now - delay_mark;
-      // Injected delays count against the request's deadline too.
-      if (deadline != nullptr) deadline->charge(now - delay_mark);
-      delay_mark = now;
-    }
-    const bool over_budget = options.stage_budget_units > 0.0 &&
-                             budget_used > options.stage_budget_units;
-    if (!failure.has_value()) {
-      if (over_budget) {
-        return RunFailure{
-            .stage = stage,
-            .what = std::string(stage) + ": stage budget exhausted by delays"};
-      }
-      return std::nullopt;
-    }
-    if (over_budget || attempt >= options.max_stage_retries) return failure;
-    // Deterministic exponential backoff with seeded jitter, charged in
-    // budget units rather than slept (chaos runs stay bit-reproducible).
-    const double backoff = options.backoff_base_units *
-                           std::ldexp(1.0, attempt) *
-                           (1.0 + 0.5 * rng.uniform());
-    budget_used += backoff;
-    result.budget_consumed += backoff;
-    if (deadline != nullptr) deadline->charge(backoff);
-    ++result.stage_retries;
-    qtrace::Metrics::counter("resilience.retries");
-    qtrace::Metrics::observe("resilience.backoff_units", backoff);
-    if (options.stage_budget_units > 0.0 &&
-        budget_used > options.stage_budget_units) {
-      return failure;
-    }
-  }
+/// One stage's degradation ladder, as constant data.
+struct Stage {
+  const char* name = "";
+  std::span<const std::string_view> rungs{};  ///< top first (QEC: per agent)
+  /// Terminal give-up step once the rungs are exhausted, from `floor_from`
+  /// (the bottom rung when empty) to `floor_to`; with no floor_to the
+  /// stage raises PipelineStageError instead.
+  std::string_view floor_from{}, floor_to{};
+  bool retrieval_only = false;  ///< rung steps help retrieval faults only
+  const char* checkpoint = nullptr;   ///< checked before every rung's run
+  const char* charge_site = nullptr;  ///< charged after the top rung's run
+  double StageCostModel::*charge_units = nullptr;
+};
+
+constexpr std::string_view kRagRungs[] = {"rag", "no-rag"};
+constexpr std::string_view kLintRungs[] = {"abstract-lints", "core-lints"};
+constexpr std::string_view kVerifyRungs[] = {"behavioral"};
+
+constexpr Stage kGenerate{
+    .name = "generate", .rungs = kRagRungs, .retrieval_only = true};
+constexpr Stage kAnalyze{.name = "analyze", .rungs = kLintRungs};
+constexpr Stage kVerify{.name = "verify",
+                        .rungs = kVerifyRungs,
+                        .floor_to = "static-only",
+                        .checkpoint = "pipeline.verify",
+                        .charge_site = "pipeline.verify",
+                        .charge_units = &StageCostModel::verify};
+/// Terminal rung: repair unavailable — keep the best pass so far instead
+/// of failing the trial.
+constexpr Stage kRepair{.name = "repair",
+                        .rungs = kRagRungs,
+                        .floor_from = "multi-pass",
+                        .floor_to = "abort",
+                        .retrieval_only = true,
+                        .charge_site = "pipeline.repair",
+                        .charge_units = &StageCostModel::repair};
+constexpr Stage kQec{
+    .name = "qec", .floor_to = "none", .checkpoint = "pipeline.qec_plan"};
+
+/// The rungs a stage starts on: its whole ladder, or the ladder below the
+/// top when the run has taken the top rung away (where a failure there
+/// would have degraded to).
+std::span<const std::string_view> plan_stage(const Stage& stage, bool top) {
+  return top ? stage.rungs : stage.rungs.subspan(1);
 }
 
-void note_degradation(PipelineResult& result, PassTrace* pass_trace,
-                      DegradationEvent event) {
-  qtrace::Metrics::counter("resilience.degradations");
-  if (pass_trace != nullptr) pass_trace->degradations.push_back(event);
-  result.degradations.push_back(std::move(event));
-}
+/// What a run's ladders share: the policy, the seeded backoff stream and
+/// the result every step is recorded on.
+struct Resilience {
+  const ResilienceOptions& options;
+  Rng& rng;
+  PipelineResult& result;
+
+  /// Walks `stage`'s ladder from `rungs` (see plan_stage), recording each
+  /// step with `pass` on the result and on `trace` (when not null). Runs
+  /// the current rung as `body(rung)`, rung indexing `rungs`.
+  /// A failure is retried with seeded, budget-charged backoff while
+  /// retries and the stage budget last (injected delay units count
+  /// against both the stage budget and the deadline), then the ladder
+  /// steps down one rung and records the step as a DegradationEvent.
+  /// `pressed` is a budget-pressure pre-walk: the top rung is stepped past
+  /// without running. Returns whether a rung succeeded (false: the stage
+  /// fell to its floor); throws PipelineStageError when a failure has
+  /// nowhere to step or the policy does not degrade. Behaviour-identical
+  /// to a bare body(0) call when nothing throws and no delay fires.
+  template <class Body>
+  bool walk(const Stage& stage, std::span<const std::string_view> rungs,
+            int pass, PassTrace* trace, Body&& body, bool pressed = false) {
+    failpoint::Injector* injector = failpoint::current_injector();
+    cancel::DeadlineBudget* deadline = cancel::current_budget();
+    for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
+      std::optional<RunFailure> failure;
+      if (rung == 0 && pressed) {
+        failure = RunFailure{.what = "budget-pressure"};
+      } else {
+        if (stage.checkpoint != nullptr) cancel::checkpoint(stage.checkpoint);
+        double budget_used = 0.0;
+        double delay_mark =
+            injector != nullptr ? injector->delay_units_charged() : 0.0;
+        const auto over_budget = [&] {
+          return options.stage_budget_units > 0.0 &&
+                 budget_used > options.stage_budget_units;
+        };
+        for (int attempt = 0;; ++attempt) {
+          failure.reset();
+          try {
+            body(rung);
+          } catch (const cancel::CancelledError&) {
+            // A cancellation/deadline observed mid-stage is not a stage
+            // failure: never retried, never degraded — it must reach the
+            // serving layer as the structured lifecycle outcome.
+            throw;
+          } catch (const std::exception& error) {
+            failure = read_run_failure(error, stage.name);
+          }
+          if (injector != nullptr) {
+            const double now = injector->delay_units_charged();
+            budget_used += now - delay_mark;
+            result.budget_consumed += now - delay_mark;
+            if (deadline != nullptr) deadline->charge(now - delay_mark);
+            delay_mark = now;
+          }
+          if (!failure.has_value()) {
+            if (over_budget()) {
+              failure = RunFailure{.what = std::string(stage.name) +
+                                           ": stage budget exhausted by delays"};
+            }
+            break;
+          }
+          if (over_budget() || attempt >= options.max_stage_retries) break;
+          // Deterministic exponential backoff with seeded jitter, charged
+          // in budget units rather than slept (chaos runs stay
+          // bit-reproducible).
+          const double backoff = options.backoff_base_units *
+                                 std::ldexp(1.0, attempt) *
+                                 (1.0 + 0.5 * rng.uniform());
+          budget_used += backoff;
+          result.budget_consumed += backoff;
+          if (deadline != nullptr) deadline->charge(backoff);
+          ++result.stage_retries;
+          qtrace::Metrics::counter("resilience.retries");
+          qtrace::Metrics::observe("resilience.backoff_units", backoff);
+          if (over_budget()) break;
+        }
+        if (rung == 0 && stage.charge_site != nullptr) {
+          cancel::charge(stage.charge_site,
+                         options.stage_costs.*stage.charge_units);
+        }
+      }
+      if (!failure.has_value()) return true;
+      const bool next =
+          rung + 1 < rungs.size() &&
+          (!stage.retrieval_only || failure->site.empty() ||
+           failure->site == "retrieval.query");
+      if (!options.degrade || (!next && stage.floor_to.empty())) {
+        throw PipelineStageError(stage.name, failure->site,
+                                 result.stage_retries, failure->what);
+      }
+      const std::string_view floor_from =
+          stage.floor_from.empty() ? rungs.back() : stage.floor_from;
+      DegradationEvent event{
+          pass, stage.name, std::string(next ? rungs[rung] : floor_from),
+          std::string(next ? rungs[rung + 1] : stage.floor_to),
+          std::move(failure->what), std::move(failure->site)};
+      qtrace::Metrics::counter("resilience.degradations");
+      if (trace != nullptr) trace->degradations.push_back(event);
+      result.degradations.push_back(std::move(event));
+      if (!next) break;
+    }
+    return false;
+  }
+};
 
 /// True when every diagnostic the repair was asked to fix carries a
 /// preservation claim — only then is a behaviour change a defect rather
@@ -140,63 +224,6 @@ RunFailure read_run_failure(const std::exception& error,
   return {scope, "", 0, error.what(), {}};
 }
 
-/// One stage invocation's degradation ladder, current rung first.
-struct MultiAgentPipeline::Ladder {
-  const char* stage = "";
-  int pass = 0;                   ///< DegradationEvent::pass
-  PassTrace* trace = nullptr;     ///< also gets the events (null: none)
-  std::vector<std::string_view> rungs{};  ///< the runnable rungs
-  /// Terminal give-up step once the runnable rungs are exhausted; with no
-  /// floor (empty) the stage raises PipelineStageError instead.
-  std::string_view floor_from{}, floor_to{};
-  bool retrieval_only = false;  ///< rung steps help retrieval faults only
-  const char* checkpoint = nullptr;   ///< checked before every rung's run
-  const char* charge_site = nullptr;  ///< charged after the top rung's run
-  double charge_units = 0.0;
-};
-
-/// Runs the current rung under the resilience policy and steps down one
-/// rung per failure, recording each step as a DegradationEvent.
-/// `pressed` is a budget-pressure pre-walk: the top rung is stepped past
-/// without running. Returns the rung that succeeded, or the rung count
-/// when the stage fell to its floor; throws PipelineStageError when a
-/// failure has nowhere to step or the policy does not degrade.
-std::size_t MultiAgentPipeline::walk(
-    PipelineResult& result, const Ladder& ladder,
-    const std::function<void(std::size_t)>& run, bool pressed) {
-  const std::size_t rungs = ladder.rungs.size();
-  for (std::size_t rung = 0; rung < rungs; ++rung) {
-    std::optional<RunFailure> failure;
-    if (rung == 0 && pressed) {
-      failure = RunFailure{.stage = ladder.stage, .what = "budget-pressure"};
-    } else {
-      if (ladder.checkpoint != nullptr) cancel::checkpoint(ladder.checkpoint);
-      failure = run_guarded(ladder.stage, resilience_, resilience_rng_,
-                            result, [&] { run(rung); });
-      if (rung == 0 && ladder.charge_site != nullptr) {
-        cancel::charge(ladder.charge_site, ladder.charge_units);
-      }
-    }
-    if (!failure.has_value()) return rung;
-    const bool next =
-        rung + 1 < rungs &&
-        (!ladder.retrieval_only || failure->site.empty() ||
-         failure->site == "retrieval.query");
-    if (!resilience_.degrade || (!next && ladder.floor_to.empty())) {
-      throw PipelineStageError(ladder.stage, failure->site,
-                               result.stage_retries, failure->what);
-    }
-    note_degradation(
-        result, ladder.trace,
-        {ladder.pass, ladder.stage,
-         std::string(next ? ladder.rungs[rung] : ladder.floor_from),
-         std::string(next ? ladder.rungs[rung + 1] : ladder.floor_to),
-         failure->what, failure->site});
-    if (!next) break;
-  }
-  return rungs;
-}
-
 MultiAgentPipeline::MultiAgentPipeline(
     const TechniqueConfig& technique,
     SemanticAnalyzerAgent::Options analyzer_options,
@@ -229,6 +256,20 @@ MultiAgentPipeline::MultiAgentPipeline(
       device_(std::move(device)),
       resilience_rng_(seed ^ 0xc3a5c85c97cb3127ULL) {
   if (qec_options.has_value()) qec_agent_.emplace(*qec_options);
+  if (!qec_agent_.has_value() || !device_.has_value()) return;
+  // The QEC ladder: configured decoder -> union-find -> lookup (distance 3
+  // only; the lookup decoder does not scale past it).
+  for (const qec::DecoderKind kind :
+       {qec_options->decoder, qec::DecoderKind::kUnionFind,
+        qec::DecoderKind::kLookup}) {
+    if (qec_rung_count_ > 0 && (kind == qec_options->decoder ||
+                                (kind == qec::DecoderKind::kLookup &&
+                                 qec_options->target_distance != 3))) {
+      continue;
+    }
+    qec_decoders_[qec_rung_count_] = kind;
+    qec_rungs_[qec_rung_count_++] = qec::decoder_kind_name(kind);
+  }
 }
 
 void MultiAgentPipeline::set_caches(PipelineCaches caches) {
@@ -272,45 +313,24 @@ void MultiAgentPipeline::run_into(
   rungs.abstract_lints =
       rungs.abstract_lints && analyzer_.options().analysis.abstract_lints;
   rungs.behavioral = rungs.behavioral && !reference.empty();
-  // The QEC ladder: configured decoder -> union-find -> lookup (distance 3
-  // only; the lookup decoder does not scale past it). Empty = no plan.
-  std::vector<qec::DecoderKind> decoders;
-  if (rungs.qec && qec_agent_.has_value() && device_.has_value()) {
-    const QecDecoderAgent::Options& configured = qec_agent_->options();
-    decoders = {configured.decoder};
-    for (const qec::DecoderKind kind :
-         {qec::DecoderKind::kUnionFind, qec::DecoderKind::kLookup}) {
-      if (kind != configured.decoder && (kind != qec::DecoderKind::kLookup ||
-                                         configured.target_distance == 3)) {
-        decoders.push_back(kind);
-      }
-    }
-  }
+  Resilience resilience{resilience_, resilience_rng_, result};
   // Tight deadline budget: pre-walk a ladder before spending any of the
   // remainder on its top rung.
   const auto pressed = [&](double threshold) {
     return resilience_.degrade && cancel::budget_pressure() >= threshold;
-  };
-  // The caller may have taken the rag rung away already, in which
-  // case no-rag is the only rung left. On a technique without retrieval
-  // the flag is still handed through: it is part of the generation key.
-  const auto rag_rungs = [&]() -> std::vector<std::string_view> {
-    if (rungs.rag && rag_technique) return {"rag", "no-rag"};
-    return {"no-rag"};
   };
 
   llm::GenerationResult generation;
   cancel::checkpoint("pipeline.generate");
   {
     qtrace::TraceSpan span("pipeline.generate");
-    const Ladder ladder{.stage = "generate",
-                        .rungs = rag_rungs(),
-                        .retrieval_only = true};
+    // On a technique without retrieval the rag flag is still handed
+    // through: it is part of the generation key.
     const bool pressure =
         rungs.rag && rag_technique && pressed(resilience_.pressure_no_rag);
-    walk(
-        result, ladder,
-        [&](std::size_t rung) {
+    resilience.walk(
+        kGenerate, plan_stage(kGenerate, rungs.rag && rag_technique), 0,
+        nullptr, [&](std::size_t rung) {
           generation = codegen_.generate(task, prompt_index,
                                          rungs.rag && rung == 0, gold);
         },
@@ -319,6 +339,7 @@ void MultiAgentPipeline::run_into(
   }
   cancel::charge("pipeline.generate", resilience_.stage_costs.generate);
   const int max_passes = codegen_.config().max_passes;
+  result.trace.reserve(static_cast<std::size_t>(max_passes));
 
   // The previous pass's report (its lowered circuit) and whether its
   // repair carried a preservation obligation — the inputs to repair
@@ -336,14 +357,13 @@ void MultiAgentPipeline::run_into(
     std::shared_ptr<const StaticReport> static_report;
     {
       qtrace::TraceSpan span("pipeline.analyze");
-      Ladder ladder{.stage = "analyze", .pass = pass, .trace = &trace,
-                    .rungs = {"abstract-lints", "core-lints"}};
-      if (!rungs.abstract_lints) ladder.rungs.erase(ladder.rungs.begin());
-      walk(result, ladder, [&](std::size_t rung) {
-        const bool abstract = rungs.abstract_lints && rung == 0;
-        static_report = (abstract ? analyzer_ : core_analyzer_)
-                            .analyze(generation.source);
-      });
+      resilience.walk(
+          kAnalyze, plan_stage(kAnalyze, rungs.abstract_lints), pass, &trace,
+          [&](std::size_t rung) {
+            const bool abstract = rungs.abstract_lints && rung == 0;
+            static_report = (abstract ? analyzer_ : core_analyzer_)
+                                .analyze(generation.source);
+          });
     }
     cancel::charge("pipeline.analyze", resilience_.stage_costs.analyze);
     trace.syntactic_ok = static_report->syntactic_ok;
@@ -362,24 +382,17 @@ void MultiAgentPipeline::run_into(
       semantic_ok = true;
       trace.tvd = 0.0;
       if (rungs.behavioral) {
-        const Ladder ladder{.stage = "verify",
-                            .pass = pass,
-                            .trace = &trace,
-                            .rungs = {"behavioral"},
-                            .floor_from = "behavioral",
-                            .floor_to = "static-only",
-                            .charge_site = "pipeline.verify",
-                            .charge_units = resilience_.stage_costs.verify};
         if (pressed(resilience_.pressure_static_only)) {
-          walk(result, ladder, nullptr, /*pressed=*/true);
+          resilience.walk(kVerify, kVerify.rungs, pass, &trace,
+                          [](std::size_t) {}, /*pressed=*/true);
           rungs.behavioral = false;
         } else {
           qtrace::TraceSpan span("pipeline.verify");
-          cancel::checkpoint("pipeline.verify");
           BehaviorReport behavior;
-          if (walk(result, ladder, [&](std::size_t) {
-                behavior = analyzer_.check_behavior(*static_report, reference);
-              }) == 0) {
+          const auto verify = [&](std::size_t) {
+            behavior = analyzer_.check_behavior(*static_report, reference);
+          };
+          if (resilience.walk(kVerify, kVerify.rungs, pass, &trace, verify)) {
             semantic_ok = behavior.matches;
             trace.tvd = behavior.tvd;
           }
@@ -398,23 +411,14 @@ void MultiAgentPipeline::run_into(
       qtrace::TraceSpan span("pipeline.repair");
       qtrace::Metrics::counter("pipeline.repair_passes");
       cancel::checkpoint("pipeline.repair");
-      // Terminal rung: repair unavailable — keep the best pass so far
-      // instead of failing the trial.
-      const Ladder ladder{.stage = "repair",
-                          .pass = pass,
-                          .trace = &trace,
-                          .rungs = rag_rungs(),
-                          .floor_from = "multi-pass",
-                          .floor_to = "abort",
-                          .retrieval_only = true,
-                          .charge_site = "pipeline.repair",
-                          .charge_units = resilience_.stage_costs.repair};
-      done = walk(result, ladder, [&](std::size_t rung) {
-               generation = codegen_.repair(
-                   task, generation, static_report->diagnostics,
-                   /*semantic_failure=*/static_report->syntactic_ok,
-                   prompt_index, pass, rungs.rag && rung == 0, gold);
-             }) == ladder.rungs.size();
+      done = !resilience.walk(
+          kRepair, plan_stage(kRepair, rungs.rag && rag_technique), pass,
+          &trace, [&](std::size_t rung) {
+            generation = codegen_.repair(
+                task, generation, static_report->diagnostics,
+                /*semantic_failure=*/static_report->syntactic_ok,
+                prompt_index, pass, rungs.rag && rung == 0, gold);
+          });
     }
     if (done) {
       result.syntactic_ok = trace.syntactic_ok;
@@ -434,24 +438,19 @@ void MultiAgentPipeline::run_into(
   if (result.semantic_ok) qtrace::Metrics::counter("pipeline.semantic_ok");
   qtrace::Metrics::observe("pipeline.passes_used",
                           static_cast<double>(result.passes_used));
-  if (!decoders.empty() && result.semantic_ok) {
+  if (rungs.qec && qec_rung_count_ > 0 && result.semantic_ok) {
     qtrace::TraceSpan span("pipeline.qec_plan");
-    Ladder ladder{.stage = "qec",
-                  .pass = result.passes_used,
-                  .floor_to = "none",
-                  .checkpoint = "pipeline.qec_plan"};
-    for (const qec::DecoderKind kind : decoders) {
-      ladder.rungs.push_back(qec::decoder_kind_name(kind));
-    }
-    ladder.floor_from = ladder.rungs.back();
     std::optional<QecPlan> plan;
-    if (walk(result, ladder, [&](std::size_t rung) {
-          failpoint::trip("qec.decode", result.passes_used);
-          QecDecoderAgent::Options options = qec_agent_->options();
-          options.decoder = decoders[rung];
-          plan = QecDecoderAgent(options).plan_for(
-              *device_, &final_report->resources, caches_.qec_lifetime.get());
-        }) < ladder.rungs.size()) {
+    if (resilience.walk(
+            kQec, std::span(qec_rungs_).first(qec_rung_count_),
+            result.passes_used, nullptr, [&](std::size_t rung) {
+              failpoint::trip("qec.decode", result.passes_used);
+              QecDecoderAgent::Options options = qec_agent_->options();
+              options.decoder = qec_decoders_[rung];
+              plan = QecDecoderAgent(options).plan_for(
+                  *device_, &final_report->resources,
+                  caches_.qec_lifetime.get());
+            })) {
       result.qec = std::move(plan);
     }
     cancel::charge("pipeline.qec_plan", resilience_.stage_costs.qec);

@@ -7,14 +7,17 @@
 // retry-with-backoff, per-stage budget limits, and graceful-degradation
 // ladders (abstract interpreter -> core lints only; MWPM decoder ->
 // union-find -> lookup; behavioural verification -> static-only;
-// RAG retrieval -> bare generation), all walked by one rung helper. Each
-// step is recorded as a DegradationEvent on the pass trace and the final
-// result; a stage that stays down after its ladder is exhausted raises
-// PipelineStageError, which the trial scheduler contains as a
-// TrialFailure instead of letting it abort the experiment.
+// RAG retrieval -> bare generation). Each ladder is a constant rung table
+// (the QEC one is fixed by the agent's options at construction), and one
+// loop over rungs x attempts walks them all. Each step is recorded as a
+// DegradationEvent on the pass trace and the final result; a stage that
+// stays down after its ladder is exhausted raises PipelineStageError,
+// which the trial scheduler contains as a TrialFailure instead of letting
+// it abort the experiment.
 
-#include <functional>
+#include <array>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "agents/codegen_agent.hpp"
@@ -282,12 +285,6 @@ class MultiAgentPipeline {
                 const std::shared_ptr<const llm::GoldProgram>& gold,
                 Rungs rungs);
 
-  struct Ladder;  ///< one stage invocation's ladder (pipeline.cpp)
-  /// The rung helper every ladder walks through (see pipeline.cpp).
-  std::size_t walk(PipelineResult& result, const Ladder& ladder,
-                   const std::function<void(std::size_t)>& run,
-                   bool pressed = false);
-
   CodeGenAgent codegen_;
   SemanticAnalyzerAgent analyzer_;  ///< the configured analyze rung
   /// The "core lints only" rung: the abstract interpreter disabled.
@@ -295,6 +292,11 @@ class MultiAgentPipeline {
   PipelineCaches caches_;
   std::optional<QecDecoderAgent> qec_agent_;
   std::optional<DeviceTopology> device_;
+  /// The QEC ladder's rung names and decoders, top first; no rungs
+  /// without a QEC agent and a device.
+  std::array<std::string_view, 3> qec_rungs_{};
+  std::array<qec::DecoderKind, 3> qec_decoders_{};
+  std::size_t qec_rung_count_ = 0;
   ResilienceOptions resilience_;
   Rng resilience_rng_;  ///< seeded backoff jitter (per-trial stream)
   std::vector<DegradationEvent> last_degradations_;  ///< see accessor

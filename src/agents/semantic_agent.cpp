@@ -230,32 +230,19 @@ AnalysisValue SemanticAnalyzerAgent::analyze_impl(
 }
 
 BehaviorReport SemanticAnalyzerAgent::check_behavior(
-    const sim::Circuit& circuit, const sim::Distribution& reference) const {
-  // Only the cache key needs the digest.
-  return judge(circuit, cache_ != nullptr ? circuit_digest(circuit) : 0,
-               reference);
-}
-
-BehaviorReport SemanticAnalyzerAgent::check_behavior(
     const StaticReport& report, const sim::Distribution& reference) const {
   require(report.circuit.has_value(),
           "SemanticAnalyzerAgent::check_behavior: report has no circuit");
-  return judge(*report.circuit, report.circuit_digest, reference);
-}
-
-BehaviorReport SemanticAnalyzerAgent::judge(
-    const sim::Circuit& circuit, std::uint64_t digest,
-    const sim::Distribution& reference) const {
-  BehaviorReport report;
-  report.checked = true;
+  BehaviorReport behavior;
+  behavior.checked = true;
   if (reference.empty()) {
-    report.matches = false;
-    return report;
+    behavior.matches = false;
+    return behavior;
   }
   failpoint::trip("analyzer.simulate");
   const auto simulate = [&] {
     trace::TraceSpan span("analyze.simulate");
-    return sim::exact_distribution(circuit);
+    return sim::exact_distribution(*report.circuit);
   };
   // Keep the shared entry alive while judging against it.
   std::shared_ptr<const AnalysisValue> entry;
@@ -264,7 +251,7 @@ BehaviorReport SemanticAnalyzerAgent::judge(
   if (cache_ != nullptr) {
     const std::uint64_t key = cache::KeyHasher()
                                   .mix(kSimulateSalt)
-                                  .mix(digest)
+                                  .mix(report.circuit_digest)
                                   .digest();
     entry = traced_lookup(*cache_, key, [&] {
       AnalysisValue value;
@@ -278,12 +265,12 @@ BehaviorReport SemanticAnalyzerAgent::judge(
   }
   {
     trace::TraceSpan span("analyze.judge");
-    report.tvd = total_variation_distance(*observed, reference);
-    report.matches =
-        !observed->empty() && report.tvd <= config_->options.tvd_threshold;
+    behavior.tvd = total_variation_distance(*observed, reference);
+    behavior.matches =
+        !observed->empty() && behavior.tvd <= config_->options.tvd_threshold;
   }
-  trace::Metrics::observe("judge.tvd", report.tvd);
-  return report;
+  trace::Metrics::observe("judge.tvd", behavior.tvd);
+  return behavior;
 }
 
 }  // namespace qcgen::agents

@@ -131,19 +131,15 @@ class SemanticAnalyzerAgent {
   /// immutable and equal to what an uncached call computes.
   std::shared_ptr<const StaticReport> analyze(const std::string& source) const;
 
-  /// Computes the circuit's exact measurement distribution and compares
-  /// it to the reference under total variation distance.
-  BehaviorReport check_behavior(const sim::Circuit& circuit,
-                                const sim::Distribution& reference) const;
-  /// The same for a report's lowered circuit (it must have one), keyed by
-  /// the digest the report already carries.
+  /// Computes the exact measurement distribution of a report's lowered
+  /// circuit (it must have one) and compares it to the reference under
+  /// total variation distance. The cache keys it by the digest the report
+  /// already carries.
   BehaviorReport check_behavior(const StaticReport& report,
                                 const sim::Distribution& reference) const;
 
  private:
   AnalysisValue analyze_impl(const std::string& source) const;
-  BehaviorReport judge(const sim::Circuit& circuit, std::uint64_t digest,
-                       const sim::Distribution& reference) const;
 
   std::shared_ptr<const Config> config_;
   std::shared_ptr<AnalysisCache> cache_;

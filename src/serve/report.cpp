@@ -207,11 +207,13 @@ Json LifecycleSummary::to_json() const {
   return row;
 }
 
-Json serving_timing_json(const Server& server, std::size_t semantic_ok,
-                         double wall_seconds) {
+Json serving_timing_json(const std::vector<RequestResult>& results,
+                         std::size_t semantic_ok, double wall_seconds) {
   std::vector<double> latencies;
-  for (const auto& [id, latency] : server.wall_latencies()) {
-    latencies.push_back(latency);
+  for (const RequestResult& result : results) {
+    if (result.outcome != RequestOutcome::kShed) {
+      latencies.push_back(result.wall_latency_seconds);
+    }
   }
   Json out;
   out["latency_seconds"] = LatencyQuantiles::of(std::move(latencies)).to_json();

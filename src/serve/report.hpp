@@ -63,10 +63,11 @@ struct ServingSummary {
 };
 
 /// Wall-clock companion row for the report's "timing" subtree: latency
-/// quantiles over the server's measured submit->completion times plus
-/// goodput (semantically-correct completions per wall second).
-Json serving_timing_json(const Server& server, std::size_t semantic_ok,
-                         double wall_seconds);
+/// quantiles over the measured submit->completion times of the executed
+/// (non-shed) requests plus goodput (semantically-correct completions per
+/// wall second).
+Json serving_timing_json(const std::vector<RequestResult>& results,
+                         std::size_t semantic_ok, double wall_seconds);
 
 /// Deterministic request-lifecycle summary of one serving row: deadline
 /// outcomes, budget-pressure pre-degradations, breaker activity and the

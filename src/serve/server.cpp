@@ -242,7 +242,6 @@ void Server::execute(QueuedRequest& item) {
           .count();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    wall_latencies_[result.id] = result.wall_latency_seconds;
     switch (result.outcome) {
       case RequestOutcome::kCompleted:
         ++stats_.completed;
@@ -459,11 +458,6 @@ std::vector<CacheLayerReport> Server::cache_reports() const {
 Server::Stats Server::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::map<std::uint64_t, double> Server::wall_latencies() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return wall_latencies_;
 }
 
 }  // namespace qcgen::serve

@@ -179,9 +179,6 @@ class Server {
   /// once every in-flight compute has resolved.
   std::vector<CacheLayerReport> cache_reports() const;
   Stats stats() const;
-  /// Wall-clock submit -> completion latency per completed/failed
-  /// request id, in seconds (timing-class data).
-  std::map<std::uint64_t, double> wall_latencies() const;
 
  private:
   /// Per-request lifecycle state, created eagerly by cancel() or submit()
@@ -217,10 +214,9 @@ class Server {
   std::unique_ptr<BreakerBoard> breaker_;  ///< null unless enabled
   AdmissionController admission_;
 
-  mutable std::mutex mutex_;  ///< stats, latencies, lifecycles, sinks
+  mutable std::mutex mutex_;  ///< stats, lifecycles, sinks
   Stats stats_;
   std::map<std::uint64_t, Lifecycle> lifecycles_;
-  std::map<std::uint64_t, double> wall_latencies_;
   std::map<std::uint64_t, std::unique_ptr<trace::TraceSink>> sinks_;
 
   ThreadPool pool_;  ///< last member: workers must die before state

@@ -143,11 +143,20 @@ TEST(SemanticAgent, AnalyzeSeparatesGoodAndBad) {
   EXPECT_FALSE(bad->circuit.has_value());
 }
 
+/// A report whose lowered circuit is `circuit`, as analyze() builds it.
+StaticReport lowered(const sim::Circuit& circuit) {
+  StaticReport report;
+  report.syntactic_ok = true;
+  report.circuit = circuit;
+  report.circuit_digest = circuit_digest(circuit);
+  return report;
+}
+
 TEST(SemanticAgent, BehaviorCheckAgainstReference) {
   const SemanticAnalyzerAgent agent;
   const sim::Circuit bell = sim::circuits::bell_pair();
   const sim::Distribution reference = sim::exact_distribution(bell);
-  const auto match = agent.check_behavior(bell, reference);
+  const auto match = agent.check_behavior(lowered(bell), reference);
   EXPECT_TRUE(match.matches);
   EXPECT_NEAR(match.tvd, 0.0, 1e-9);
 
@@ -155,15 +164,15 @@ TEST(SemanticAgent, BehaviorCheckAgainstReference) {
   sim::Circuit wrong(2, 2);
   wrong.x(0);
   wrong.measure_all();
-  const auto mismatch = agent.check_behavior(wrong, reference);
+  const auto mismatch = agent.check_behavior(lowered(wrong), reference);
   EXPECT_FALSE(mismatch.matches);
   EXPECT_GT(mismatch.tvd, 0.5);
 }
 
 TEST(SemanticAgent, EmptyReferenceNeverMatches) {
   const SemanticAnalyzerAgent agent;
-  const auto report =
-      agent.check_behavior(sim::circuits::bell_pair(), sim::Distribution{});
+  const auto report = agent.check_behavior(
+      lowered(sim::circuits::bell_pair()), sim::Distribution{});
   EXPECT_TRUE(report.checked);
   EXPECT_FALSE(report.matches);
 }

@@ -96,11 +96,12 @@ std::size_t second_matrix_setup_allocations() {
 }  // namespace
 
 TEST(AllocBudget, EvalTrialStaysUnderBudget) {
-  // Measured at 231.5 per trial (GCC 12, libstdc++, Release); the trial
-  // path deep-copied its artifacts at 402 before, and reprinted untouched
-  // gold programs and copied unedited repairs at 235.8. The budget leaves
-  // about 10% of headroom for toolchain differences.
-  constexpr double kBudget = 255.0;
+  // Measured at 217.3 per trial (GCC 12, libstdc++, Release); the trial
+  // path deep-copied its artifacts at 402 before, reprinted untouched
+  // gold programs and copied unedited repairs at 235.8, and built its
+  // ladders' rung vectors and std::function bodies per call at 231.5.
+  // The budget leaves about 10% of headroom for toolchain differences.
+  constexpr double kBudget = 240.0;
   const double per_trial = allocations_per_trial();
   std::printf("allocations per trial: %.1f (budget %.0f)\n", per_trial,
               kBudget);

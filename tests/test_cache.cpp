@@ -357,9 +357,9 @@ TEST(AnalysisLayer, BehaviorCheckCachesTheJudgedDistribution) {
 
   const agents::SemanticAnalyzerAgent uncached;
   const auto reference = sim::exact_distribution(*report->circuit);
-  const auto pure = uncached.check_behavior(*report->circuit, reference);
-  const auto miss = agent.check_behavior(*report->circuit, reference);
-  const auto hit = agent.check_behavior(*report->circuit, reference);
+  const auto pure = uncached.check_behavior(*report, reference);
+  const auto miss = agent.check_behavior(*report, reference);
+  const auto hit = agent.check_behavior(*report, reference);
   EXPECT_EQ(miss.matches, pure.matches);
   EXPECT_EQ(miss.tvd, pure.tvd);  // bitwise: same simulate, same judge
   EXPECT_EQ(hit.matches, miss.matches);

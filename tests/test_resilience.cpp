@@ -239,7 +239,7 @@ TEST(Resilience, OracleReferencesHaveUnitMassAndEmptyReferenceMismatches) {
       "import qiskit; circuit main(q: 1, c: 1) { h q[0]; measure_all; }");
   ASSERT_TRUE(parsed.syntactic_ok);
   const agents::BehaviorReport behavior =
-      analyzer.check_behavior(*parsed.circuit, sim::Distribution{});
+      analyzer.check_behavior(parsed, sim::Distribution{});
   EXPECT_TRUE(behavior.checked);
   EXPECT_FALSE(behavior.matches);
   EXPECT_EQ(behavior.tvd, 1.0);

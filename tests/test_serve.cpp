@@ -614,6 +614,23 @@ TEST(Report, QuantilesAreNearestRankAndMonotonic) {
   EXPECT_DOUBLE_EQ(empty.max, 0.0);
 }
 
+TEST(Report, TimingRowReadsExecutedRequestsOnly) {
+  // A shed request resolves at submit and runs nothing: its zero wall
+  // latency stays out of the quantiles.
+  std::vector<serve::RequestResult> results(3);
+  results[0].outcome = serve::RequestOutcome::kCompleted;
+  results[0].wall_latency_seconds = 0.25;
+  results[1].outcome = serve::RequestOutcome::kShed;
+  results[2].outcome = serve::RequestOutcome::kCancelled;
+  results[2].wall_latency_seconds = 0.5;
+  Json expected;
+  expected["latency_seconds"] =
+      serve::LatencyQuantiles::of({0.25, 0.5}).to_json();
+  expected["goodput_per_second"] = 0.5;
+  EXPECT_EQ(serve::serving_timing_json(results, 1, 2.0).dump(),
+            expected.dump());
+}
+
 TEST(Report, SummaryCountsMatchServerStats) {
   const auto catalog = small_catalog();
   serve::AdmissionOptions admission;
