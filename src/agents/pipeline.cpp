@@ -123,8 +123,9 @@ struct Resilience {
           }
           if (!failure.has_value()) {
             if (over_budget()) {
-              failure = RunFailure{.what = std::string(stage.name) +
-                                           ": stage budget exhausted by delays"};
+              failure = RunFailure{
+                  .what = std::string(stage.name) +
+                          ": stage budget exhausted by delays"};
             }
             break;
           }
