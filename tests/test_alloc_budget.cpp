@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <string>
 #include <vector>
 
-#include "eval/parallel.hpp"
-#include "eval/runner.hpp"
-#include "eval/suite.hpp"
+#include "agents/semantic_agent.hpp"
+
+#include "analyzer_corpus.hpp"
 
 namespace {
 std::atomic<std::size_t> allocations{0};
@@ -40,30 +42,6 @@ using namespace qcgen;
 
 namespace {
 
-/// Runs perfbench's eval shape (RAG, three passes, one worker, eight
-/// samples) over every third semantic-suite case, calling `visit` per
-/// trial; returns the number of visits.
-template <typename Visit>
-std::size_t run_eval_shape(Visit&& visit) {
-  const auto full = eval::semantic_suite();
-  std::vector<eval::TestCase> suite;
-  for (std::size_t i = 0; i < full.size(); i += 3) suite.push_back(full[i]);
-  auto technique =
-      agents::TechniqueConfig::with_rag(llm::ModelProfile::kStarCoder3B);
-  technique.max_passes = 3;
-  eval::RunnerOptions options;
-  options.seed = 2025;
-  options.threads = 1;
-  std::size_t visits = 0;
-  eval::run_trial_matrix(technique, suite, 8, options,
-                         [&](const eval::Trial& trial) {
-                           EXPECT_EQ(trial.failure, nullptr);
-                           visit(visits++);
-                         });
-  EXPECT_EQ(visits, 8 * suite.size());
-  return visits;
-}
-
 /// Allocations per trial of the eval shape. Counted between the first
 /// and the last visit, so the matrix's one-off setup (corpora, indexes,
 /// reference oracle) is left out and each counted stretch is exactly one
@@ -71,10 +49,11 @@ std::size_t run_eval_shape(Visit&& visit) {
 double allocations_per_trial() {
   std::size_t first = 0;
   std::size_t last = 0;
-  const std::size_t visits = run_eval_shape([&](std::size_t visit) {
-    last = allocations.load();
-    if (visit == 0) first = last;
-  });
+  const std::size_t visits =
+      testing_support::run_eval_shape(2025, [&](const eval::Trial& trial) {
+        last = allocations.load();
+        if (trial.case_idx == 0 && trial.sample_idx == 0) first = last;
+      });
   return static_cast<double>(last - first) /
          static_cast<double>(visits - 1);
 }
@@ -84,13 +63,37 @@ double allocations_per_trial() {
 /// plus its first trial, once an earlier matrix in the process has
 /// filled the process-wide knowledge, store and gold tables.
 std::size_t second_matrix_setup_allocations() {
-  run_eval_shape([](std::size_t) {});
+  testing_support::run_eval_shape(2025, [](const eval::Trial&) {});
   const std::size_t start = allocations.load();
   std::size_t before_first_visit = 0;
-  run_eval_shape([&](std::size_t visit) {
-    if (visit == 0) before_first_visit = allocations.load() - start;
+  testing_support::run_eval_shape(2025, [&](const eval::Trial& trial) {
+    if (trial.case_idx == 0 && trial.sample_idx == 0) {
+      before_first_visit = allocations.load() - start;
+    }
   });
   return before_first_visit;
+}
+
+/// Allocations per uncached SemanticAnalyzerAgent::analyze over
+/// `sources`, each analyzed once before counting so that first-use
+/// set-up (registries, the language table) is left out.
+double allocations_per_miss(const std::vector<std::string>& sources) {
+  const agents::SemanticAnalyzerAgent analyzer;
+  for (const std::string& source : sources) analyzer.analyze(source);
+  const std::size_t start = allocations.load();
+  for (const std::string& source : sources) analyzer.analyze(source);
+  return static_cast<double>(allocations.load() - start) /
+         static_cast<double>(sources.size());
+}
+
+/// The distinct final programs of the eval shape: what its analysis
+/// misses are made of.
+std::vector<std::string> eval_shape_programs() {
+  std::set<std::string> distinct;
+  testing_support::run_eval_shape(2025, [&](const eval::Trial& trial) {
+    distinct.insert(trial.result->generation.source);
+  });
+  return {distinct.begin(), distinct.end()};
 }
 
 }  // namespace
@@ -120,4 +123,15 @@ TEST(AllocBudget, SecondMatrixSetUpStaysUnderBudget) {
               setup, kBudget);
   EXPECT_GT(setup, 0u);
   EXPECT_LT(setup, kBudget);
+}
+
+TEST(AllocBudget, AnalysisMissStaysUnderBudget) {
+  const double generated = allocations_per_miss(eval_shape_programs());
+  const double corpus =
+      allocations_per_miss(testing_support::golden_sources());
+  std::printf("allocations per analysis miss: %.1f on generated programs, "
+              "%.1f on the analyzer corpus\n",
+              generated, corpus);
+  EXPECT_GT(generated, 0.0);
+  EXPECT_GT(corpus, 0.0);
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <unordered_map>
@@ -353,6 +356,101 @@ TEST(LexerOracle, EdgeCases) {
       "\n\n\n",
   };
   for (const char* input : inputs) expect_matches_oracle(input);
+}
+
+// --- Pinned edge cases ------------------------------------------------------
+//
+// Exact expectations for the inputs where a character classifier or a
+// number parser could differ from the C locale's <cctype> and std::atof.
+
+/// std::atof of a token's text, bit for bit comparable.
+std::uint64_t atof_bits(std::string_view text) {
+  return std::bit_cast<std::uint64_t>(std::atof(std::string(text).c_str()));
+}
+
+TEST(LexerEdgeCases, ExponentsLeadingDotsAndOverflow) {
+  const LexResult r = lex("1e3 2.5E-2 7.e2 .5 2e 3e- 1e+4 1e999 1e-400 4e-320");
+  ASSERT_TRUE(r.diagnostics.empty());
+  const char* const texts[] = {"1e3", "2.5E-2", "7.e2", ".5",  "2e",
+                               "3e-", "1e+4",   "1e999", "1e-400", "4e-320"};
+  ASSERT_EQ(r.tokens.size(), std::size(texts) + 1);
+  for (std::size_t i = 0; i < std::size(texts); ++i) {
+    EXPECT_EQ(r.tokens[i].kind, TokenKind::kNumber) << texts[i];
+    EXPECT_EQ(r.tokens[i].text, texts[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.tokens[i].number),
+              atof_bits(texts[i]))
+        << texts[i];
+  }
+  EXPECT_EQ(r.tokens[0].number, 1000.0);
+  EXPECT_EQ(r.tokens[2].number, 700.0);
+  EXPECT_EQ(r.tokens[3].number, 0.5);
+  EXPECT_EQ(r.tokens[4].number, 2.0);
+  EXPECT_EQ(r.tokens[5].number, 3.0);
+  EXPECT_EQ(r.tokens[6].number, 10000.0);
+  EXPECT_TRUE(std::isinf(r.tokens[7].number));
+  EXPECT_GT(r.tokens[7].number, 0.0);
+  EXPECT_EQ(r.tokens[8].number, 0.0);
+  EXPECT_GT(r.tokens[9].number, 0.0);  // subnormal, not flushed
+  EXPECT_LT(r.tokens[9].number, 1e-300);
+}
+
+TEST(LexerEdgeCases, VerticalTabAndFormFeedAreWhitespace) {
+  const LexResult r = lex("h\vq\f[0];\v\n\fx q[1];");
+  EXPECT_TRUE(r.diagnostics.empty());
+  const auto kinds = kinds_of(r);
+  const TokenKind expected[] = {
+      TokenKind::kIdentifier, TokenKind::kIdentifier, TokenKind::kLBracket,
+      TokenKind::kNumber,     TokenKind::kRBracket,   TokenKind::kSemicolon,
+      TokenKind::kIdentifier, TokenKind::kIdentifier, TokenKind::kLBracket,
+      TokenKind::kNumber,     TokenKind::kRBracket,   TokenKind::kSemicolon,
+      TokenKind::kEof};
+  ASSERT_EQ(kinds.size(), std::size(expected));
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(kinds[i], expected[i]) << "token " << i;
+  }
+  // Each whitespace byte takes one column; only '\n' starts a line.
+  EXPECT_EQ(r.tokens[1].column, 3);
+  EXPECT_EQ(r.tokens[2].column, 5);
+  EXPECT_EQ(r.tokens[6].line, 2);
+  EXPECT_EQ(r.tokens[6].column, 2);
+}
+
+TEST(LexerEdgeCases, HighBytesAreNeitherLettersNorSpace) {
+  // UTF-8 'e' with an acute accent, then bytes 0x80, 0xa0 (no-break space
+  // in Latin-1) and 0xff.
+  const LexResult r = lex("a\xc3\xa9" "b \x80\xa0\xff 1");
+  ASSERT_EQ(r.diagnostics.size(), 5u);
+  const int columns[] = {2, 3, 6, 7, 8};
+  const char bytes[] = {'\xc3', '\xa9', '\x80', '\xa0', '\xff'};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(r.diagnostics[i].code, DiagCode::kLexError);
+    EXPECT_EQ(r.diagnostics[i].column, columns[i]);
+    EXPECT_EQ(r.diagnostics[i].message,
+              std::string("unexpected character '") + bytes[i] + "'");
+  }
+  ASSERT_EQ(r.tokens.size(), 4u);
+  EXPECT_EQ(r.tokens[0].text, "a");
+  EXPECT_EQ(r.tokens[1].text, "b");
+  EXPECT_EQ(r.tokens[1].column, 4);
+  EXPECT_EQ(r.tokens[2].kind, TokenKind::kNumber);
+  EXPECT_EQ(r.tokens[2].column, 10);
+}
+
+TEST(LexerEdgeCases, EveryNumberOfTheFuzzCorpusEqualsAtof) {
+  std::size_t numbers = 0;
+  for (int seed = 1; seed < 7; ++seed) {
+    for (const std::string& source :
+         testing_support::mutated_gold_sources(seed)) {
+      for (const Token& token : lex(source).tokens) {
+        if (token.kind != TokenKind::kNumber) continue;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(token.number),
+                  atof_bits(token.text))
+            << token.text;
+        ++numbers;
+      }
+    }
+  }
+  EXPECT_GT(numbers, 1000u);
 }
 
 TEST(DiagnosticHelpers, FormatErrorTrace) {
