@@ -1,6 +1,7 @@
 #include "agents/semantic_agent.hpp"
 
 #include <atomic>
+#include <iterator>
 
 #include "common/cache/hash.hpp"
 #include "common/error.hpp"
@@ -215,13 +216,21 @@ AnalysisValue SemanticAnalyzerAgent::analyze_impl(
     return qasm::lint::run_passes(facts, qasm::LanguageRegistry::current(),
                                   config_->lint, &resources);
   }();
-  report.diagnostics.insert(report.diagnostics.end(),
-                            analysis.diagnostics.begin(),
-                            analysis.diagnostics.end());
+  const bool lint_ok = analysis.ok();
+  // The lint diagnostics move into the report: their strings are not
+  // copied.
+  if (report.diagnostics.empty()) {
+    report.diagnostics = std::move(analysis.diagnostics);
+  } else {
+    report.diagnostics.insert(
+        report.diagnostics.end(),
+        std::make_move_iterator(analysis.diagnostics.begin()),
+        std::make_move_iterator(analysis.diagnostics.end()));
+  }
   report.error_trace = qasm::format_error_trace(report.diagnostics);
   trace::Metrics::counter("analyze.diagnostics",
                           static_cast<std::int64_t>(report.diagnostics.size()));
-  if (!analysis.ok()) return value;
+  if (!lint_ok) return value;
   report.syntactic_ok = true;
   trace::TraceSpan span("analyze.lower");
   report.circuit = qasm::build_circuit(*parsed.program);

@@ -39,7 +39,7 @@ constexpr std::size_t kMinSerialRun = 10;
 constexpr std::size_t kMinSerialDepth = 14;
 
 std::string qubit_ref(const CircuitDecl& circ, std::size_t q) {
-  return circ.qreg_name + "[" + std::to_string(q) + "]";
+  return concat({circ.qreg_name, "[", std::to_string(q), "]"});
 }
 
 /// The per-circuit resource lattice, or nullptr when not computed.
@@ -177,11 +177,11 @@ class IdleQubitHotspotPass final : public LintPass {
         if (!life.used || life.max_idle_gap < kMinIdleGap) continue;
         if (life.max_idle_gap * 2 < res->depth.max) continue;
         sink.report(Severity::kWarning, DiagCode::kIdleQubitHotspot,
-                    qubit_ref(circ, q) + " is idle for " +
-                        std::to_string(life.max_idle_gap) + " of the " +
-                        std::to_string(res->depth.max) +
-                        " circuit layers between two uses; idle qubits "
-                        "accumulate decoherence without doing work",
+                    concat({qubit_ref(circ, q), " is idle for ",
+                            std::to_string(life.max_idle_gap), " of the ",
+                            std::to_string(res->depth.max),
+                            " circuit layers between two uses; idle qubits "
+                            "accumulate decoherence without doing work"}),
                     facts.ops[life.first_op].line);
         ++reported;
       }
@@ -222,10 +222,10 @@ class UncomputedAncillaPass final : public LintPass {
             });
         if (!entangled) continue;
         sink.report(Severity::kWarning, DiagCode::kUncomputedAncilla,
-                    "ancilla " + qubit_ref(circ, q) +
-                        " is entangled with the circuit but never measured "
-                        "or uncomputed; reset it (or uncompute it) before "
-                        "the final measurement",
+                    concat({"ancilla ", qubit_ref(circ, q),
+                            " is entangled with the circuit but never "
+                            "measured or uncomputed; reset it (or uncompute "
+                            "it) before the final measurement"}),
                     facts.ops[life.last_op].line);
         ++reported;
       }

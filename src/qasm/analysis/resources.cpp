@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <string_view>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "qasm/lint/abstract/interpreter.hpp"
@@ -36,39 +38,57 @@ bool executable(const FlatOp& op, const CircuitDecl& circ) {
   return true;
 }
 
-/// In-range guard clbit indices of an op's if-chain.
-std::vector<std::size_t> guard_clbits(const FlatOp& op,
-                                      const CircuitDecl& circ) {
-  std::vector<std::size_t> out;
+/// Calls fn(c) for each in-range guard clbit of an op's if-chain.
+template <typename Fn>
+void for_each_guard_clbit(const FlatOp& op, const CircuitDecl& circ,
+                          const Fn& fn) {
   for (const IfStmt* guard : op.guards) {
-    if (guard->clbit.index < circ.num_clbits) out.push_back(guard->clbit.index);
+    if (guard->clbit.index < circ.num_clbits) fn(guard->clbit.index);
   }
-  return out;
+}
+
+/// Calls fn(q) for each qubit a scheduled op occupies: every qubit for
+/// measure_all, else its in-range operands (a repeated operand repeats;
+/// the schedule's max and assignment are idempotent). Returns false when
+/// there is none.
+template <typename Fn>
+bool for_each_op_qubit(const FlatOp& op, const CircuitFacts& facts,
+                       const Fn& fn) {
+  if (std::holds_alternative<MeasureAllStmt>(*op.stmt)) {
+    for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) fn(q);
+    return facts.circuit->num_qubits > 0;
+  }
+  const auto operands = qubit_operands(op, facts);
+  for (const std::size_t q : operands) fn(q);
+  return !operands.empty();
 }
 
 struct Schedule {
   std::size_t depth = 0;
   std::size_t t_depth = 0;
-  /// 1-based ASAP layer per op (0 = unscheduled).
-  std::vector<std::size_t> layer;
 };
 
 /// Forward ASAP interval scheduling over the flat op list. When
 /// `include_maybe` is false only certainly-reachable ops are placed
-/// (the lower bound of the depth interval).
-Schedule schedule_asap(const CircuitFacts& facts,
-                       const std::vector<OpFact::Reach>& reach,
-                       bool include_maybe) {
+/// (the lower bound of the depth interval). `levels` is scratch space;
+/// `layers`, when given, receives each op's 1-based ASAP layer (0 =
+/// unscheduled).
+template <typename Reach>
+Schedule schedule_asap(const CircuitFacts& facts, const Reach& reach,
+                       bool include_maybe, std::vector<std::size_t>& levels,
+                       std::vector<OpResource>* layers) {
   const CircuitDecl& circ = *facts.circuit;
   Schedule out;
-  out.layer.assign(facts.ops.size(), 0);
-  std::vector<std::size_t> qubit_level(circ.num_qubits, 0);
-  std::vector<std::size_t> clbit_level(circ.num_clbits, 0);
-  std::vector<std::size_t> t_level(circ.num_qubits, 0);
-  std::vector<std::size_t> qubits;  // the op's distinct qubits, reused
+  levels.assign(2 * circ.num_qubits + circ.num_clbits, 0);
+  const std::span<std::size_t> qubit_level(levels.data(), circ.num_qubits);
+  const std::span<std::size_t> t_level(levels.data() + circ.num_qubits,
+                                       circ.num_qubits);
+  const std::span<std::size_t> clbit_level(
+      levels.data() + 2 * circ.num_qubits, circ.num_clbits);
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
-    if (reach[i] == OpFact::Reach::kUnreachable) continue;
-    if (!include_maybe && reach[i] == OpFact::Reach::kMaybe) continue;
+    const OpFact::Reach r = reach(i);
+    if (r == OpFact::Reach::kUnreachable) continue;
+    if (!include_maybe && r == OpFact::Reach::kMaybe) continue;
     const FlatOp& op = facts.ops[i];
     if (std::holds_alternative<BarrierStmt>(*op.stmt)) {
       // Synchronise every qubit clock without occupying a layer.
@@ -83,36 +103,27 @@ Schedule schedule_asap(const CircuitFacts& facts,
       continue;
     }
     if (!executable(op, circ)) continue;
-    if (std::holds_alternative<MeasureAllStmt>(*op.stmt)) {
-      qubits.resize(circ.num_qubits);
-      for (std::size_t q = 0; q < circ.num_qubits; ++q) qubits[q] = q;
-    } else {
-      const auto operands = qubit_operands(op, facts);
-      qubits.assign(operands.begin(), operands.end());
-      std::sort(qubits.begin(), qubits.end());
-      qubits.erase(std::unique(qubits.begin(), qubits.end()), qubits.end());
-    }
-    if (qubits.empty()) continue;  // every operand out of range
     std::size_t ready = 0;
     std::size_t t_in = 0;
-    for (const std::size_t q : qubits) {
+    const bool occupies = for_each_op_qubit(op, facts, [&](std::size_t q) {
       ready = std::max(ready, qubit_level[q]);
       t_in = std::max(t_in, t_level[q]);
-    }
-    for (const std::size_t c : guard_clbits(op, circ)) {
+    });
+    if (!occupies) continue;  // every operand out of range
+    for_each_guard_clbit(op, circ, [&](std::size_t c) {
       ready = std::max(ready, clbit_level[c]);
-    }
+    });
     const std::size_t layer = ready + 1;
-    out.layer[i] = layer;
+    if (layers != nullptr) (*layers)[i].asap_layer = layer;
     out.depth = std::max(out.depth, layer);
     const bool is_t = op.gate == sim::GateKind::kT ||
                       op.gate == sim::GateKind::kTdg;
     const std::size_t t_out = t_in + (is_t ? 1 : 0);
     out.t_depth = std::max(out.t_depth, t_out);
-    for (const std::size_t q : qubits) {
+    for_each_op_qubit(op, facts, [&](std::size_t q) {
       qubit_level[q] = layer;
       t_level[q] = t_out;
-    }
+    });
     if (const auto* measure = std::get_if<MeasureStmt>(op.stmt)) {
       if (measure->clbit.index < circ.num_clbits) {
         clbit_level[measure->clbit.index] = layer;
@@ -124,37 +135,35 @@ Schedule schedule_asap(const CircuitFacts& facts,
   return out;
 }
 
-/// Reverse (ALAP) pass mirroring schedule_asap against its depth:
-/// every scheduled op lands on the latest layer that still meets each
-/// operand's next use. Unscheduled ops keep layer 0.
-std::vector<std::size_t> schedule_alap(const CircuitFacts& facts,
-                                       const Schedule& asap) {
+/// Reverse (ALAP) pass mirroring schedule_asap against its depth: every
+/// scheduled op (asap_layer > 0 in `ops`) lands on the latest layer that
+/// still meets each operand's next use, written to its alap_layer.
+/// `deadlines` is scratch space.
+void schedule_alap(const CircuitFacts& facts, std::size_t depth,
+                   std::vector<std::size_t>& deadlines,
+                   std::vector<OpResource>& ops) {
   const CircuitDecl& circ = *facts.circuit;
-  std::vector<std::size_t> alap(facts.ops.size(), 0);
-  std::vector<std::size_t> qubit_deadline(circ.num_qubits, asap.depth + 1);
-  std::vector<std::size_t> clbit_deadline(circ.num_clbits, asap.depth + 1);
-  std::vector<std::size_t> all_qubits(circ.num_qubits);
-  for (std::size_t q = 0; q < circ.num_qubits; ++q) all_qubits[q] = q;
+  deadlines.assign(circ.num_qubits + circ.num_clbits, depth + 1);
+  const std::span<std::size_t> qubit_deadline(deadlines.data(),
+                                              circ.num_qubits);
+  const std::span<std::size_t> clbit_deadline(
+      deadlines.data() + circ.num_qubits, circ.num_clbits);
   for (std::size_t r = facts.ops.size(); r > 0; --r) {
     const std::size_t i = r - 1;
     const FlatOp& op = facts.ops[i];
     if (std::holds_alternative<BarrierStmt>(*op.stmt)) {
-      std::size_t sync = asap.depth + 1;
+      std::size_t sync = depth + 1;
       for (std::size_t q = 0; q < circ.num_qubits; ++q) {
         sync = std::min(sync, qubit_deadline[q]);
       }
       std::fill(qubit_deadline.begin(), qubit_deadline.end(), sync);
       continue;
     }
-    if (asap.layer[i] == 0) continue;
-    const std::span<const std::size_t> qubits =
-        std::holds_alternative<MeasureAllStmt>(*op.stmt)
-            ? std::span<const std::size_t>(all_qubits)
-            : qubit_operands(op, facts);
-    std::size_t deadline = asap.depth + 1;
-    for (const std::size_t q : qubits) {
+    if (ops[i].asap_layer == 0) continue;
+    std::size_t deadline = depth + 1;
+    for_each_op_qubit(op, facts, [&](std::size_t q) {
       deadline = std::min(deadline, qubit_deadline[q]);
-    }
+    });
     if (const auto* measure = std::get_if<MeasureStmt>(op.stmt)) {
       if (measure->clbit.index < circ.num_clbits) {
         deadline = std::min(deadline, clbit_deadline[measure->clbit.index]);
@@ -166,14 +175,14 @@ std::vector<std::size_t> schedule_alap(const CircuitFacts& facts,
     }
     // ALAP never schedules before ASAP (deadline >= asap+1 by
     // construction on well-formed schedules; clamp defensively).
-    const std::size_t layer = std::max(deadline - 1, asap.layer[i]);
-    alap[i] = layer;
-    for (const std::size_t q : qubits) qubit_deadline[q] = layer;
-    for (const std::size_t c : guard_clbits(op, circ)) {
+    const std::size_t layer = std::max(deadline - 1, ops[i].asap_layer);
+    ops[i].alap_layer = layer;
+    for_each_op_qubit(op, facts,
+                      [&](std::size_t q) { qubit_deadline[q] = layer; });
+    for_each_guard_clbit(op, circ, [&](std::size_t c) {
       clbit_deadline[c] = std::min(clbit_deadline[c], layer);
-    }
+    });
   }
-  return alap;
 }
 
 void count_op(CircuitResources& res, const FlatOp& op, const CircuitDecl& circ,
@@ -182,9 +191,13 @@ void count_op(CircuitResources& res, const FlatOp& op, const CircuitDecl& circ,
   if (const auto* gate = std::get_if<GateStmt>(op.stmt)) {
     res.gate_count.add(certain);
     const std::optional<sim::GateKind> kind = op.gate;
-    const std::string name =
-        kind ? std::string(sim::gate_name(*kind)) : gate->name;
-    res.histogram[name].add(certain);
+    const std::string_view name =
+        kind ? sim::gate_name(*kind) : std::string_view(gate->name);
+    auto bin = res.histogram.find(name);
+    if (bin == res.histogram.end()) {
+      bin = res.histogram.try_emplace(std::string(name)).first;
+    }
+    bin->second.add(certain);
     if (!kind) return;
     const sim::GateInfo& info = sim::gate_info(*kind);
     if (*kind == sim::GateKind::kT || *kind == sim::GateKind::kTdg) {
@@ -216,7 +229,7 @@ void compute_lifetimes(CircuitResources& res, const CircuitFacts& facts) {
   for (std::size_t q = 0; q < circ.num_qubits; ++q) {
     QubitLifetime& life = res.qubits[q];
     std::size_t prev_layer = 0;
-    for (const QubitEvent& event : facts.qubit_events[q]) {
+    for (const QubitEvent& event : facts.qubit_events(q)) {
       if (event.kind == QubitEvent::Kind::kBarrier) continue;
       if (!res.ops[event.op].counted) continue;  // unreachable / ineffective
       const FlatOp& op = facts.ops[event.op];
@@ -270,37 +283,36 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
 
   // Reachability verdict per op (kMaybe for guarded ops when the
   // abstract interpreter did not run or skipped the circuit).
-  std::vector<OpFact::Reach> reach(facts.ops.size(), OpFact::Reach::kRun);
   const bool have_abstract =
       abstract_facts != nullptr && abstract_facts->computed &&
       abstract_facts->ops.size() == facts.ops.size();
-  for (std::size_t i = 0; i < facts.ops.size(); ++i) {
-    reach[i] = op_reach(facts.ops[i],
-                        have_abstract ? &abstract_facts->ops[i] : nullptr);
-  }
+  const auto reach = [&](std::size_t i) {
+    return op_reach(facts.ops[i],
+                    have_abstract ? &abstract_facts->ops[i] : nullptr);
+  };
 
   // Counts.
   res.ops.assign(facts.ops.size(), OpResource{});
+  bool has_maybe = false;
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
     const FlatOp& op = facts.ops[i];
-    if (reach[i] == OpFact::Reach::kUnreachable) continue;
+    const OpFact::Reach r = reach(i);
+    has_maybe = has_maybe || r == OpFact::Reach::kMaybe;
+    if (r == OpFact::Reach::kUnreachable) continue;
     if (!executable(op, circ)) continue;
     res.ops[i].counted = true;
-    res.ops[i].certain = reach[i] == OpFact::Reach::kRun;
+    res.ops[i].certain = r == OpFact::Reach::kRun;
     count_op(res, op, circ, res.ops[i].certain);
   }
 
   // Depth interval: upper-bound schedule places kRun + kMaybe ops, the
   // lower bound re-schedules with only the certain ops.
-  const Schedule upper = schedule_asap(facts, reach, true);
+  std::vector<std::size_t> scratch;
+  const Schedule upper = schedule_asap(facts, reach, true, scratch, &res.ops);
   res.depth.max = upper.depth;
   res.t_depth.max = upper.t_depth;
-  const bool has_maybe =
-      std::any_of(reach.begin(), reach.end(), [](OpFact::Reach r) {
-        return r == OpFact::Reach::kMaybe;
-      });
   if (has_maybe) {
-    const Schedule lower = schedule_asap(facts, reach, false);
+    const Schedule lower = schedule_asap(facts, reach, false, scratch, nullptr);
     res.depth.min = lower.depth;
     res.t_depth.min = lower.t_depth;
   } else {
@@ -308,30 +320,40 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
     res.t_depth.min = upper.t_depth;
   }
 
-  const std::vector<std::size_t> alap = schedule_alap(facts, upper);
+  schedule_alap(facts, upper.depth, scratch, res.ops);
   res.layer_width.assign(upper.depth + 1, 0);
-  for (std::size_t i = 0; i < facts.ops.size(); ++i) {
-    res.ops[i].asap_layer = upper.layer[i];
-    res.ops[i].alap_layer = alap[i];
-    if (upper.layer[i] > 0) ++res.layer_width[upper.layer[i]];
+  for (const OpResource& op : res.ops) {
+    if (op.asap_layer > 0) ++res.layer_width[op.asap_layer];
   }
 
   compute_lifetimes(res, facts);
 
-  // Coupled-pair census for the routing model.
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> pairs;
+  // Coupled-pair census for the routing model: one entry per coupling
+  // gate, sorted, then each run of one pair folded into its count.
+  std::vector<TwoQubitPair>& pairs = res.two_qubit_pairs;
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
     if (!res.ops[i].counted) continue;
     const std::optional<sim::GateKind> kind = facts.ops[i].gate;
     if (!kind || sim::gate_info(*kind).num_qubits != 2) continue;
     const auto qs = qubit_operands(facts.ops[i], facts);
     if (qs.size() != 2 || qs[0] == qs[1]) continue;
-    ++pairs[{std::min(qs[0], qs[1]), std::max(qs[0], qs[1])}];
+    pairs.push_back(
+        TwoQubitPair{std::min(qs[0], qs[1]), std::max(qs[0], qs[1]), 1});
   }
-  res.two_qubit_pairs.reserve(pairs.size());
-  for (const auto& [pair, count] : pairs) {
-    res.two_qubit_pairs.push_back(TwoQubitPair{pair.first, pair.second, count});
+  std::sort(pairs.begin(), pairs.end(),
+            [](const TwoQubitPair& x, const TwoQubitPair& y) {
+              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+            });
+  std::size_t distinct = 0;
+  for (const TwoQubitPair& pair : pairs) {
+    if (distinct > 0 && pairs[distinct - 1].a == pair.a &&
+        pairs[distinct - 1].b == pair.b) {
+      ++pairs[distinct - 1].count;
+    } else {
+      pairs[distinct++] = pair;
+    }
   }
+  pairs.resize(distinct);
   return res;
 }
 
@@ -343,18 +365,30 @@ ResourceFacts ResourceFacts::compute(const lint::ProgramFacts& facts,
   require(reachability_free == nullptr ||
               reachability_free->circuits.size() == facts.circuits.size(),
           "ResourceFacts::compute: reachability-free facts of another program");
+  const auto circuit_abstract =
+      [&](std::size_t ci) -> const lint::abstract::CircuitAbstractFacts* {
+    return abstract != nullptr && ci < abstract->circuits.size()
+               ? &abstract->circuits[ci]
+               : nullptr;
+  };
+  // The interpreter gives every unguarded op kRun, the same verdict as
+  // no abstract facts at all, so only a circuit with a guarded op can
+  // cost differently with reachability.
+  const auto reusable = [&](std::size_t ci) {
+    return reachability_free != nullptr &&
+           (circuit_abstract(ci) == nullptr ||
+            !facts.circuits[ci].has_guarded_op);
+  };
+  bool reuse_all = reachability_free != nullptr;
+  for (std::size_t ci = 0; ci < facts.circuits.size() && reuse_all; ++ci) {
+    reuse_all = reusable(ci);
+  }
+  if (reuse_all) return std::move(*reachability_free);
   ResourceFacts out;
   out.circuits.reserve(facts.circuits.size());
   for (std::size_t ci = 0; ci < facts.circuits.size(); ++ci) {
-    const lint::abstract::CircuitAbstractFacts* acf =
-        abstract != nullptr && ci < abstract->circuits.size()
-            ? &abstract->circuits[ci]
-            : nullptr;
-    // The interpreter gives every unguarded op kRun, the same verdict
-    // as no abstract facts at all, so only a circuit with a guarded op
-    // can cost differently with reachability.
-    if (reachability_free != nullptr &&
-        (acf == nullptr || !facts.circuits[ci].has_guarded_op)) {
+    const lint::abstract::CircuitAbstractFacts* acf = circuit_abstract(ci);
+    if (reusable(ci)) {
       out.circuits.push_back(std::move(reachability_free->circuits[ci]));
     } else {
       out.circuits.push_back(compute_circuit(facts.circuits[ci], acf));

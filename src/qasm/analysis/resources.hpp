@@ -34,6 +34,7 @@
 //    depth; slack = alap - asap, zero on the critical path.
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -129,7 +130,7 @@ struct CircuitResources {
 
   /// Gate statements per canonical mnemonic (raw name for unresolvable
   /// gates). Statements, not qubit-touches: one ccx counts once.
-  std::map<std::string, CostRange> histogram;
+  std::map<std::string, CostRange, std::less<>> histogram;
   /// Non-barrier executable ops (gates + effective measures + resets).
   CostRange total_ops;
   CostRange gate_count;

@@ -22,7 +22,9 @@ void lower_stmt(const CircuitDecl& decl, const Stmt& stmt,
           }
           sim::Operation op;
           op.kind = *kind;
+          op.qubits.reserve(s.operands.size());
           for (const RegRef& ref : s.operands) op.qubits.push_back(ref.index);
+          op.params.reserve(s.params.size());
           for (const ExprPtr& p : s.params) op.params.push_back(p->evaluate());
           op.condition = condition;
           out.append(std::move(op));

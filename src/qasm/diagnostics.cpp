@@ -212,45 +212,66 @@ FixItResult apply_fixits(std::string_view source,
 }
 
 std::string format_error_trace(const std::vector<Diagnostic>& diags) {
+  // One allocation covers the usual trace: each line is its message plus
+  // a header and, with a fix-it, a second line around the replacement.
+  std::size_t estimate = 0;
+  for (const Diagnostic& d : diags) {
+    estimate += d.message.size() + 64;
+    if (d.fixit.has_value()) estimate += d.fixit->replacement.size() + 64;
+  }
   std::string out;
+  out.reserve(estimate);
+  const auto append_lines = [&out](std::string_view lines, int begin,
+                                   int end) {
+    out += lines;
+    out += std::to_string(begin);
+    if (end != begin) {
+      out += '-';
+      out += std::to_string(end);
+    }
+  };
   for (const Diagnostic& d : diags) {
     out += d.severity == Severity::kError ? "error" : "warning";
-    out += "[";
+    out += '[';
     out += diag_code_name(d.code);
-    out += "]";
+    out += ']';
     if (d.line > 0) {
-      out += " at line " + std::to_string(d.line);
-      if (d.column > 0) out += ":" + std::to_string(d.column);
+      out += " at line ";
+      out += std::to_string(d.line);
+      if (d.column > 0) {
+        out += ':';
+        out += std::to_string(d.column);
+      }
     }
-    out += ": " + d.message + "\n";
+    out += ": ";
+    out += d.message;
+    out += '\n';
     if (d.fixit.has_value()) {
       const FixIt& fix = *d.fixit;
       out += "  fixit: ";
+      const bool one_line = fix.line_begin == fix.line_end;
       if (fix.is_insertion()) {
-        out += "insert before line " + std::to_string(fix.line_begin);
+        out += "insert before line ";
+        out += std::to_string(fix.line_begin);
       } else if (fix.replacement.empty()) {
-        out += fix.line_begin == fix.line_end
-                   ? "delete line " + std::to_string(fix.line_begin)
-                   : "delete lines " + std::to_string(fix.line_begin) + "-" +
-                         std::to_string(fix.line_end);
+        append_lines(one_line ? "delete line " : "delete lines ",
+                     fix.line_begin, fix.line_end);
       } else {
-        out += fix.line_begin == fix.line_end
-                   ? "replace line " + std::to_string(fix.line_begin)
-                   : "replace lines " + std::to_string(fix.line_begin) + "-" +
-                         std::to_string(fix.line_end);
+        append_lines(one_line ? "replace line " : "replace lines ",
+                     fix.line_begin, fix.line_end);
       }
       if (!fix.replacement.empty()) {
-        std::string body = fix.replacement;
-        while (!body.empty() && body.back() == '\n') body.pop_back();
+        std::string_view body = fix.replacement;
+        while (!body.empty() && body.back() == '\n') body.remove_suffix(1);
         // Multi-line replacements render with aligned continuation.
-        std::string rendered;
+        out += " with `";
         for (char c : body) {
-          rendered += c;
-          if (c == '\n') rendered += "         ";
+          out += c;
+          if (c == '\n') out += "         ";
         }
-        out += " with `" + rendered + "`";
+        out += '`';
       }
-      out += "\n";
+      out += '\n';
     }
   }
   return out;

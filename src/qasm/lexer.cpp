@@ -1,7 +1,8 @@
 #include "qasm/lexer.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -71,17 +72,37 @@ TokenKind keyword_kind(std::string_view word) {
   return TokenKind::kIdentifier;
 }
 
-bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
-bool is_word_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// Character classes of the "C" locale, tested on the byte itself: the
+// lexer's output never depends on the process locale, and bytes >= 0x80
+// are neither letters, digits nor space.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
-bool is_word_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool is_word_start(char c) { return is_alpha(c) || c == '_'; }
+bool is_word_char(char c) { return is_word_start(c) || is_digit(c); }
+/// ' ', '\t', '\v', '\f' and '\r' ('\n' is handled by the caller).
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 /// std::atof of a number token, which is not NUL-terminated inside the
-/// source. Short tokens are copied to the stack.
+/// source. A run of at most 15 digits (most tokens are register indices)
+/// is an integer below 2^53, so its double is exact. Otherwise
+/// std::from_chars gives the same correctly rounded value without
+/// consulting the locale; a token it reports out of range (`1e999`,
+/// `1e-400`, subnormals) falls back to std::atof on a stack copy, so
+/// overflow and underflow read exactly as before.
 double parse_number(std::string_view text) {
+  if (text.size() <= 15 && std::all_of(text.begin(), text.end(), is_digit)) {
+    std::uint64_t integer = 0;
+    for (const char c : text) {
+      integer = integer * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    return static_cast<double>(integer);
+  }
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc()) return value;
   char buffer[64];
   if (text.size() < sizeof buffer) {
     std::memcpy(buffer, text.data(), text.size());
@@ -114,7 +135,17 @@ TokenKind punctuation_kind(char c) {
 
 LexResult lex(std::string_view source) {
   LexResult result;
+  lex(source, result);
+  return result;
+}
+
+void lex(std::string_view source, LexResult& result) {
+  result.tokens.clear();
+  result.diagnostics.clear();
   const std::size_t n = source.size();
+  // Canonical source spends about two bytes per token, so one
+  // reservation usually covers the stream; growth covers the rest.
+  result.tokens.reserve(n / 2 + 1);
   int line = 1;
   std::size_t line_start = 0;  // index of the current line's first byte
   std::size_t i = 0;
@@ -135,7 +166,7 @@ LexResult lex(std::string_view source) {
       line_start = ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
@@ -198,7 +229,6 @@ LexResult lex(std::string_view source) {
   }
   result.tokens.push_back(
       Token{TokenKind::kEof, std::string_view(), 0.0, line, column_of(i)});
-  return result;
 }
 
 }  // namespace qcgen::qasm

@@ -63,6 +63,12 @@ struct LexResult {
 
 /// Tokenises a full source text. `//` line comments and `#` line comments
 /// are skipped. Token texts view `source`, which must outlive the result.
+/// Characters are classified as in the "C" locale whatever the process
+/// locale is, and number tokens read as std::atof reads them.
 LexResult lex(std::string_view source);
+
+/// lex(source) into `out`, replacing its contents and reusing its
+/// capacity (the parser keeps one per thread).
+void lex(std::string_view source, LexResult& out);
 
 }  // namespace qcgen::qasm

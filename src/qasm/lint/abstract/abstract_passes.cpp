@@ -26,7 +26,7 @@ const GateStmt* as_gate(const FlatOp& op) {
 }
 
 std::string qubit_ref(const CircuitDecl& circ, std::size_t q) {
-  return circ.qreg_name + "[" + std::to_string(q) + "]";
+  return concat({circ.qreg_name, "[", std::to_string(q), "]"});
 }
 
 /// The per-circuit abstract facts, or nullptr when the interpreter did
@@ -73,18 +73,20 @@ class DeterministicMeasurementPass final : public LintPass {
         const FlatOp& op = facts.ops[i];
         if (const auto* m = std::get_if<MeasureStmt>(op.stmt)) {
           sink.report(Severity::kWarning, DiagCode::kDeterministicMeasurement,
-                      "measurement of " + qubit_ref(circ, m->qubit.index) +
-                          " is provably always " +
-                          (fact.outcome == sim::SignBit::kOne ? "1" : "0") +
-                          "; the recorded bit carries no information",
+                      concat({"measurement of ",
+                              qubit_ref(circ, m->qubit.index),
+                              " is provably always ",
+                              fact.outcome == sim::SignBit::kOne ? "1" : "0",
+                              "; the recorded bit carries no information"}),
                       op.line);
           ++reported;
         } else if (std::holds_alternative<MeasureAllStmt>(*op.stmt)) {
           sink.report(Severity::kWarning, DiagCode::kDeterministicMeasurement,
-                      "measure_all outcome is provably the constant "
-                      "bitstring \"" +
-                          fact.constant_bits + "\" (" + circ.creg_name +
-                          "[0] first); the circuit computes nothing random",
+                      concat({"measure_all outcome is provably the constant "
+                              "bitstring \"",
+                              fact.constant_bits, "\" (", circ.creg_name,
+                              "[0] first); the circuit computes nothing "
+                              "random"}),
                       op.line);
           ++reported;
         }
@@ -193,9 +195,10 @@ class TrivialGatePass final : public LintPass {
         const GateStmt* gate = as_gate(op);
         if (gate == nullptr) continue;
         sink.report(Severity::kWarning, DiagCode::kTrivialControlledGate,
-                    "gate '" + gate->name + "' never fires: control qubit " +
-                        qubit_ref(circ, fact.control_qubit) +
-                        " is provably in |0>",
+                    concat({"gate '", gate->name,
+                            "' never fires: control qubit ",
+                            qubit_ref(circ, fact.control_qubit),
+                            " is provably in |0>"}),
                     op.line, delete_stmt_fixit(op, gate->name));
         ++reported;
       }

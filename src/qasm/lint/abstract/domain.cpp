@@ -61,7 +61,7 @@ bool AbstractState::diagonal(GateKind kind) {
 }
 
 void AbstractState::apply_clifford(GateKind kind,
-                                   const std::vector<std::size_t>& qs) {
+                                   std::span<const std::size_t> qs) {
   switch (kind) {
     case GateKind::kI: return;
     case GateKind::kX: kernel_.x(qs[0]); return;

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/clifford.hpp"
@@ -59,7 +60,7 @@ class AbstractState {
 
   /// Applies a Clifford gate. Caller guarantees clifford_appliable and
   /// that every operand is tracked (not top) and in range.
-  void apply_clifford(sim::GateKind kind, const std::vector<std::size_t>& qs);
+  void apply_clifford(sim::GateKind kind, std::span<const std::size_t> qs);
 
   /// Abstract Z-measurement of q. Top qubit: outcome kUnknown, state
   /// unchanged (the forgotten-outcome measurement is a channel on {q},

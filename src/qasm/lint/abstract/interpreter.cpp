@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <variant>
 
@@ -17,16 +18,17 @@ using sim::SignBit;
 /// Operand positions that make the gate the identity when provably |0>.
 /// Diagonal controlled gates (cz, cp) are symmetric: either operand
 /// being |0> suffices.
-std::vector<std::size_t> control_positions(GateKind kind) {
+std::span<const std::size_t> control_positions(GateKind kind) {
+  static constexpr std::size_t kPositions[] = {0, 1};
   switch (kind) {
     case GateKind::kCX:
     case GateKind::kCY:
     case GateKind::kCSwap:
-      return {0};
+      return {kPositions, 1};
     case GateKind::kCZ:
     case GateKind::kCPhase:
     case GateKind::kCCX:
-      return {0, 1};
+      return {kPositions, 2};
     default:
       return {};
   }
@@ -37,7 +39,9 @@ class Interpreter {
   explicit Interpreter(const CircuitFacts& facts)
       : facts_(facts),
         circ_(*facts.circuit),
-        state_(circ_.num_qubits, circ_.num_clbits) {}
+        state_(circ_.num_qubits, circ_.num_clbits) {
+    operands_.reserve(4);  // every gate of the language, in one allocation
+  }
 
   void run(CircuitAbstractFacts& out) {
     for (std::size_t i = 0; i < facts_.ops.size(); ++i) {
@@ -142,9 +146,11 @@ class Interpreter {
 
   void transfer(const GateStmt& s, std::optional<GateKind> kind,
                 OpFact& fact) {
-    std::vector<std::size_t> qs;
-    qs.reserve(s.operands.size());
-    for (const RegRef& ref : s.operands) qs.push_back(ref.index);
+    // Every operand as written, in range or not; the buffer is reused
+    // from gate to gate.
+    operands_.clear();
+    for (const RegRef& ref : s.operands) operands_.push_back(ref.index);
+    const std::span<const std::size_t> qs = operands_;
     if (!kind || !valid_operands(*kind, qs)) {
       // Malformed gate (core passes report it); assume the worst about
       // whatever it names in range.
@@ -185,8 +191,7 @@ class Interpreter {
     for (std::size_t q : qs) state_.widen(q);
   }
 
-  bool valid_operands(GateKind kind,
-                      const std::vector<std::size_t>& qs) const {
+  bool valid_operands(GateKind kind, std::span<const std::size_t> qs) const {
     const int arity = sim::gate_info(kind).num_qubits;
     if (arity < 0 || qs.size() != static_cast<std::size_t>(arity)) {
       return false;
@@ -204,6 +209,7 @@ class Interpreter {
   const CircuitDecl& circ_;
   AbstractState state_;
   bool certain_ = true;
+  std::vector<std::size_t> operands_;
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "qasm/lint/registry.hpp"
@@ -82,9 +83,22 @@ class StructurePass final : public LintPass {
       sink.report(Severity::kError, DiagCode::kNoCircuit,
                   "program declares no circuit", 0);
     }
-    std::set<std::string> names;
-    for (const CircuitDecl& circ : ctx.program.circuits) {
-      if (!names.insert(circ.name).second) {
+    // A name repeats when an earlier circuit declares it. A few circuits
+    // are scanned; many (the count comes from the program text) are
+    // indexed in a set instead.
+    const auto& circuits = ctx.program.circuits;
+    constexpr std::size_t kScanLimit = 16;
+    std::set<std::string_view> names;
+    for (auto it = circuits.begin(); it != circuits.end(); ++it) {
+      const CircuitDecl& circ = *it;
+      const bool repeated =
+          circuits.size() <= kScanLimit
+              ? std::any_of(circuits.begin(), it,
+                            [&](const CircuitDecl& earlier) {
+                              return earlier.name == circ.name;
+                            })
+              : !names.insert(circ.name).second;
+      if (repeated) {
         sink.report(Severity::kError, DiagCode::kDuplicateCircuitName,
                     "duplicate circuit name '" + circ.name + "'", circ.line);
       }
@@ -224,10 +238,27 @@ class GatesPass final : public LintPass {
                       std::to_string(gate.params.size()),
                   gate.line);
     }
-    std::set<std::size_t> seen;
-    for (const RegRef& ref : gate.operands) {
+    // An operand repeats when an earlier one names the same in-range
+    // qubit. Short lists are scanned; long ones (the count comes from the
+    // program text) mark a bitmap instead.
+    constexpr std::size_t kScanLimit = 8;
+    std::vector<bool> seen(
+        gate.operands.size() > kScanLimit ? circ.num_qubits : 0);
+    for (auto it = gate.operands.begin(); it != gate.operands.end(); ++it) {
+      const RegRef& ref = *it;
       check_qubit_ref(circ, ref, sink);
-      if (ref.index < circ.num_qubits && !seen.insert(ref.index).second) {
+      if (ref.index >= circ.num_qubits) continue;
+      bool repeated = false;
+      if (seen.empty()) {
+        repeated = std::any_of(gate.operands.begin(), it,
+                               [&](const RegRef& earlier) {
+                                 return earlier.index == ref.index;
+                               });
+      } else {
+        repeated = seen[ref.index];
+        seen[ref.index] = true;
+      }
+      if (repeated) {
         sink.report(Severity::kError, DiagCode::kDuplicateQubit,
                     "gate '" + gate.name + "' uses qubit " +
                         std::to_string(ref.index) + " more than once",
@@ -265,16 +296,16 @@ class UnusedQubitPass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      for (std::size_t q = 0; q < facts.qubit_events.size(); ++q) {
+      for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) {
+        const auto events = facts.qubit_events(q);
         const bool used =
-            std::any_of(facts.qubit_events[q].begin(),
-                        facts.qubit_events[q].end(), [](const QubitEvent& e) {
-                          return e.kind != QubitEvent::Kind::kBarrier;
-                        });
+            std::any_of(events.begin(), events.end(), [](const QubitEvent& e) {
+              return e.kind != QubitEvent::Kind::kBarrier;
+            });
         if (!used) {
           sink.report(Severity::kWarning, DiagCode::kUnusedQubit,
-                      "qubit " + std::to_string(q) + " of circuit '" +
-                          facts.circuit->name + "' is never used",
+                      concat({"qubit ", std::to_string(q), " of circuit '",
+                              facts.circuit->name, "' is never used"}),
                       facts.circuit->line);
         }
       }

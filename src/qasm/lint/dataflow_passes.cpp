@@ -6,10 +6,7 @@
 // diagnostic carries a delete fix-it for the repair loop.
 
 #include <algorithm>
-#include <array>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -43,30 +40,39 @@ class ClbitLivenessPass final : public LintPass {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
       const CircuitDecl& circ = *facts.circuit;
-      // Line of the first write to each clbit, if any (guarded writes
-      // count: a conditional measurement still writes).
-      std::vector<int> first_write_line(circ.num_clbits, 0);
-      std::vector<bool> ever_written(circ.num_clbits, false);
-      for (std::size_t c = 0; c < facts.clbit_events.size(); ++c) {
-        for (const ClbitEvent& e : facts.clbit_events[c]) {
+      // Conditions are rare: a circuit without one has nothing to check.
+      if (!facts.has_guarded_op) continue;
+      // Per clbit: the line of its first write, if any (guarded writes
+      // count: a conditional measurement still writes), and whether the
+      // walk below has passed a write yet.
+      struct ClbitState {
+        int first_write_line = 0;
+        bool ever_written = false;
+        bool written = false;
+      };
+      std::vector<ClbitState> clbits(circ.num_clbits);
+      for (std::size_t c = 0; c < circ.num_clbits; ++c) {
+        for (const ClbitEvent& e : facts.clbit_events(c)) {
           if (e.kind == ClbitEvent::Kind::kWrite) {
-            ever_written[c] = true;
-            first_write_line[c] = facts.ops[e.op].line;
+            clbits[c].ever_written = true;
+            clbits[c].first_write_line = facts.ops[e.op].line;
             break;
           }
         }
       }
-      std::vector<bool> written(circ.num_clbits, false);
       for (const FlatOp& op : facts.ops) {
         for (const IfStmt* guard : op.guards) {
           const RegRef& ref = guard->clbit;
-          if (ref.index >= circ.num_clbits || written[ref.index]) continue;
-          if (ever_written[ref.index]) {
+          if (ref.index >= circ.num_clbits || clbits[ref.index].written) {
+            continue;
+          }
+          if (clbits[ref.index].ever_written) {
             sink.report(Severity::kWarning, DiagCode::kConditionOnStaleClbit,
                         "condition reads classical bit " +
                             std::to_string(ref.index) +
                             " before the measurement at line " +
-                            std::to_string(first_write_line[ref.index]) +
+                            std::to_string(
+                                clbits[ref.index].first_write_line) +
                             " writes it; move the condition after the "
                             "measurement",
                         ref.line);
@@ -84,11 +90,11 @@ class ClbitLivenessPass final : public LintPass {
               using T = std::decay_t<decltype(s)>;
               if constexpr (std::is_same_v<T, MeasureStmt>) {
                 if (s.clbit.index < circ.num_clbits) {
-                  written[s.clbit.index] = true;
+                  clbits[s.clbit.index].written = true;
                 }
               } else if constexpr (std::is_same_v<T, MeasureAllStmt>) {
                 if (circ.num_clbits >= circ.num_qubits) {
-                  std::fill(written.begin(), written.end(), true);
+                  for (ClbitState& clbit : clbits) clbit.written = true;
                 }
               }
             },
@@ -113,9 +119,9 @@ class GateAfterMeasurePass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      for (std::size_t q = 0; q < facts.qubit_events.size(); ++q) {
+      for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) {
         bool measured = false;
-        for (const QubitEvent& e : facts.qubit_events[q]) {
+        for (const QubitEvent& e : facts.qubit_events(q)) {
           const FlatOp& op = facts.ops[e.op];
           switch (e.kind) {
             case QubitEvent::Kind::kMeasure:
@@ -161,10 +167,10 @@ class DoubleMeasurePass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      for (std::size_t q = 0; q < facts.qubit_events.size(); ++q) {
+      for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) {
         // Op index of the pending unconditional measurement, if any.
         std::optional<std::size_t> pending;
-        for (const QubitEvent& e : facts.qubit_events[q]) {
+        for (const QubitEvent& e : facts.qubit_events(q)) {
           const FlatOp& op = facts.ops[e.op];
           switch (e.kind) {
             case QubitEvent::Kind::kGate:
@@ -226,7 +232,7 @@ class DeadCodePass final : public LintPass {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable || !facts.has_measurement) continue;
       const CircuitDecl& circ = *facts.circuit;
-      std::set<std::size_t> live;
+      std::vector<char> live(circ.num_qubits, 0);  // per qubit
       std::vector<std::size_t> dead;  // op indices, discovered backwards
       for (std::size_t i = facts.ops.size(); i-- > 0;) {
         const FlatOp& op = facts.ops[i];
@@ -234,12 +240,10 @@ class DeadCodePass final : public LintPass {
             [&](const auto& s) {
               using T = std::decay_t<decltype(s)>;
               if constexpr (std::is_same_v<T, MeasureStmt>) {
-                if (s.qubit.index < circ.num_qubits) live.insert(s.qubit.index);
+                if (s.qubit.index < circ.num_qubits) live[s.qubit.index] = 1;
               } else if constexpr (std::is_same_v<T, MeasureAllStmt>) {
                 if (circ.num_clbits >= circ.num_qubits) {
-                  for (std::size_t q = 0; q < circ.num_qubits; ++q) {
-                    live.insert(q);
-                  }
+                  std::fill(live.begin(), live.end(), 1);
                 }
               } else if constexpr (std::is_same_v<T, ResetStmt>) {
                 // A reset severs the qubit's past from its future; the
@@ -247,17 +251,16 @@ class DeadCodePass final : public LintPass {
                 // qubit deliberately). Guarded resets may not run, so
                 // they cannot kill liveness.
                 if (!op.guarded() && s.qubit.index < circ.num_qubits) {
-                  live.erase(s.qubit.index);
+                  live[s.qubit.index] = 0;
                 }
               } else if constexpr (std::is_same_v<T, GateStmt>) {
                 const auto qs = qubit_operands(op, facts);
                 if (qs.empty()) return;  // all operands out of range
                 const bool any_live =
-                    std::any_of(qs.begin(), qs.end(), [&](std::size_t q) {
-                      return live.count(q) != 0;
-                    });
+                    std::any_of(qs.begin(), qs.end(),
+                                [&](std::size_t q) { return live[q] != 0; });
                 if (any_live) {
-                  for (std::size_t q : qs) live.insert(q);
+                  for (std::size_t q : qs) live[q] = 1;
                 } else {
                   dead.push_back(i);
                 }
@@ -275,9 +278,9 @@ class DeadCodePass final : public LintPass {
           fix = FixIt{op.line, op.line, "", gate.name};
         }
         sink.report(Severity::kWarning, DiagCode::kDeadOperation,
-                    "gate '" + gate.name +
-                        "' cannot affect any measured outcome (no path from "
-                        "its qubits to a measurement)",
+                    concat({"gate '", gate.name,
+                            "' cannot affect any measured outcome (no path "
+                            "from its qubits to a measurement)"}),
                     op.line, std::move(fix));
       }
       if (dead.size() > shown) {
@@ -305,20 +308,37 @@ class RedundantPairPass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      // chains_adjacent[{i,j}] = number of qubit timelines on which op j
-      // is the immediate successor of op i (both gate events).
-      std::map<std::pair<std::size_t, std::size_t>, std::size_t>
-          chains_adjacent;
-      for (const auto& chain : facts.qubit_events) {
-        for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
-          if (chain[k].kind == QubitEvent::Kind::kGate &&
-              chain[k + 1].kind == QubitEvent::Kind::kGate) {
-            ++chains_adjacent[{chain[k].op, chain[k + 1].op}];
+      // Per op: the op that follows its gate events on every timeline
+      // (kBroken when two timelines disagree or one has no next gate),
+      // and how many timelines have it next.
+      struct Successor {
+        std::size_t op = kNone;
+        std::size_t count = 0;
+      };
+      std::vector<Successor> next(facts.ops.size());
+      for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) {
+        const auto chain = facts.qubit_events(q);
+        for (std::size_t k = 0; k < chain.size(); ++k) {
+          if (chain[k].kind != QubitEvent::Kind::kGate) continue;
+          const std::size_t j =
+              k + 1 < chain.size() &&
+                      chain[k + 1].kind == QubitEvent::Kind::kGate
+                  ? chain[k + 1].op
+                  : kBroken;
+          Successor& s = next[chain[k].op];
+          if (s.op == kNone) {
+            s = Successor{j, 1};
+          } else if (s.op == j) {
+            ++s.count;
+          } else {
+            s.op = kBroken;
           }
         }
       }
-      for (const auto& [pair, count] : chains_adjacent) {
-        const auto [i, j] = pair;
+      for (std::size_t i = 0; i < facts.ops.size(); ++i) {
+        const std::size_t j = next[i].op;
+        const std::size_t count = next[i].count;
+        if (j == kNone || j == kBroken) continue;
         const FlatOp& first = facts.ops[i];
         const FlatOp& second = facts.ops[j];
         if (first.guarded() || second.guarded()) continue;
@@ -348,6 +368,9 @@ class RedundantPairPass final : public LintPass {
   }
 
  private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kBroken = kNone - 1;
+
   static bool self_inverse(sim::GateKind kind) {
     switch (kind) {
       case sim::GateKind::kH:

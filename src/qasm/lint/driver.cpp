@@ -93,23 +93,27 @@ AnalysisReport run_passes(const ProgramFacts& facts,
                             std::tie(b.line, b.pass_id);
                    });
   // After the sort every (line, pass) key is one contiguous run, so a
-  // duplicate can only sit earlier in the current run.
-  std::vector<Diagnostic> unique;
-  unique.reserve(report.diagnostics.size());
+  // duplicate can only sit earlier in the current run. Survivors are
+  // compacted to the front in place.
+  std::vector<Diagnostic>& diags = report.diagnostics;
+  std::size_t kept = 0;
   std::size_t run_begin = 0;
-  for (Diagnostic& d : report.diagnostics) {
-    if (!unique.empty() && (unique.back().line != d.line ||
-                            unique.back().pass_id != d.pass_id)) {
-      run_begin = unique.size();
+  for (Diagnostic& d : diags) {
+    if (kept > 0 && (diags[kept - 1].line != d.line ||
+                     diags[kept - 1].pass_id != d.pass_id)) {
+      run_begin = kept;
     }
+    const auto run_end = diags.begin() + static_cast<std::ptrdiff_t>(kept);
     const bool duplicate = std::any_of(
-        unique.begin() + static_cast<std::ptrdiff_t>(run_begin), unique.end(),
+        diags.begin() + static_cast<std::ptrdiff_t>(run_begin), run_end,
         [&](const Diagnostic& u) {
           return u.code == d.code && u.message == d.message;
         });
-    if (!duplicate) unique.push_back(std::move(d));
+    if (duplicate) continue;
+    if (&d != &*run_end) *run_end = std::move(d);
+    ++kept;
   }
-  report.diagnostics = std::move(unique);
+  diags.erase(diags.begin() + static_cast<std::ptrdiff_t>(kept), diags.end());
   return report;
 }
 

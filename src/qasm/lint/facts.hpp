@@ -74,15 +74,34 @@ struct CircuitFacts {
   /// True when some op sits under an if-guard. Only such circuits can
   /// have reachability verdicts other than "always runs".
   bool has_guarded_op = false;
-  /// Event timeline per qubit / clbit, program order. Out-of-range
-  /// register references are *not* recorded (bounds errors are the gate
-  /// pass's job); `measure_all` with too few classical bits records no
-  /// events either, matching the legacy analyzer.
-  std::vector<std::vector<QubitEvent>> qubit_events;
-  std::vector<std::vector<ClbitEvent>> clbit_events;
+  /// Event timelines of every qubit and clbit, in program order, read
+  /// through qubit_events(q) and clbit_events(c). Out-of-range register
+  /// references are *not* recorded (bounds errors are the gate pass's
+  /// job); `measure_all` with too few classical bits records no events
+  /// either, matching the legacy analyzer. Stored as compressed rows: all
+  /// qubit events in one buffer, all clbit events in another, and one
+  /// offset table holding the num_qubits + 1 qubit row bounds followed by
+  /// the num_clbits + 1 clbit row bounds. Empty for unanalyzable circuits.
+  std::vector<QubitEvent> qubit_event_rows;
+  std::vector<ClbitEvent> clbit_event_rows;
+  std::vector<std::size_t> event_row_bounds;
   /// True when any measure statement (even a bounds-broken one) or a
   /// well-formed measure_all appears.
   bool has_measurement = false;
+
+  /// Timeline of qubit `q` (< circuit->num_qubits of an analyzable
+  /// circuit).
+  std::span<const QubitEvent> qubit_events(std::size_t q) const {
+    const std::size_t* bounds = event_row_bounds.data() + q;
+    return {qubit_event_rows.data() + bounds[0], bounds[1] - bounds[0]};
+  }
+  /// Timeline of clbit `c` (< circuit->num_clbits of an analyzable
+  /// circuit).
+  std::span<const ClbitEvent> clbit_events(std::size_t c) const {
+    const std::size_t* bounds =
+        event_row_bounds.data() + circuit->num_qubits + 1 + c;
+    return {clbit_event_rows.data() + bounds[0], bounds[1] - bounds[0]};
+  }
 };
 
 struct ProgramFacts {

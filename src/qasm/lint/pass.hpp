@@ -7,6 +7,7 @@
 // overrides. Passes are stateless and independent; the driver decides
 // which run and in what order.
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
@@ -97,6 +98,17 @@ struct PassContext {
   /// pass is enabled (the analysis is skipped entirely).
   const analysis::ResourceFacts* resources = nullptr;
 };
+
+/// The concatenation of `parts`, allocated once at its final size (a
+/// chain of operator+ regrows the string at every step).
+inline std::string concat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
 
 /// Collects diagnostics for one pass invocation.
 class DiagnosticSink {

@@ -1,5 +1,6 @@
 #include "qasm/parser.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -17,9 +18,13 @@ ExprPtr Expr::make_number(double v) {
 }
 
 ExprPtr Expr::make_pi() {
-  auto e = std::make_shared<Expr>();
-  e->kind = Kind::kPi;
-  return e;
+  // Expressions are immutable, so every `pi` leaf shares one node.
+  static const ExprPtr pi = [] {
+    auto e = std::make_shared<Expr>();
+    e->kind = Kind::kPi;
+    return e;
+  }();
+  return pi;
 }
 
 ExprPtr Expr::make_unary(Kind k, ExprPtr operand) {
@@ -80,11 +85,13 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, std::vector<Diagnostic> diags)
-      : tokens_(std::move(tokens)), diags_(std::move(diags)) {}
+  Parser(const std::vector<Token>& tokens, std::vector<Diagnostic> diags)
+      : tokens_(tokens), diags_(std::move(diags)) {}
 
   ParseResult run() {
     Program program;
+    program.imports.reserve(count_kind(TokenKind::kKeywordImport));
+    program.circuits.reserve(count_kind(TokenKind::kKeywordCircuit));
     bool failed = has_errors(diags_);  // lexical errors already fatal
     while (!at(TokenKind::kEof)) {
       if (at(TokenKind::kKeywordImport)) {
@@ -123,6 +130,25 @@ class Parser {
     return tokens_[i];
   }
   bool at(TokenKind kind) const { return peek().kind == kind; }
+  /// Tokens of `kind` in the whole stream: an upper bound on the imports
+  /// or circuits the program declares ('circuit' may also be a word of an
+  /// import path), used to size their vectors once.
+  std::size_t count_kind(TokenKind kind) const {
+    return static_cast<std::size_t>(std::count_if(
+        tokens_.begin(), tokens_.end(),
+        [kind](const Token& t) { return t.kind == kind; }));
+  }
+  /// Tokens of `kind` from the current one up to the first `stop` (or the
+  /// end): statements of a circuit body end in ';' before its '}', and
+  /// the operands of a gate are separated by ',' before its ';'.
+  std::size_t count_until(TokenKind kind, TokenKind stop) const {
+    std::size_t count = 0;
+    for (std::size_t i = pos_; i < tokens_.size(); ++i) {
+      if (tokens_[i].kind == stop) break;
+      if (tokens_[i].kind == kind) ++count;
+    }
+    return count;
+  }
   const Token& advance() {
     const Token& t = tokens_[pos_];
     if (pos_ + 1 < tokens_.size()) ++pos_;
@@ -244,6 +270,7 @@ class Parser {
       return std::nullopt;
     }
     if (!expect(TokenKind::kLBrace, "to open circuit body")) return std::nullopt;
+    decl.body.reserve(count_until(TokenKind::kSemicolon, TokenKind::kRBrace));
     while (!at(TokenKind::kRBrace) && !at(TokenKind::kEof)) {
       auto stmt = parse_statement();
       if (!stmt) {
@@ -343,6 +370,8 @@ class Parser {
       }
     }
     if (!at(TokenKind::kSemicolon)) {
+      stmt.operands.reserve(count_until(TokenKind::kComma,
+                                        TokenKind::kSemicolon) + 1);
       do {
         auto ref = parse_reg_ref();
         if (!ref) return std::nullopt;
@@ -430,7 +459,7 @@ class Parser {
     return nullptr;
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   std::vector<Diagnostic> diags_;
   std::size_t pos_ = 0;
 };
@@ -438,9 +467,17 @@ class Parser {
 }  // namespace
 
 ParseResult parse(std::string_view source) {
-  LexResult lexed = lex(source);
-  Parser parser(std::move(lexed.tokens), std::move(lexed.diagnostics));
-  return parser.run();
+  // The token buffer lives as long as the thread, so a parse allocates
+  // tokens only when its source is longer than any before it. A buffer
+  // an outsized source grew past kKeptTokens is released again, so an
+  // idle thread holds at most that much.
+  constexpr std::size_t kKeptTokens = 4096;
+  thread_local LexResult lexed;
+  lex(source, lexed);
+  ParseResult result =
+      Parser(lexed.tokens, std::move(lexed.diagnostics)).run();
+  if (lexed.tokens.capacity() > kKeptTokens) lexed.tokens = {};
+  return result;
 }
 
 }  // namespace qcgen::qasm

@@ -832,7 +832,7 @@ TEST(AbstractSoundness, ClaimedConstantsMatchExactDistribution) {
     // final register is only valid when that clbit is written once.
     const auto written_once = [&](std::size_t clbit) {
       std::size_t writes = 0;
-      for (const auto& ev : cf.clbit_events[clbit]) {
+      for (const auto& ev : cf.clbit_events(clbit)) {
         if (ev.kind == lint::ClbitEvent::Kind::kWrite) ++writes;
       }
       return writes == 1;
