@@ -331,6 +331,7 @@ CircuitResources compute_circuit(const CircuitFacts& facts,
   // Coupled-pair census for the routing model: one entry per coupling
   // gate, sorted, then each run of one pair folded into its count.
   std::vector<TwoQubitPair>& pairs = res.two_qubit_pairs;
+  pairs.reserve(res.two_qubit_count.max);
   for (std::size_t i = 0; i < facts.ops.size(); ++i) {
     if (!res.ops[i].counted) continue;
     const std::optional<sim::GateKind> kind = facts.ops[i].gate;
@@ -365,30 +366,18 @@ ResourceFacts ResourceFacts::compute(const lint::ProgramFacts& facts,
   require(reachability_free == nullptr ||
               reachability_free->circuits.size() == facts.circuits.size(),
           "ResourceFacts::compute: reachability-free facts of another program");
-  const auto circuit_abstract =
-      [&](std::size_t ci) -> const lint::abstract::CircuitAbstractFacts* {
-    return abstract != nullptr && ci < abstract->circuits.size()
-               ? &abstract->circuits[ci]
-               : nullptr;
-  };
-  // The interpreter gives every unguarded op kRun, the same verdict as
-  // no abstract facts at all, so only a circuit with a guarded op can
-  // cost differently with reachability.
-  const auto reusable = [&](std::size_t ci) {
-    return reachability_free != nullptr &&
-           (circuit_abstract(ci) == nullptr ||
-            !facts.circuits[ci].has_guarded_op);
-  };
-  bool reuse_all = reachability_free != nullptr;
-  for (std::size_t ci = 0; ci < facts.circuits.size() && reuse_all; ++ci) {
-    reuse_all = reusable(ci);
-  }
-  if (reuse_all) return std::move(*reachability_free);
   ResourceFacts out;
   out.circuits.reserve(facts.circuits.size());
   for (std::size_t ci = 0; ci < facts.circuits.size(); ++ci) {
-    const lint::abstract::CircuitAbstractFacts* acf = circuit_abstract(ci);
-    if (reusable(ci)) {
+    const lint::abstract::CircuitAbstractFacts* acf =
+        abstract != nullptr && ci < abstract->circuits.size()
+            ? &abstract->circuits[ci]
+            : nullptr;
+    // The interpreter gives every unguarded op kRun, the same verdict
+    // as no abstract facts at all, so only a circuit with a guarded op
+    // can cost differently with reachability.
+    if (reachability_free != nullptr &&
+        (acf == nullptr || !facts.circuits[ci].has_guarded_op)) {
       out.circuits.push_back(std::move(reachability_free->circuits[ci]));
     } else {
       out.circuits.push_back(compute_circuit(facts.circuits[ci], acf));

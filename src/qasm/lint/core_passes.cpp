@@ -83,22 +83,10 @@ class StructurePass final : public LintPass {
       sink.report(Severity::kError, DiagCode::kNoCircuit,
                   "program declares no circuit", 0);
     }
-    // A name repeats when an earlier circuit declares it. A few circuits
-    // are scanned; many (the count comes from the program text) are
-    // indexed in a set instead.
-    const auto& circuits = ctx.program.circuits;
-    constexpr std::size_t kScanLimit = 16;
+    // Names view the circuits' own strings, so indexing them copies none.
     std::set<std::string_view> names;
-    for (auto it = circuits.begin(); it != circuits.end(); ++it) {
-      const CircuitDecl& circ = *it;
-      const bool repeated =
-          circuits.size() <= kScanLimit
-              ? std::any_of(circuits.begin(), it,
-                            [&](const CircuitDecl& earlier) {
-                              return earlier.name == circ.name;
-                            })
-              : !names.insert(circ.name).second;
-      if (repeated) {
+    for (const CircuitDecl& circ : ctx.program.circuits) {
+      if (!names.insert(circ.name).second) {
         sink.report(Severity::kError, DiagCode::kDuplicateCircuitName,
                     "duplicate circuit name '" + circ.name + "'", circ.line);
       }

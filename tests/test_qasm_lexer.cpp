@@ -369,10 +369,16 @@ std::uint64_t atof_bits(std::string_view text) {
 }
 
 TEST(LexerEdgeCases, ExponentsLeadingDotsAndOverflow) {
-  const LexResult r = lex("1e3 2.5E-2 7.e2 .5 2e 3e- 1e+4 1e999 1e-400 4e-320");
+  // The last four are integers: 15 digits convert exactly, longer runs
+  // (2^53 + 1, 2^64 + 1) round as atof rounds them.
+  const LexResult r = lex(
+      "1e3 2.5E-2 7.e2 .5 2e 3e- 1e+4 1e999 1e-400 4e-320 "
+      "007 999999999999999 9007199254740993 18446744073709551617");
   ASSERT_TRUE(r.diagnostics.empty());
-  const char* const texts[] = {"1e3", "2.5E-2", "7.e2", ".5",  "2e",
-                               "3e-", "1e+4",   "1e999", "1e-400", "4e-320"};
+  const char* const texts[] = {
+      "1e3",    "2.5E-2", "7.e2", ".5",     "2e",     "3e-",
+      "1e+4",   "1e999",  "1e-400", "4e-320", "007",  "999999999999999",
+      "9007199254740993", "18446744073709551617"};
   ASSERT_EQ(r.tokens.size(), std::size(texts) + 1);
   for (std::size_t i = 0; i < std::size(texts); ++i) {
     EXPECT_EQ(r.tokens[i].kind, TokenKind::kNumber) << texts[i];
@@ -392,6 +398,9 @@ TEST(LexerEdgeCases, ExponentsLeadingDotsAndOverflow) {
   EXPECT_EQ(r.tokens[8].number, 0.0);
   EXPECT_GT(r.tokens[9].number, 0.0);  // subnormal, not flushed
   EXPECT_LT(r.tokens[9].number, 1e-300);
+  EXPECT_EQ(r.tokens[10].number, 7.0);
+  EXPECT_EQ(r.tokens[11].number, 999999999999999.0);
+  EXPECT_EQ(r.tokens[12].number, 9007199254740992.0);
 }
 
 TEST(LexerEdgeCases, VerticalTabAndFormFeedAreWhitespace) {
