@@ -308,37 +308,29 @@ class RedundantPairPass final : public LintPass {
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
-      // Per op: the op that follows its gate events on every timeline
-      // (kBroken when two timelines disagree or one has no next gate),
-      // and how many timelines have it next.
+      // Per op: the gate that follows its first gate event, and on how
+      // many timelines that gate follows it. The count reaches the op's
+      // operand count only when one gate comes next on every timeline.
       struct Successor {
-        std::size_t op = kNone;
+        std::size_t op = 0;
         std::size_t count = 0;
       };
       std::vector<Successor> next(facts.ops.size());
       for (std::size_t q = 0; q < facts.circuit->num_qubits; ++q) {
         const auto chain = facts.qubit_events(q);
-        for (std::size_t k = 0; k < chain.size(); ++k) {
-          if (chain[k].kind != QubitEvent::Kind::kGate) continue;
-          const std::size_t j =
-              k + 1 < chain.size() &&
-                      chain[k + 1].kind == QubitEvent::Kind::kGate
-                  ? chain[k + 1].op
-                  : kBroken;
-          Successor& s = next[chain[k].op];
-          if (s.op == kNone) {
-            s = Successor{j, 1};
-          } else if (s.op == j) {
-            ++s.count;
-          } else {
-            s.op = kBroken;
+        for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+          if (chain[k].kind != QubitEvent::Kind::kGate ||
+              chain[k + 1].kind != QubitEvent::Kind::kGate) {
+            continue;
           }
+          Successor& s = next[chain[k].op];
+          if (s.count == 0) s.op = chain[k + 1].op;
+          if (s.op == chain[k + 1].op) ++s.count;
         }
       }
       for (std::size_t i = 0; i < facts.ops.size(); ++i) {
-        const std::size_t j = next[i].op;
-        const std::size_t count = next[i].count;
-        if (j == kNone || j == kBroken) continue;
+        const auto [j, count] = next[i];
+        if (count == 0) continue;
         const FlatOp& first = facts.ops[i];
         const FlatOp& second = facts.ops[j];
         if (first.guarded() || second.guarded()) continue;
@@ -368,9 +360,6 @@ class RedundantPairPass final : public LintPass {
   }
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kBroken = kNone - 1;
-
   static bool self_inverse(sim::GateKind kind) {
     switch (kind) {
       case sim::GateKind::kH:
