@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -85,20 +84,11 @@ bool is_word_char(char c) { return is_word_start(c) || is_digit(c); }
 bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 /// std::atof of a number token, which is not NUL-terminated inside the
-/// source. A run of at most 15 digits (most tokens are register indices)
-/// is an integer below 2^53, so its double is exact. Otherwise
-/// std::from_chars gives the same correctly rounded value without
+/// source. std::from_chars gives the same correctly rounded value without
 /// consulting the locale; a token it reports out of range (`1e999`,
 /// `1e-400`, subnormals) falls back to std::atof on a stack copy, so
 /// overflow and underflow read exactly as before.
 double parse_number(std::string_view text) {
-  if (text.size() <= 15 && std::all_of(text.begin(), text.end(), is_digit)) {
-    std::uint64_t integer = 0;
-    for (const char c : text) {
-      integer = integer * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return static_cast<double>(integer);
-  }
   double value = 0.0;
   const auto [end, error] =
       std::from_chars(text.data(), text.data() + text.size(), value);
@@ -135,13 +125,6 @@ TokenKind punctuation_kind(char c) {
 
 LexResult lex(std::string_view source) {
   LexResult result;
-  lex(source, result);
-  return result;
-}
-
-void lex(std::string_view source, LexResult& result) {
-  result.tokens.clear();
-  result.diagnostics.clear();
   const std::size_t n = source.size();
   // Canonical source spends about two bytes per token, so one
   // reservation usually covers the stream; growth covers the rest.
@@ -229,6 +212,7 @@ void lex(std::string_view source, LexResult& result) {
   }
   result.tokens.push_back(
       Token{TokenKind::kEof, std::string_view(), 0.0, line, column_of(i)});
+  return result;
 }
 
 }  // namespace qcgen::qasm

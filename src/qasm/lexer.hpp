@@ -67,8 +67,4 @@ struct LexResult {
 /// locale is, and number tokens read as std::atof reads them.
 LexResult lex(std::string_view source);
 
-/// lex(source) into `out`, replacing its contents and reusing its
-/// capacity (the parser keeps one per thread).
-void lex(std::string_view source, LexResult& out);
-
 }  // namespace qcgen::qasm

@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "qasm/lint/registry.hpp"
 #include "qasm/printer.hpp"
@@ -122,10 +123,11 @@ class GatesPass final : public LintPass {
   }
 
   void run(const PassContext& ctx, DiagnosticSink& sink) const override {
+    std::vector<bool> seen;  // qubits a long operand list has named
     for (const CircuitFacts& facts : ctx.facts.circuits) {
       if (!facts.analyzable) continue;
       for (const FlatOp& op : facts.ops) {
-        check_op(ctx, *facts.circuit, op, sink);
+        check_op(ctx, *facts.circuit, op, seen, sink);
       }
     }
   }
@@ -154,7 +156,8 @@ class GatesPass final : public LintPass {
   }
 
   void check_op(const PassContext& ctx, const CircuitDecl& circ,
-                const FlatOp& op, DiagnosticSink& sink) const {
+                const FlatOp& op, std::vector<bool>& seen,
+                DiagnosticSink& sink) const {
     for (const IfStmt* guard : op.guards) {
       check_clbit_ref(circ, guard->clbit, sink);
     }
@@ -162,7 +165,7 @@ class GatesPass final : public LintPass {
         [&](const auto& s) {
           using T = std::decay_t<decltype(s)>;
           if constexpr (std::is_same_v<T, GateStmt>) {
-            check_gate(ctx, circ, s, op, sink);
+            check_gate(ctx, circ, s, op, seen, sink);
           } else if constexpr (std::is_same_v<T, MeasureStmt>) {
             check_qubit_ref(circ, s.qubit, sink);
             check_clbit_ref(circ, s.clbit, sink);
@@ -182,7 +185,7 @@ class GatesPass final : public LintPass {
 
   void check_gate(const PassContext& ctx, const CircuitDecl& circ,
                   const GateStmt& gate, const FlatOp& op,
-                  DiagnosticSink& sink) const {
+                  std::vector<bool>& seen, DiagnosticSink& sink) const {
     if (!op.gate) {
       sink.report(Severity::kError, DiagCode::kUnknownGate,
                   "unknown gate '" + gate.name + "'", gate.line);
@@ -228,29 +231,35 @@ class GatesPass final : public LintPass {
     }
     // An operand repeats when an earlier one names the same in-range
     // qubit. Short lists are scanned; long ones (the count comes from the
-    // program text) mark a bitmap instead.
+    // program text) mark `seen`, which one pass run grows once and each
+    // gate clears of its own marks afterwards.
     constexpr std::size_t kScanLimit = 8;
-    std::vector<bool> seen(
-        gate.operands.size() > kScanLimit ? circ.num_qubits : 0);
+    const bool mark = gate.operands.size() > kScanLimit;
+    if (mark && seen.size() < circ.num_qubits) seen.resize(circ.num_qubits);
     for (auto it = gate.operands.begin(); it != gate.operands.end(); ++it) {
       const RegRef& ref = *it;
       check_qubit_ref(circ, ref, sink);
       if (ref.index >= circ.num_qubits) continue;
       bool repeated = false;
-      if (seen.empty()) {
+      if (mark) {
+        repeated = seen[ref.index];
+        seen[ref.index] = true;
+      } else {
         repeated = std::any_of(gate.operands.begin(), it,
                                [&](const RegRef& earlier) {
                                  return earlier.index == ref.index;
                                });
-      } else {
-        repeated = seen[ref.index];
-        seen[ref.index] = true;
       }
       if (repeated) {
         sink.report(Severity::kError, DiagCode::kDuplicateQubit,
                     "gate '" + gate.name + "' uses qubit " +
                         std::to_string(ref.index) + " more than once",
                     gate.line);
+      }
+    }
+    if (mark) {
+      for (const RegRef& ref : gate.operands) {
+        if (ref.index < circ.num_qubits) seen[ref.index] = false;
       }
     }
   }

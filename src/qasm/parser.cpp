@@ -90,8 +90,12 @@ class Parser {
 
   ParseResult run() {
     Program program;
-    program.imports.reserve(count_kind(TokenKind::kKeywordImport));
-    program.circuits.reserve(count_kind(TokenKind::kKeywordCircuit));
+    // Generated programs import at least two modules; sizing the vector
+    // from the 'import' tokens saves its regrowth.
+    program.imports.reserve(static_cast<std::size_t>(std::count_if(
+        tokens_.begin(), tokens_.end(), [](const Token& t) {
+          return t.kind == TokenKind::kKeywordImport;
+        })));
     bool failed = has_errors(diags_);  // lexical errors already fatal
     while (!at(TokenKind::kEof)) {
       if (at(TokenKind::kKeywordImport)) {
@@ -130,22 +134,21 @@ class Parser {
     return tokens_[i];
   }
   bool at(TokenKind kind) const { return peek().kind == kind; }
-  /// Tokens of `kind` in the whole stream: an upper bound on the imports
-  /// or circuits the program declares ('circuit' may also be a word of an
-  /// import path), used to size their vectors once.
-  std::size_t count_kind(TokenKind kind) const {
-    return static_cast<std::size_t>(std::count_if(
-        tokens_.begin(), tokens_.end(),
-        [kind](const Token& t) { return t.kind == kind; }));
-  }
-  /// Tokens of `kind` from the current one up to the first `stop` (or the
-  /// end): statements of a circuit body end in ';' before its '}', and
-  /// the operands of a gate are separated by ',' before its ';'.
+  /// Tokens of `kind` from the current one up to the first `stop`, used
+  /// to size a vector once: statements of a circuit body end in ';'
+  /// before its '}', and the operands of a gate are separated by ','
+  /// before its ';'. The count also ends where a declaration does ('{',
+  /// '}', 'circuit' or 'import', none of which a body contains), so a
+  /// source of unterminated bodies is still scanned in linear time.
   std::size_t count_until(TokenKind kind, TokenKind stop) const {
     std::size_t count = 0;
     for (std::size_t i = pos_; i < tokens_.size(); ++i) {
-      if (tokens_[i].kind == stop) break;
-      if (tokens_[i].kind == kind) ++count;
+      const TokenKind k = tokens_[i].kind;
+      if (k == stop || k == TokenKind::kLBrace || k == TokenKind::kRBrace ||
+          k == TokenKind::kKeywordCircuit || k == TokenKind::kKeywordImport) {
+        break;
+      }
+      if (k == kind) ++count;
     }
     return count;
   }
@@ -467,17 +470,8 @@ class Parser {
 }  // namespace
 
 ParseResult parse(std::string_view source) {
-  // The token buffer lives as long as the thread, so a parse allocates
-  // tokens only when its source is longer than any before it. A buffer
-  // an outsized source grew past kKeptTokens is released again, so an
-  // idle thread holds at most that much.
-  constexpr std::size_t kKeptTokens = 4096;
-  thread_local LexResult lexed;
-  lex(source, lexed);
-  ParseResult result =
-      Parser(lexed.tokens, std::move(lexed.diagnostics)).run();
-  if (lexed.tokens.capacity() > kKeptTokens) lexed.tokens = {};
-  return result;
+  LexResult lexed = lex(source);
+  return Parser(lexed.tokens, std::move(lexed.diagnostics)).run();
 }
 
 }  // namespace qcgen::qasm

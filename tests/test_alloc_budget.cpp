@@ -101,12 +101,12 @@ std::vector<std::string> eval_shape_programs() {
 }  // namespace
 
 TEST(AllocBudget, EvalTrialStaysUnderBudget) {
-  // Measured at 132.7 per trial (GCC 12, libstdc++, Release); the trial
+  // Measured at 133.6 per trial (GCC 12, libstdc++, Release); the trial
   // path deep-copied its artifacts at 402 before, reprinted untouched
   // gold programs and copied unedited repairs at 235.8, built its
   // ladders' rung vectors and std::function bodies per call at 231.5,
   // and spent 190 allocations on each analysis miss at 217.3. The budget
-  // leaves about 3% of headroom for toolchain differences.
+  // leaves about 1% of headroom for toolchain differences.
   constexpr double kBudget = 135.0;
   const double per_trial = allocations_per_trial();
   std::printf("allocations per trial: %.1f (budget %.0f)\n", per_trial,
@@ -129,7 +129,7 @@ TEST(AllocBudget, SecondMatrixSetUpStaysUnderBudget) {
 }
 
 TEST(AllocBudget, AnalysisMissStaysUnderBudget) {
-  // Measured at 82.9 per miss on the eval shape's programs and 39.3 on
+  // Measured at 84.1 per miss on the eval shape's programs and 39.9 on
   // the analyzer corpus (GCC 12, libstdc++, Release); 189.9 and 92.5
   // when the lexer grew its token vector per parse, the fact tables held
   // a vector per qubit and clbit timeline and the passes built ordered

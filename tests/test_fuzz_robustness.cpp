@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <string_view>
+
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "llm/simlm.hpp"
@@ -100,6 +105,40 @@ TEST(ParserFuzz, PathologicalInputs) {
     if (parsed.program.has_value()) {
       qasm::analyze(*parsed.program);  // must not throw
     }
+  }
+}
+
+TEST(ParserFuzz, UnterminatedDeclarationsParseInLinearTime) {
+  // A circuit body or a gate statement that is never closed must not make
+  // the parser rescan the rest of the source for each one: parsing eight
+  // times as many should cost about eight times as much, far from the 64
+  // times of a rescan per declaration. Best of five runs each.
+  const auto repeated = [](std::string_view unit, std::size_t copies) {
+    std::string source;
+    source.reserve(unit.size() * copies);
+    for (std::size_t i = 0; i < copies; ++i) source += unit;
+    return source;
+  };
+  const auto best_seconds = [](const std::string& source) {
+    double best = 1e9;
+    for (int run = 0; run < 5; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      const qasm::ParseResult parsed = qasm::parse(source);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_FALSE(parsed.ok());
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  for (const std::string_view unit :
+       {std::string_view("circuit a(q: 1) { "),
+        std::string_view("circuit a(q: 1) { h q[0] } ")}) {
+    const double small = best_seconds(repeated(unit, 1000));
+    const double large = best_seconds(repeated(unit, 8000));
+    EXPECT_LT(large, 32 * small)
+        << "'" << unit << "' x8000 took " << large << " s, x1000 took "
+        << small << " s";
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "qasm/analyzer.hpp"
 #include "qasm/parser.hpp"
 
@@ -154,6 +157,32 @@ TEST(Analyzer, DuplicateQubitOperand) {
       "import qiskit; circuit main(q: 2, c: 2) { cx q[1], q[1]; "
       "measure_all; }");
   EXPECT_TRUE(has_code(report, DiagCode::kDuplicateQubit));
+}
+
+TEST(Analyzer, DuplicateOperandsOfLongAndShortListsReportAlike) {
+  // Lists of more than eight operands are checked on a bitmap the pass
+  // keeps across gates and circuits; a list of three is scanned. Both
+  // report the repeated qubits (the driver merges identical reports of
+  // one line), and a long list's marks do not leak into the next gate.
+  const auto report = analyze_source(
+      "import qiskit; circuit main(q: 10, c: 10) {"
+      " ccx q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[3], q[0], q[3];"
+      " ccx q[9], q[8], q[7], q[6], q[5], q[4], q[3], q[2], q[1], q[0];"
+      " ccx q[1], q[1], q[1]; measure_all; }"
+      " circuit wide(q: 12, c: 12) {"
+      " ccx q[11], q[10], q[9], q[8], q[7], q[6], q[5], q[4], q[11];"
+      " measure_all; }");
+  std::vector<std::string> repeats;
+  for (const auto& d : report.diagnostics) {
+    if (d.code == DiagCode::kDuplicateQubit) repeats.push_back(d.message);
+  }
+  const std::vector<std::string> expected = {
+      "gate 'ccx' uses qubit 3 more than once",
+      "gate 'ccx' uses qubit 0 more than once",
+      "gate 'ccx' uses qubit 1 more than once",
+      "gate 'ccx' uses qubit 11 more than once",
+  };
+  EXPECT_EQ(repeats, expected);
 }
 
 TEST(Analyzer, NoMeasurementWarning) {

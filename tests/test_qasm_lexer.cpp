@@ -369,7 +369,7 @@ std::uint64_t atof_bits(std::string_view text) {
 }
 
 TEST(LexerEdgeCases, ExponentsLeadingDotsAndOverflow) {
-  // The last four are integers: 15 digits convert exactly, longer runs
+  // The last four are integers: 15 digits are exact, longer runs
   // (2^53 + 1, 2^64 + 1) round as atof rounds them.
   const LexResult r = lex(
       "1e3 2.5E-2 7.e2 .5 2e 3e- 1e+4 1e999 1e-400 4e-320 "
